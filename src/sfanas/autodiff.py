@@ -277,21 +277,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _make(out_data, (a,), bwd)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"softmax_rows: expected 2-d input, got shape {a.data.shape}")
-    z = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    out_data = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g):
-        if a.requires_grad:
-            dot = (g * out_data).sum(axis=1, keepdims=True)
-            a.accumulate(out_data * (g - dot))
-
-    return _make(out_data, (a,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 

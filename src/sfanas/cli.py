@@ -17,7 +17,7 @@ import numpy as np
 from . import gradcheck as gradcheck_mod
 from .graphs import (ParseError, SyntheticSpec, TaskSchema, ValidationError,
                      generate_synthetic, load_dataset, write_dataset)
-from .search import SearchConfig, search
+from .search import SearchConfig, best_record, search
 from .supernet import ArchEncoding
 from .training import (HParams, default_metric, evaluate_model, load_model,
                        save_model, train_discrete)
@@ -187,7 +187,7 @@ def cmd_search(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "arch.json").write_text(arch.to_json() + "\n", encoding="utf-8")
     _write_jsonl(out / "history.jsonl", history)
-    best = max(history, key=lambda r: (r["valid_metric"], -r["epoch"]))
+    best = best_record(history)
     print(f"searched {config.epochs} epochs over {config.num_blocks} blocks")
     print(f"best epoch {best['epoch']}: valid {best['metric']} = "
           f"{best['valid_metric']:.4f} (lambda {best['lambda']:.4g})")
@@ -211,10 +211,7 @@ def cmd_derive(args) -> int:
             raise CliError(f"no epoch {args.epoch} in {args.history}")
         chosen = matches[0]
     else:
-        chosen = records[0]
-        for r in records[1:]:
-            if r["valid_metric"] > chosen["valid_metric"]:
-                chosen = r
+        chosen = best_record(records)
     arch = ArchEncoding.from_dict(chosen["arch"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -251,12 +248,11 @@ def cmd_train(args) -> int:
     arch = _load_arch(args.arch)
     dataset = _build_dataset(cfg)
     params, reports, history = train_discrete(dataset, arch, hp)
-    best_epoch = reports["valid"].epoch if "valid" in reports else -1
-    metric = reports["valid"].metric if "valid" in reports else \
-        (hp.metric or default_metric(dataset.schema))
+    best_epoch = reports["valid"].epoch
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", _report_payload(reports, metric, best_epoch))
+    _write_json(out / "report.json", _report_payload(reports, reports["valid"].metric,
+                                                     best_epoch))
     save_model(params, arch, out / "model.bin", out / "model.manifest.json",
                extra={"best_epoch": best_epoch})
     _print_reports(reports)

@@ -76,7 +76,6 @@ def _primitive_checks():
     simple("exp", lambda rng: ad.exp)
     simple("log", lambda rng: ad.log, data_fn=lambda x: np.abs(x) + 0.5)
     simple("sqrt", lambda rng: ad.sqrt, data_fn=lambda x: np.abs(x) + 0.5)
-    simple("softmax_rows", lambda rng: ad.softmax_rows)
     simple("concat", lambda rng: (lambda t, c=const(rng): ad.concat([t, c], axis=1)))
     simple("tslice", lambda rng: (lambda t: t[1:3, 0:2]))
     simple("tsum", lambda rng: (lambda t: ad.tsum(t, axis=0, keepdims=True)))

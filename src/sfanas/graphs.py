@@ -132,7 +132,8 @@ class GraphBatch:
 
     @property
     def num_graphs(self) -> int:
-        return int(self.graph_ids.max()) + 1 if self.graph_ids.size else 0
+        # not graph_ids.max() + 1, which drops trailing zero-node graphs
+        return len(self.node_counts) if self.node_counts is not None else len(self.labels)
 
 
 @dataclass(frozen=True)

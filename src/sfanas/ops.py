@@ -7,8 +7,6 @@ so they can run in parallel over a read-only parameter snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -20,35 +18,8 @@ FUSION_OPS = ("SUM", "MEAN", "MAX", "CONCAT", "LSTM")
 AGGREGATION_OPS = ("GCN", "GAT", "GAT_SYM", "GAT_COS", "GIN", "GEN", "MF", "EXPC")
 READOUT_OPS = ("GLOBAL_MEAN", "GLOBAL_MAX", "GLOBAL_SUM")
 
-_MODULE_SETS = {
-    "Selection": SELECTION_OPS,
-    "Fusion": FUSION_OPS,
-    "Aggregation": AGGREGATION_OPS,
-    "Readout": READOUT_OPS,
-}
-
 DEFAULT_MAX_DEGREE = 5
 DEFAULT_EXPANSION = 2
-
-
-@dataclass(frozen=True)
-class OpKind:
-    """A (module, operation) pair from the search space."""
-    module: str
-    name: str
-
-    def __post_init__(self):
-        legal = _MODULE_SETS.get(self.module)
-        if legal is None:
-            raise ValueError(f"unknown module {self.module!r}")
-        if self.name not in legal:
-            raise ValueError(f"{self.name!r} is not a {self.module} operation; "
-                             f"expected one of {legal}")
-
-
-def all_op_kinds() -> list[OpKind]:
-    return [OpKind(module, name)
-            for module, names in _MODULE_SETS.items() for name in names]
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ from . import ops
 from .graphs import Dataset
 from .supernet import (ArchEncoding, DEFAULT_AGG_CANDIDATES, SupernetDims,
                        derive_architecture, init_relaxed, supernet_forward)
-from .training import (SGD, check_metric, default_metric, evaluate_logits,
-                       output_dim, task_loss)
+from .training import (SGD, check_metric, check_valid_classes, checked_loss,
+                       default_metric, evaluate_logits, minibatches, output_dim,
+                       split_logits, task_loss)
 
 ANNEAL_SCHEDULES = ("linear", "exponential")
 
@@ -106,21 +107,9 @@ def random_architecture(config: SearchConfig, seed: int) -> ArchEncoding:
                         readout=readout)
 
 
-def _chunks(graphs: list, batch_size: int, rng: np.random.Generator) -> list:
-    idx = np.arange(len(graphs))
-    rng.shuffle(idx)
-    return [[graphs[i] for i in idx[s: s + batch_size]]
-            for s in range(0, len(graphs), batch_size)]
-
-
-def _split_logits(params, graphs, batch_size: int = 256):
-    from .graphs import batch_graphs
-    parts, labels = [], []
-    for s in range(0, len(graphs), batch_size):
-        batch = batch_graphs(graphs[s: s + batch_size])
-        parts.append(supernet_forward(batch, params, mode="relaxed").data)
-        labels.append(batch.labels)
-    return np.concatenate(parts), np.concatenate(labels)
+def best_record(history: list) -> dict:
+    """The record with the highest valid metric; ties go to the earliest epoch."""
+    return max(history, key=lambda r: (r["valid_metric"], -r["epoch"]))
 
 
 def search(dataset: Dataset, config: SearchConfig):
@@ -137,6 +126,7 @@ def search(dataset: Dataset, config: SearchConfig):
     valid_graphs = dataset.split_graphs("valid")
     if not train_graphs or not valid_graphs:
         raise ValueError("search needs non-empty train and valid splits")
+    check_valid_classes(metric, valid_graphs)
 
     dims = SupernetDims(d_in=dataset.num_node_features, out_dim=output_dim(schema),
                         num_blocks=config.num_blocks, hidden=config.hidden,
@@ -150,11 +140,10 @@ def search(dataset: Dataset, config: SearchConfig):
     dropout_rng = np.random.default_rng([config.seed, 0xD0])
 
     history = []
-    best = None  # (value, epoch, arch)
     for epoch in range(config.epochs):
         params.lam = anneal(epoch, config)
-        train_chunks = _chunks(train_graphs, config.batch_size, train_rng)
-        valid_chunks = _chunks(valid_graphs, config.batch_size, valid_rng)
+        train_chunks = minibatches(train_graphs, config.batch_size, train_rng)
+        valid_chunks = minibatches(valid_graphs, config.batch_size, valid_rng)
         train_loss = 0.0
         valid_loss = 0.0
         for step, chunk in enumerate(train_chunks):
@@ -162,27 +151,24 @@ def search(dataset: Dataset, config: SearchConfig):
             logits = supernet_forward(batch, params, mode="relaxed", training=True,
                                       dropout_rate=config.dropout, rng=dropout_rng)
             loss = task_loss(schema, logits, batch.labels)
+            train_loss += checked_loss(loss, epoch)
             params.zero_grads()
             ad.backward(loss)
             opt_w.step()  # logits frozen: only weight tensors move
-            train_loss += float(loss.data)
 
             vbatch = batch_graphs(valid_chunks[step % len(valid_chunks)])
             vlogits = supernet_forward(vbatch, params, mode="relaxed")
             vloss = task_loss(schema, vlogits, vbatch.labels)
+            valid_loss += checked_loss(vloss, epoch)
             params.zero_grads()
             ad.backward(vloss)
             opt_a.step()  # weights frozen: only logit tensors move
-            valid_loss += float(vloss.data)
 
-        logits, labels = _split_logits(params, valid_graphs)
-        report = evaluate_logits(schema, metric, logits, labels, "valid", epoch)
-        snapshot = derive_architecture(params)
+        report = evaluate_logits(schema, metric, *split_logits(params, valid_graphs),
+                                 "valid", epoch)
         history.append({"epoch": epoch, "train_loss": train_loss / len(train_chunks),
                         "valid_loss": valid_loss / len(train_chunks),
                         "metric": metric, "valid_metric": report.value,
-                        "lambda": params.lam, "arch": snapshot.to_dict()})
-        if best is None or report.value > best[0]:
-            best = (report.value, epoch, snapshot)
+                        "lambda": params.lam, "arch": derive_architecture(params).to_dict()})
 
-    return best[2], history
+    return ArchEncoding.from_dict(best_record(history)["arch"]), history

@@ -127,6 +127,15 @@ class SupernetParams:
         rng = np.random.default_rng([int(seed), 0xA7C4])
         d = dims.hidden
         w: dict[str, Tensor] = {}
+        # (kind, block, op) -> {param name: key in w}; the tensors stay in w
+        self._op_keys: dict[tuple, dict] = {}
+
+        def add_op(kind: str, b: int, name: str, op_params: dict) -> None:
+            keys = self._op_keys[(kind, b, name)] = {}
+            for pname, t in op_params.items():
+                keys[pname] = f"b{b}/{kind}/{name}/{pname}"
+                w[keys[pname]] = t
+
         w["encoder/W"] = Tensor(ops.glorot(rng, dims.d_in, d), requires_grad=True)
         w["encoder/b"] = Tensor(np.zeros((1, d)), requires_grad=True)
         for b in range(dims.num_blocks):
@@ -134,12 +143,10 @@ class SupernetParams:
                 w[f"b{b}/edge_proj"] = Tensor(ops.glorot(rng, dims.d_edge, d),
                                               requires_grad=True)
             for name in self.fusion_candidates[b]:
-                for pname, t in ops.init_fusion_params(name, d, b + 1, rng).items():
-                    w[f"b{b}/fus/{name}/{pname}"] = t
+                add_op("fus", b, name, ops.init_fusion_params(name, d, b + 1, rng))
             for name in self.agg_candidates[b]:
-                for pname, t in ops.init_aggregation_params(
-                        name, d, rng, max_degree=max_degree, expansion=expansion).items():
-                    w[f"b{b}/agg/{name}/{pname}"] = t
+                add_op("agg", b, name, ops.init_aggregation_params(
+                    name, d, rng, max_degree=max_degree, expansion=expansion))
         w["head/W"] = Tensor(ops.glorot(rng, d, dims.out_dim), requires_grad=True)
         w["head/b"] = Tensor(np.zeros((1, dims.out_dim)), requires_grad=True)
         self.weights = w
@@ -157,12 +164,10 @@ class SupernetParams:
                 np.zeros(len(self.readout_candidates)), requires_grad=True)
 
     def fusion_params(self, b: int, name: str) -> dict:
-        prefix = f"b{b}/fus/{name}/"
-        return {k[len(prefix):]: t for k, t in self.weights.items() if k.startswith(prefix)}
+        return {p: self.weights[k] for p, k in self._op_keys[("fus", b, name)].items()}
 
     def agg_params(self, b: int, name: str) -> dict:
-        prefix = f"b{b}/agg/{name}/"
-        return {k[len(prefix):]: t for k, t in self.weights.items() if k.startswith(prefix)}
+        return {p: self.weights[k] for p, k in self._op_keys[("agg", b, name)].items()}
 
     def zero_grads(self) -> None:
         for t in self.weights.values():
@@ -210,21 +215,42 @@ def arch_weights(alpha: Tensor, lam: float) -> Tensor:
     return ad.div(e, ad.tsum(e))
 
 
+def site_weights(params: SupernetParams, key: str, names, mode: str,
+                 arch: ArchEncoding | None, pick):
+    """Weights over the candidate ``names`` of the decision site ``key``.
+
+    Relaxed mode needs no architecture: it returns the temperature
+    softmax of the site's logits. Discrete mode returns 0/1 floats with
+    the 1 on ``pick(arch)``, the op the architecture chose at this site;
+    mixed_op skips the zeros, so a one-hot relaxation and the discrete
+    network agree exactly.
+    """
+    if mode == "discrete":
+        if arch is None:
+            raise ValueError("discrete mode needs an ArchEncoding")
+        chosen = pick(arch)
+        if chosen not in names:
+            raise ValueError(f"op {chosen!r} not among candidates {tuple(names)}")
+        return [1.0 if n == chosen else 0.0 for n in names]
+    return arch_weights(params.alphas[key], params.lam)
+
+
+def _per_candidate(weights, n: int) -> list:
+    """One weight per candidate: length-1 slices of a Tensor, or floats."""
+    if isinstance(weights, Tensor):
+        if weights.data.shape != (n,):
+            raise ShapeError(f"mixed_op: {n} candidates but weight shape {weights.data.shape}")
+        return [weights[i: i + 1] for i in range(n)]
+    if len(weights) != n:
+        raise ShapeError(f"mixed_op: {n} candidates but {len(weights)} weights")
+    return [float(w) for w in weights]
+
+
 def mixed_op(candidates, weights, x):
     """Weighted sum of candidate outputs; zero float weights are skipped."""
-    if isinstance(weights, Tensor):
-        if weights.data.shape != (len(candidates),):
-            raise ShapeError(f"mixed_op: {len(candidates)} candidates but "
-                             f"weight shape {weights.data.shape}")
-        terms = [(weights[i: i + 1], op) for i, op in enumerate(candidates)]
-    else:
-        if len(weights) != len(candidates):
-            raise ShapeError(f"mixed_op: {len(candidates)} candidates but {len(weights)} weights")
-        terms = [(float(wi), op) for wi, op in zip(weights, candidates)]
-
     out = None
     out_shape = None
-    for w, op in terms:
+    for w, op in zip(_per_candidate(weights, len(candidates)), candidates):
         if isinstance(w, float) and w == 0.0:
             continue
         y = op(x)
@@ -240,10 +266,12 @@ def mixed_op(candidates, weights, x):
     return out
 
 
-def _one_hot(names, chosen: str):
-    if chosen not in names:
-        raise ValueError(f"op {chosen!r} not among candidates {tuple(names)}")
-    return [1.0 if n == chosen else 0.0 for n in names]
+def _edge_features(batch: GraphBatch, params: SupernetParams, b: int) -> Tensor | None:
+    """Block ``b``'s projection of the edge features for GEN, if it has one."""
+    proj = params.weights.get(f"b{b}/edge_proj")
+    if proj is None or batch.edge_features is None or not batch.edges.size:
+        return None
+    return ad.matmul(Tensor(batch.edge_features), proj)
 
 
 def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
@@ -252,47 +280,32 @@ def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
     """One selection-fusion-aggregation block over the feature history.
 
     ``block_index`` is 1-based: block i consumes history H0..H(i-1).
-    Relaxed mode mixes every candidate; discrete mode applies 0/1
-    selection bits and the single chosen fusion/aggregation op.
+    Every site is a weighted mixture whose weights come from
+    :func:`site_weights`, soft when relaxed and 0/1 when discrete.
     """
     if block_index < 1 or len(history) != block_index:
         raise ValueError(f"block {block_index} expects a history of length {block_index}")
     b = block_index - 1
-    if mode == "discrete" and arch is None:
-        raise ValueError("discrete mode needs an ArchEncoding")
 
     scaled = []
     for j, Hj in enumerate(history):
-        if mode == "relaxed":
-            w = arch_weights(params.alphas[f"sel/b{b}/i{j}"], params.lam)[1:2]
-        else:
-            w = float(arch.selection[b][j])
-        scaled.append(ops.select(w, Hj))
+        w = site_weights(params, f"sel/b{b}/i{j}", ops.SELECTION_OPS, mode, arch,
+                         lambda a, j=j: ops.SELECTION_OPS[a.selection[b][j]])
+        scaled.append(ops.select(_per_candidate(w, 2)[1], Hj))  # the IDENTITY weight
 
     fus_names = params.fusion_candidates[b]
     fus_cands = [lambda xs, n=name: ops.fuse(n, xs, params.fusion_params(b, n))
                  for name in fus_names]
-    if mode == "relaxed":
-        w_f = arch_weights(params.alphas[f"fus/b{b}"], params.lam)
-    else:
-        w_f = _one_hot(fus_names, arch.fusion[b])
+    w_f = site_weights(params, f"fus/b{b}", fus_names, mode, arch, lambda a: a.fusion[b])
     fused = mixed_op(fus_cands, w_f, scaled)
 
-    edge_feats = None
-    proj = params.weights.get(f"b{b}/edge_proj")
-    gen_runs = "GEN" in params.agg_candidates[b] and \
-        (mode == "relaxed" or arch.aggregation[b] == "GEN")
-    if proj is not None and gen_runs and batch.edge_features is not None and batch.edges.size:
-        edge_feats = ad.matmul(Tensor(batch.edge_features), proj)
-
     agg_names = params.agg_candidates[b]
-    agg_cands = [lambda x, n=name: ops.aggregate(n, batch, x, params.agg_params(b, n),
-                                                 edge_feats)
+    agg_cands = [lambda x, n=name: ops.aggregate(
+                     n, batch, x, params.agg_params(b, n),
+                     _edge_features(batch, params, b) if n == "GEN" else None)
                  for name in agg_names]
-    if mode == "relaxed":
-        w_a = arch_weights(params.alphas[f"agg/b{b}"], params.lam)
-    else:
-        w_a = _one_hot(agg_names, arch.aggregation[b])
+    w_a = site_weights(params, f"agg/b{b}", agg_names, mode, arch,
+                       lambda a: a.aggregation[b])
     return mixed_op(agg_cands, w_a, fused)
 
 
@@ -316,15 +329,11 @@ def supernet_forward(batch: GraphBatch, params: SupernetParams,
             H = ops.dropout(H, dropout_rate, rng)
         history.append(H)
 
-    HL = history[-1]
     ro_names = params.readout_candidates
     ro_cands = [lambda x, n=name: ops.readout(n, x, batch.graph_ids, batch.num_graphs)
                 for name in ro_names]
-    if mode == "relaxed":
-        w_r = arch_weights(params.alphas["readout"], params.lam)
-    else:
-        w_r = _one_hot(ro_names, arch.readout)
-    pooled = mixed_op(ro_cands, w_r, HL)
+    w_r = site_weights(params, "readout", ro_names, mode, arch, lambda a: a.readout)
+    pooled = mixed_op(ro_cands, w_r, history[-1])
     return ad.add(ad.matmul(pooled, params.weights["head/W"]), params.weights["head/b"])
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graphs import Dataset, Graph, TaskSchema, add_virtual_node, batch_graphs
+from .graphs import Dataset, TaskSchema, add_virtual_node, batch_graphs
 from .supernet import ArchEncoding, SupernetDims, SupernetParams, init_discrete, supernet_forward
 
 # ---------------------------------------------------------------------------
@@ -190,6 +190,8 @@ class EvalReport:
 def evaluate_logits(schema: TaskSchema, metric: str, logits: np.ndarray,
                     labels: np.ndarray, split: str, epoch: int) -> EvalReport:
     check_metric(schema, metric)
+    if not np.isfinite(logits).all():
+        raise ValueError(f"{split} logits at epoch {epoch} are not all finite")
     per_task = None
     if metric == "auc":
         value = roc_auc(logits[:, 0], labels[:, 0])
@@ -263,25 +265,62 @@ def output_dim(schema: TaskSchema) -> int:
     return schema.num_tasks
 
 
-def _minibatches(graphs: list, batch_size: int, rng: np.random.Generator | None):
+def minibatches(graphs: list, batch_size: int, rng: np.random.Generator | None = None) -> list:
+    """Consecutive chunks of ``graphs``, after one shuffle when ``rng`` is given."""
     idx = np.arange(len(graphs))
     if rng is not None:
         rng.shuffle(idx)
-    for start in range(0, len(graphs), batch_size):
-        chunk = idx[start: start + batch_size]
-        yield [graphs[i] for i in chunk]
+    return [[graphs[i] for i in idx[s: s + batch_size]]
+            for s in range(0, len(graphs), batch_size)]
 
 
-def _forward_split(params: SupernetParams, graphs: list, arch: ArchEncoding,
-                   batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
+def split_logits(params: SupernetParams, graphs: list, arch: ArchEncoding | None = None,
+                 batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """Logits and labels over ``graphs``: of the relaxed supernet when
+    ``arch`` is None, else of the discrete network ``arch``."""
     parts = []
     labels = []
-    for chunk in _minibatches(graphs, batch_size, rng=None):
+    for chunk in minibatches(graphs, batch_size):
         batch = batch_graphs(chunk)
-        logits = supernet_forward(batch, params, mode="discrete", arch=arch)
+        logits = supernet_forward(batch, params, mode="relaxed" if arch is None else "discrete",
+                                  arch=arch)
         parts.append(logits.data)
         labels.append(batch.labels)
     return np.concatenate(parts, axis=0), np.concatenate(labels, axis=0)
+
+
+def _split_reports(schema: TaskSchema, metric: str, params: SupernetParams, splits: dict,
+                  arch: ArchEncoding, epoch: int) -> dict:
+    """One EvalReport per non-empty split of ``splits`` (name -> graphs)."""
+    return {split: evaluate_logits(schema, metric, *split_logits(params, graphs, arch),
+                                   split, epoch)
+            for split, graphs in splits.items() if graphs}
+
+
+def check_valid_classes(metric: str, valid_graphs: list) -> None:
+    """Under auc, a valid split with one class has no metric: fail before training."""
+    if metric == "auc":
+        positive = np.array([g.label[0] == 1 for g in valid_graphs])
+        if positive.all() or not positive.any():
+            raise ValueError("auc needs at least one positive and one negative graph "
+                             "in the valid split")
+
+
+def checked_loss(loss: Tensor, epoch: int) -> float:
+    """The loss as a float; a non-finite loss stops the run."""
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise ValueError(f"epoch {epoch}: loss is {value}")
+    return value
+
+
+def _splits(dataset: Dataset, virtual_node: bool) -> dict:
+    """Train, valid and test graphs, each given a virtual node if asked."""
+    splits = {}
+    for split in ("train", "valid", "test"):
+        graphs = dataset.split_graphs(split)
+        splits[split] = [add_virtual_node(g) for g in graphs] if virtual_node else graphs
+    return splits
 
 
 def _clone_weights(params: SupernetParams) -> dict:
@@ -303,17 +342,11 @@ def train_discrete(dataset: Dataset, arch: ArchEncoding, hp: HParams):
     metric = hp.metric or default_metric(schema)
     check_metric(schema, metric)
 
-    def prep(split: str) -> list[Graph]:
-        graphs = dataset.split_graphs(split)
-        if hp.virtual_node:
-            graphs = [add_virtual_node(g) for g in graphs]
-        return graphs
-
-    train_graphs = prep("train")
-    valid_graphs = prep("valid")
-    test_graphs = prep("test")
+    splits = _splits(dataset, hp.virtual_node)
+    train_graphs, valid_graphs = splits["train"], splits["valid"]
     if not train_graphs or not valid_graphs:
         raise ValueError("train and valid splits must be non-empty")
+    check_valid_classes(metric, valid_graphs)
 
     d_in = train_graphs[0].node_features.shape[1]
     if dataset.num_node_features != d_in and not hp.virtual_node:
@@ -333,21 +366,20 @@ def train_discrete(dataset: Dataset, arch: ArchEncoding, hp: HParams):
     history = []
     for epoch in range(hp.epochs):
         epoch_loss = 0.0
-        n_batches = 0
-        for chunk in _minibatches(train_graphs, hp.batch_size, shuffle_rng):
+        chunks = minibatches(train_graphs, hp.batch_size, shuffle_rng)
+        for chunk in chunks:
             batch = batch_graphs(chunk)
             logits = supernet_forward(batch, params, mode="discrete", arch=arch,
                                       training=True, dropout_rate=hp.dropout,
                                       rng=dropout_rng)
             loss = task_loss(schema, logits, batch.labels)
+            epoch_loss += checked_loss(loss, epoch)
             params.zero_grads()
             ad.backward(loss)
             opt.step()
-            epoch_loss += float(loss.data)
-            n_batches += 1
-        logits, labels = _forward_split(params, valid_graphs, arch)
-        report = evaluate_logits(schema, metric, logits, labels, "valid", epoch)
-        history.append({"epoch": epoch, "train_loss": epoch_loss / max(1, n_batches),
+        report = evaluate_logits(schema, metric, *split_logits(params, valid_graphs, arch),
+                                 "valid", epoch)
+        history.append({"epoch": epoch, "train_loss": epoch_loss / len(chunks),
                         f"valid_{metric}": report.value})
         if report.value > best_value:
             best_value = report.value
@@ -355,14 +387,7 @@ def train_discrete(dataset: Dataset, arch: ArchEncoding, hp: HParams):
             best_snapshot = _clone_weights(params)
 
     _restore_weights(params, best_snapshot)
-    reports = {}
-    for split, graphs in (("train", train_graphs), ("valid", valid_graphs),
-                          ("test", test_graphs)):
-        if not graphs:
-            continue
-        logits, labels = _forward_split(params, graphs, arch)
-        reports[split] = evaluate_logits(schema, metric, logits, labels, split, best_epoch)
-    return params, reports, history
+    return params, _split_reports(schema, metric, params, splits, arch, best_epoch), history
 
 
 def evaluate_model(dataset: Dataset, params: SupernetParams, arch: ArchEncoding,
@@ -375,16 +400,7 @@ def evaluate_model(dataset: Dataset, params: SupernetParams, arch: ArchEncoding,
     if params.dims.d_in != dataset.num_node_features:
         raise ValueError(f"model expects {params.dims.d_in} node features, "
                          f"dataset has {dataset.num_node_features}")
-    reports = {}
-    for split in ("train", "valid", "test"):
-        graphs = dataset.split_graphs(split)
-        if virtual_node:
-            graphs = [add_virtual_node(g) for g in graphs]
-        if not graphs:
-            continue
-        logits, labels = _forward_split(params, graphs, arch)
-        reports[split] = evaluate_logits(schema, metric, logits, labels, split, epoch)
-    return reports
+    return _split_reports(schema, metric, params, _splits(dataset, virtual_node), arch, epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +447,8 @@ def load_model(bin_path, manifest_path) -> tuple[SupernetParams, ArchEncoding, d
     arch = ArchEncoding.from_dict(manifest["arch"])
     params = init_discrete(dims, arch, seed=0, max_degree=manifest["max_degree"],
                            expansion=manifest["expansion"])
-    flat = np.frombuffer(open(bin_path, "rb").read(), dtype="<f8")
+    with open(bin_path, "rb") as fh:
+        flat = np.frombuffer(fh.read(), dtype="<f8")
     offset = 0
     for entry in manifest["tensors"]:
         name, shape = entry["name"], tuple(entry["shape"])

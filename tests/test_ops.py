@@ -44,30 +44,6 @@ def identity_mlp(extra=None):
 
 
 # ---------------------------------------------------------------------------
-# op kinds
-
-
-class TestOpKind:
-    def test_valid(self):
-        k = ops.OpKind("Aggregation", "GCN")
-        assert k.module == "Aggregation" and k.name == "GCN"
-
-    def test_unknown_module(self):
-        with pytest.raises(ValueError, match="unknown module"):
-            ops.OpKind("Pooling", "GCN")
-
-    def test_name_from_wrong_module(self):
-        with pytest.raises(ValueError, match="not a Selection operation"):
-            ops.OpKind("Selection", "GCN")
-
-    def test_all_op_kinds_complete(self):
-        kinds = ops.all_op_kinds()
-        assert len(kinds) == len(set(kinds)) == 2 + 5 + 8 + 3
-        modules = {k.module for k in kinds}
-        assert modules == {"Selection", "Fusion", "Aggregation", "Readout"}
-
-
-# ---------------------------------------------------------------------------
 # GCN
 
 

@@ -221,3 +221,25 @@ class TestSearch:
                                       "test": ds.splits["test"]})
         with pytest.raises(ValueError, match="non-empty"):
             search.search(empty_valid, SearchConfig(epochs=1))
+
+    def test_non_finite_loss_names_the_epoch(self):
+        ds = tiny_dataset()
+        graphs_ = list(ds.graphs)
+        g = graphs_[ds.splits["train"][0]]
+        graphs_[ds.splits["train"][0]] = Graph(
+            node_features=np.full(g.node_features.shape, np.nan), edges=g.edges,
+            label=g.label)
+        with pytest.raises(ValueError, match="epoch 0: loss is nan"):
+            search.search(Dataset(graphs=graphs_, schema=ds.schema, splits=ds.splits),
+                          SearchConfig(num_blocks=1, hidden=4, epochs=2, batch_size=64))
+
+    def test_single_class_valid_split_rejected_before_any_step(self, monkeypatch):
+        ds = tiny_dataset()
+        positive = Dataset(graphs=[Graph(node_features=g.node_features, edges=g.edges,
+                                         label=np.array([1.0])) for g in ds.graphs],
+                           schema=ds.schema, splits=ds.splits)
+        steps = []
+        monkeypatch.setattr(SGD, "step", lambda self: steps.append(self))
+        with pytest.raises(ValueError, match="one positive and one negative"):
+            search.search(positive, SearchConfig(num_blocks=1, hidden=4, epochs=1))
+        assert steps == []

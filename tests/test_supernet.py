@@ -245,6 +245,13 @@ class TestSupernetForward:
         out = supernet_forward(self.batch, params)
         assert out.data.shape == (2, 2)
 
+    def test_trailing_zero_node_graph_gets_a_logit_row(self):
+        batch = make_batch([self.rng.normal(size=(2, 3)), np.zeros((0, 3))],
+                           [[[0, 1], [1, 0]], []])
+        assert batch.num_graphs == 2
+        out = supernet_forward(batch, init_relaxed(self.dims, seed=1))
+        assert out.data.shape == (2, 2)
+
     def test_one_hot_relaxed_matches_discrete(self):
         arch = ArchEncoding(num_blocks=2, selection=((1,), (0, 1)),
                             fusion=("MAX", "CONCAT"),

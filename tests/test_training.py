@@ -1,6 +1,8 @@
 """Tests for losses, metrics, the optimizer, and discrete training."""
 
+import gc
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from sfanas import autodiff as ad
 from sfanas import training
 from sfanas.autodiff import Tensor
-from sfanas.graphs import (Dataset, SyntheticSpec, TaskSchema,
+from sfanas.graphs import (Dataset, Graph, SyntheticSpec, TaskSchema,
                            generate_synthetic)
 from sfanas.supernet import ArchEncoding
 from sfanas.training import (HParams, SGD, accuracy, average_precision,
@@ -379,6 +381,36 @@ class TestTrainDiscrete:
 # serialization
 
 
+class TestFailsEarly:
+    def test_evaluate_logits_rejects_non_finite_logits(self):
+        with pytest.raises(ValueError, match="not all finite"):
+            training.evaluate_logits(TaskSchema("binary"), "auc",
+                                     np.array([[np.nan], [0.1], [0.2]]),
+                                     np.array([[1.0], [0.0], [1.0]]), "valid", 0)
+
+    def test_non_finite_loss_names_the_epoch(self):
+        ds = small_dataset()
+        graphs_ = list(ds.graphs)
+        g = graphs_[ds.splits["train"][0]]
+        graphs_[ds.splits["train"][0]] = Graph(
+            node_features=np.full(g.node_features.shape, np.nan), edges=g.edges,
+            label=g.label)
+        with pytest.raises(ValueError, match="epoch 0: loss is nan"):
+            train_discrete(Dataset(graphs=graphs_, schema=ds.schema, splits=ds.splits),
+                           one_block_arch(), HParams(epochs=2, hidden_size=4, batch_size=128))
+
+    def test_single_class_valid_split_rejected_before_any_step(self, monkeypatch):
+        ds = small_dataset()
+        positive = Dataset(graphs=[Graph(node_features=g.node_features, edges=g.edges,
+                                         label=np.array([1.0])) for g in ds.graphs],
+                           schema=ds.schema, splits=ds.splits)
+        steps = []
+        monkeypatch.setattr(SGD, "step", lambda self: steps.append(self))
+        with pytest.raises(ValueError, match="one positive and one negative"):
+            train_discrete(positive, one_block_arch(), HParams(epochs=1, hidden_size=4))
+        assert steps == []
+
+
 class TestSaveLoad:
     def train_and_save(self, tmp_path, hp=None):
         ds = small_dataset()
@@ -402,6 +434,14 @@ class TestSaveLoad:
         again = evaluate_model(ds, loaded, arch2, metric="accuracy")
         assert again["valid"].value == reports["valid"].value
         assert again["test"].value == reports["test"].value
+
+    def test_load_model_closes_its_file(self, tmp_path):
+        self.train_and_save(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            load_model(tmp_path / "model.bin", tmp_path / "model.manifest.json")
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
     def test_truncated_blob_rejected(self, tmp_path):
         self.train_and_save(tmp_path)
