@@ -227,8 +227,8 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     # stable in both tails
     x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bwd(g):
         if a.requires_grad:
@@ -327,12 +327,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            gp = np.zeros_like(a.data)
-            if a.data.ndim == 1:
-                gp += np.bincount(idx, weights=g, minlength=a.data.shape[0])
-            else:
-                gp += _segment_sum_np(g, idx, a.data.shape[0])
-            a.accumulate(gp)
+            a.accumulate(_segment_reduceat(np.add, g, _segment_layout(idx, a.data.shape[0])))
 
     return _make(out_data, (a,), bwd)
 
@@ -364,53 +359,30 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 # segment reduction (the message-passing/readout workhorse)
 
 
-def _segment_order(ids: np.ndarray, num_segments: int):
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    starts = np.searchsorted(sorted_ids, np.arange(num_segments), side="left")
-    ends = np.searchsorted(sorted_ids, np.arange(num_segments), side="right")
-    return order, starts, ends
+def _segment_layout(ids: np.ndarray, num_segments: int):
+    """Stable row order by id, the first sorted position of each non-empty
+    segment, the non-empty segment ids, and the per-segment row counts."""
+    counts = np.bincount(ids, minlength=num_segments)
+    nonempty = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[nonempty]
+    return np.argsort(ids, kind="stable"), starts, nonempty, counts
 
 
-def _segment_sum_np(values: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:
-    """Plain-numpy per-segment sum (reduceat; empty segments give zero)."""
-    out_shape = (num_segments,) + values.shape[1:]
-    if values.shape[0] == 0:
-        return np.zeros(out_shape)
-    order, starts, ends = _segment_order(ids, num_segments)
-    nonempty = np.flatnonzero(ends > starts)
-    out = np.zeros(out_shape)
-    if nonempty.size:
-        sums = np.add.reduceat(values[order], starts[nonempty], axis=0)
-        out[nonempty] = sums
+def _segment_reduceat(ufunc, values: np.ndarray, layout) -> np.ndarray:
+    """``ufunc`` over the rows of each segment; empty segments give zero."""
+    order, starts, nonempty, counts = layout
+    out = np.zeros(counts.shape + values.shape[1:])
+    out[nonempty] = ufunc.reduceat(values[order], starts, axis=0)
     return out
-
-
-def _segment_max_np(values: np.ndarray, ids: np.ndarray, num_segments: int,
-                    empty_fill: float = 0.0):
-    """Per-segment max plus the argmax row index (first row on ties)."""
-    d = values.shape[1]
-    out = np.full((num_segments, d), empty_fill)
-    argmax = np.full((num_segments, d), -1, dtype=np.int64)
-    order, starts, ends = _segment_order(ids, num_segments)
-    cols = np.arange(d)
-    for s in range(num_segments):
-        rows = order[starts[s]:ends[s]]
-        if rows.size == 0:
-            continue
-        block = values[rows]
-        am = block.argmax(axis=0)  # first max in sorted order = first original row
-        out[s] = block[am, cols]
-        argmax[s] = rows[am]
-    return out, argmax
 
 
 def segment_reduce(values: Tensor, ids: np.ndarray, num_segments: int,
                    mode: str = "sum") -> Tensor:
     """Reduce rows of ``values`` into ``num_segments`` buckets given by ``ids``.
 
-    Empty segments produce zero rows in every mode. For ``max`` the gradient
-    flows only to the argmax row per column (first row on ties).
+    Empty segments produce zero rows in every mode, and zero-row input
+    gives ``num_segments`` zero rows. For ``max`` the output is read from,
+    and the gradient flows only to, the first max row per column.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if values.data.ndim != 2:
@@ -423,10 +395,10 @@ def segment_reduce(values: Tensor, ids: np.ndarray, num_segments: int,
     if mode not in ("sum", "mean", "max"):
         raise ValueError(f"segment_reduce: unknown mode {mode!r}")
 
-    counts = np.bincount(ids, minlength=num_segments).astype(np.float64)
+    layout = order, starts, nonempty, counts = _segment_layout(ids, num_segments)
 
     if mode in ("sum", "mean"):
-        out_data = _segment_sum_np(values.data, ids, num_segments)
+        out_data = _segment_reduceat(np.add, values.data, layout)
         if mode == "mean":
             out_data = out_data / np.maximum(counts, 1.0)[:, None]
 
@@ -438,15 +410,20 @@ def segment_reduce(values: Tensor, ids: np.ndarray, num_segments: int,
 
         return _make(out_data, (values,), bwd)
 
-    out_data, argmax = _segment_max_np(values.data, ids, num_segments)
-    valid = argmax >= 0
+    ordered = values.data[order]
+    seg_max = np.maximum.reduceat(ordered, starts, axis=0)
+    is_max = ordered == np.repeat(seg_max, counts[nonempty], axis=0)
+    is_max |= np.isnan(ordered)  # a NaN is its segment's max, as in argmax
+    positions = np.where(is_max, np.arange(ids.size)[:, None], ids.size)
+    first = order[np.minimum.reduceat(positions, starts, axis=0)]
+    cols = np.arange(values.data.shape[1])
+    out_data = np.zeros((num_segments, values.data.shape[1]))
+    out_data[nonempty] = values.data[first, cols]
 
     def bwd(g):
         if values.requires_grad:
             gp = np.zeros_like(values.data)
-            rows = argmax[valid]
-            cols = np.nonzero(valid)[1]
-            np.add.at(gp, (rows, cols), g[valid])
+            gp[first, cols] = g[nonempty]
             values.accumulate(gp)
 
     return _make(out_data, (values,), bwd)
@@ -455,7 +432,7 @@ def segment_reduce(values: Tensor, ids: np.ndarray, num_segments: int,
 def segment_softmax(logits: Tensor, ids: np.ndarray, num_segments: int) -> Tensor:
     """Softmax over each segment, per column. Max-shifted for stability."""
     ids = np.asarray(ids, dtype=np.int64)
-    shift, _ = _segment_max_np(logits.data, ids, num_segments, empty_fill=0.0)
+    shift = _segment_reduceat(np.maximum, logits.data, _segment_layout(ids, num_segments))
     z = exp(sub(logits, Tensor(shift[ids])))
     denom = segment_reduce(z, ids, num_segments, "sum")
     return div(z, gather_rows(denom, ids))

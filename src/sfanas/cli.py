@@ -254,7 +254,8 @@ def cmd_train(args) -> int:
     _write_json(out / "report.json", _report_payload(reports, reports["valid"].metric,
                                                      best_epoch))
     save_model(params, arch, out / "model.bin", out / "model.manifest.json",
-               extra={"best_epoch": best_epoch})
+               extra={"best_epoch": best_epoch, "metric": reports["valid"].metric,
+                      "virtual_node": hp.virtual_node})
     _print_reports(reports)
     print(f"best epoch: {best_epoch} of {hp.epochs}")
     print(f"wrote {out / 'report.json'}, {out / 'model.bin'}, "
@@ -276,10 +277,16 @@ def cmd_eval(args) -> int:
             raise CliError("architecture file does not match the one stored "
                            "in the model manifest")
     section = cfg.get("train", {})
+    for key in ("metric", "virtual_node"):
+        named, trained = section.get(key), manifest.get(key)
+        if named is not None and trained is not None and named != trained:
+            raise CliError(f"config train.{key} is {named!r} but the model was trained "
+                           f"with {trained!r}")
     dataset = _build_dataset(cfg)
-    metric = section.get("metric") or default_metric(dataset.schema)
+    metric = manifest.get("metric") or section.get("metric") or default_metric(dataset.schema)
     reports = evaluate_model(dataset, params, arch, metric=metric,
-                             virtual_node=section.get("virtual_node", False),
+                             virtual_node=manifest.get("virtual_node",
+                                                       section.get("virtual_node", False)),
                              epoch=manifest.get("best_epoch", -1))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -82,8 +82,6 @@ def init_fusion_params(name: str, d: int, num_inputs: int,
 
 
 def _neighbor_sum(batch: GraphBatch, H: Tensor) -> Tensor:
-    if batch.edges.size == 0:
-        return Tensor(np.zeros_like(H.data))
     src, dst = batch.edges[:, 0], batch.edges[:, 1]
     return ad.segment_reduce(ad.gather_rows(H, src), dst, batch.num_nodes, "sum")
 
@@ -99,8 +97,6 @@ def gcn(batch: GraphBatch, H: Tensor, params: dict) -> Tensor:
     dhat = batch.in_degrees + 1.0
     HW = ad.matmul(H, params["W"])
     self_term = ad.mul(HW, Tensor((1.0 / dhat)[:, None]))
-    if batch.edges.size == 0:
-        return self_term
     src, dst = batch.edges[:, 0], batch.edges[:, 1]
     coef = 1.0 / np.sqrt(dhat[src] * dhat[dst])
     msg = ad.mul(ad.gather_rows(HW, src), Tensor(coef[:, None]))
@@ -110,8 +106,6 @@ def gcn(batch: GraphBatch, H: Tensor, params: dict) -> Tensor:
 def _with_self_loops(batch: GraphBatch):
     n = batch.num_nodes
     loop = np.arange(n, dtype=np.int64)
-    if batch.edges.size == 0:
-        return loop, loop
     return (np.concatenate([batch.edges[:, 0], loop]),
             np.concatenate([batch.edges[:, 1], loop]))
 
@@ -162,8 +156,6 @@ def gen(batch: GraphBatch, H: Tensor, params: dict,
         edge_feats: Tensor | None = None) -> Tensor:
     """Softmax-weighted (per channel) message aggregation with learnable sharpness."""
     n = batch.num_nodes
-    if batch.edges.size == 0:
-        return _mlp(H, params)
     src, dst = batch.edges[:, 0], batch.edges[:, 1]
     msg_in = ad.gather_rows(H, src)
     if edge_feats is not None:

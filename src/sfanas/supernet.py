@@ -269,7 +269,7 @@ def mixed_op(candidates, weights, x):
 def _edge_features(batch: GraphBatch, params: SupernetParams, b: int) -> Tensor | None:
     """Block ``b``'s projection of the edge features for GEN, if it has one."""
     proj = params.weights.get(f"b{b}/edge_proj")
-    if proj is None or batch.edge_features is None or not batch.edges.size:
+    if proj is None or batch.edge_features is None:
         return None
     return ad.matmul(Tensor(batch.edge_features), proj)
 

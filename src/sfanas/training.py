@@ -298,12 +298,22 @@ def _split_reports(schema: TaskSchema, metric: str, params: SupernetParams, spli
 
 
 def check_valid_classes(metric: str, valid_graphs: list) -> None:
-    """Under auc, a valid split with one class has no metric: fail before training."""
+    """Fail before training when the valid split leaves the metric undefined:
+    auc needs a positive and a negative graph, ap a task with both classes
+    among its non-missing labels."""
     if metric == "auc":
         positive = np.array([g.label[0] == 1 for g in valid_graphs])
         if positive.all() or not positive.any():
             raise ValueError("auc needs at least one positive and one negative graph "
                              "in the valid split")
+    elif metric == "ap":
+        labels = np.stack([g.label for g in valid_graphs])
+        missing = np.isnan(labels)
+        low = np.where(missing, np.inf, labels).min(axis=0)
+        high = np.where(missing, -np.inf, labels).max(axis=0)
+        if not (low < high).any():
+            raise ValueError("ap needs a task with both classes among its non-missing "
+                             "labels in the valid split")
 
 
 def checked_loss(loss: Tensor, epoch: int) -> float:

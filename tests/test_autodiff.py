@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,32 @@ def test_segment_reduce_id_out_of_range():
         ad.segment_reduce(v, np.array([-1, 0]), 2, "sum")
 
 
+def _segment_loop(vals, ids, s, mode, g):
+    """Per-segment reference: output and input gradient under upstream ``g``.
+
+    Sums add rows one by one in input order; max reads the first max row per
+    column and sends it the whole gradient. Gradients are accumulated onto
+    zeros, as ``Tensor.accumulate`` does.
+    """
+    out = np.zeros((s, vals.shape[1]))
+    grad = np.zeros_like(vals)
+    cols = np.arange(vals.shape[1])
+    for k in range(s):
+        rows = np.flatnonzero(ids == k)
+        if rows.size == 0:
+            continue
+        if mode == "max":
+            first = rows[vals[rows].argmax(axis=0)]
+            out[k] = vals[first, cols]
+            grad[first, cols] = g[k]
+            continue
+        out[k] = functools.reduce(np.add, vals[rows])
+        if mode == "mean":
+            out[k] = out[k] / rows.size
+        grad[rows] = g[k] / rows.size if mode == "mean" else g[k]
+    return out, 0.0 + grad
+
+
 def test_segment_sum_matches_one_hot_matmul():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -191,6 +219,32 @@ def test_segment_sum_matches_one_hot_matmul():
         onehot[ids, np.arange(m)] = 1.0
         got = ad.segment_reduce(Tensor(vals), ids, int(s), "sum").data
         np.testing.assert_allclose(got, onehot @ vals, atol=1e-12)
+    # integers times 1, -1 or 0.5 per entry: ties, +0 beside -0, and empty segments
+    def sample(shape):
+        return rng.integers(-3, 4, size=shape) * rng.choice([1.0, -1.0, 0.5], size=shape)
+
+    for case in range(60):
+        m, d, s = int(rng.integers(0, 60)), int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        vals = sample((m, d))
+        ids = rng.integers(0, s, size=m)
+        g = sample((s, d))
+        for mode in ("sum", "mean", "max"):
+            x = Tensor(vals, requires_grad=True)
+            out = ad.segment_reduce(x, ids, s, mode)
+            ad.backward(ad.tsum(ad.mul(out, Tensor(g))))
+            want_out, want_grad = _segment_loop(vals, ids, s, mode, g)
+            assert out.data.tobytes() == want_out.tobytes(), (case, mode)
+            assert x.grad.tobytes() == want_grad.tobytes(), (case, mode)
+        # gather_rows' backward is the segment sum of the row gradients
+        src = Tensor(np.zeros((s, d)), requires_grad=True)
+        up = sample((m, d))
+        ad.backward(ad.tsum(ad.mul(ad.gather_rows(src, ids), Tensor(up))))
+        want = np.zeros((s, d))
+        for k in range(s):
+            rows = np.flatnonzero(ids == k)
+            if rows.size:
+                want[k] = functools.reduce(np.add, up[rows])
+        assert src.grad.tobytes() == (0.0 + want).tobytes(), case
 
 
 def test_segment_softmax_sums_to_one_per_segment():

@@ -256,6 +256,30 @@ class TestTrainEval:
                      "--arch", str(wrong), "--out", str(tmp_path)]) == 1
         assert "does not match" in capsys.readouterr().err
 
+    def test_eval_uses_the_trained_settings(self, pipeline, tmp_path, capsys):
+        section = dict(TRAIN_SECTION, virtual_node=True)
+        dataset = synth_section(pipeline["data"])
+        model = tmp_path / "model"
+        assert main(["train", "--config", write_config(tmp_path / "vn.json", dataset=dataset,
+                                                       train=section),
+                     "--arch", str(pipeline["derive"] / "arch.json"),
+                     "--out", str(model)]) == 0
+        manifest = json.loads((model / "model.manifest.json").read_text())
+        assert (manifest["metric"], manifest["virtual_node"]) == ("accuracy", True)
+        # a config that names neither setting scores the model as it was trained
+        assert main(["eval", "--config", write_config(tmp_path / "bare.json", dataset=dataset),
+                     "--model-dir", str(model), "--out", str(tmp_path / "eval")]) == 0
+        train_report = json.loads((model / "report.json").read_text())
+        eval_report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert eval_report["splits"] == train_report["splits"]
+        # a config that names other settings is refused
+        for key, value in (("virtual_node", False), ("metric", "auc")):
+            other = write_config(tmp_path / f"{key}.json", dataset=dataset,
+                                 train=dict(section, **{key: value}))
+            assert main(["eval", "--config", other, "--model-dir", str(model),
+                         "--out", str(tmp_path / key)]) == 1
+            assert f"config train.{key} is {value!r}" in capsys.readouterr().err
+
     def test_eval_missing_model(self, pipeline, tmp_path, capsys):
         assert main(["eval", "--config", pipeline["config"],
                      "--model-dir", str(tmp_path), "--out", str(tmp_path)]) == 1

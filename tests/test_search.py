@@ -233,13 +233,16 @@ class TestSearch:
             search.search(Dataset(graphs=graphs_, schema=ds.schema, splits=ds.splits),
                           SearchConfig(num_blocks=1, hidden=4, epochs=2, batch_size=64))
 
-    def test_single_class_valid_split_rejected_before_any_step(self, monkeypatch):
+    @pytest.mark.parametrize("metric", ["auc", "ap"])
+    def test_single_class_valid_split_rejected_before_any_step(self, monkeypatch, metric):
         ds = tiny_dataset()
         positive = Dataset(graphs=[Graph(node_features=g.node_features, edges=g.edges,
                                          label=np.array([1.0])) for g in ds.graphs],
                            schema=ds.schema, splits=ds.splits)
         steps = []
         monkeypatch.setattr(SGD, "step", lambda self: steps.append(self))
-        with pytest.raises(ValueError, match="one positive and one negative"):
-            search.search(positive, SearchConfig(num_blocks=1, hidden=4, epochs=1))
+        message = {"auc": "one positive and one negative", "ap": "a task with both classes"}
+        with pytest.raises(ValueError, match=message[metric]):
+            search.search(positive, SearchConfig(num_blocks=1, hidden=4, epochs=1,
+                                                 metric=metric))
         assert steps == []

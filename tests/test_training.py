@@ -399,16 +399,45 @@ class TestFailsEarly:
             train_discrete(Dataset(graphs=graphs_, schema=ds.schema, splits=ds.splits),
                            one_block_arch(), HParams(epochs=2, hidden_size=4, batch_size=128))
 
-    def test_single_class_valid_split_rejected_before_any_step(self, monkeypatch):
+    @pytest.mark.parametrize("metric", ["auc", "ap"])
+    def test_single_class_valid_split_rejected_before_any_step(self, monkeypatch, metric):
         ds = small_dataset()
         positive = Dataset(graphs=[Graph(node_features=g.node_features, edges=g.edges,
                                          label=np.array([1.0])) for g in ds.graphs],
                            schema=ds.schema, splits=ds.splits)
         steps = []
         monkeypatch.setattr(SGD, "step", lambda self: steps.append(self))
-        with pytest.raises(ValueError, match="one positive and one negative"):
-            train_discrete(positive, one_block_arch(), HParams(epochs=1, hidden_size=4))
+        message = {"auc": "one positive and one negative", "ap": "a task with both classes"}
+        with pytest.raises(ValueError, match=message[metric]):
+            train_discrete(positive, one_block_arch(),
+                           HParams(epochs=1, hidden_size=4, metric=metric))
         assert steps == []
+
+    @staticmethod
+    def two_task_dataset(task1_valid):
+        """Task 0 is all 1; task 1 takes ``task1_valid`` on the valid graphs
+        (cycled) and alternates 0/1 elsewhere."""
+        ds = small_dataset()
+        valid = {int(i): k for k, i in enumerate(ds.splits["valid"])}
+        graphs_ = [Graph(node_features=g.node_features, edges=g.edges,
+                         label=np.array([1.0, task1_valid[valid[i] % len(task1_valid)]
+                                         if i in valid else float(i % 2)]))
+                   for i, g in enumerate(ds.graphs)]
+        return Dataset(graphs=graphs_, schema=TaskSchema("multi-binary", num_tasks=2),
+                       splits=ds.splits)
+
+    def test_multi_binary_two_class_task_masked_to_null_rejected(self, monkeypatch):
+        # task 1 is the only task with both classes, and its valid negatives are null
+        masked = self.two_task_dataset([1.0, np.nan])
+        steps = []
+        monkeypatch.setattr(SGD, "step", lambda self: steps.append(self))
+        with pytest.raises(ValueError, match="a task with both classes"):
+            train_discrete(masked, one_block_arch(), HParams(epochs=1, hidden_size=4))
+        assert steps == []
+
+    def test_multi_binary_one_two_class_task_suffices(self):
+        training.check_valid_classes("ap", self.two_task_dataset([1.0, np.nan, 0.0])
+                                     .split_graphs("valid"))
 
 
 class TestSaveLoad:
