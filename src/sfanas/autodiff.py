@@ -5,6 +5,13 @@ builds the backward tape on the fly (define-by-run); calling
 :func:`backward` on a scalar loss populates ``grad`` on every reachable
 leaf. The op set is deliberately small: just enough for message-passing
 layers, the relaxed architecture mixture, and the training losses.
+
+The tape contract: an op computes its output and hands :func:`_make` its
+parents plus one vector-Jacobian product (VJP) per parent, each mapping
+the output's gradient to that parent's gradient at the output's
+broadcast shape. :func:`backward` alone skips parents that need no
+gradient, sums a broadcast gradient back to the parent's shape, and
+accumulates the parents' gradients in the order the op listed them.
 """
 
 from __future__ import annotations
@@ -18,23 +25,18 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible for an op."""
 
 
-def _as_f64(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """A dense float64 array plus its accumulated gradient and tape link."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
 
     def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = (), _backward: Callable | None = None):
-        self.data = _as_f64(data)
+                 _parents: tuple = (), _vjps: tuple = ()):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
-        self._backward = _backward
+        self._vjps = _vjps
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -54,29 +56,15 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; the named functions below do the work
-    def __add__(self, other): return add(self, _wrap(other))
-    def __radd__(self, other): return add(_wrap(other), self)
-    def __sub__(self, other): return sub(self, _wrap(other))
-    def __rsub__(self, other): return sub(_wrap(other), self)
-    def __mul__(self, other): return mul(self, _wrap(other))
-    def __rmul__(self, other): return mul(_wrap(other), self)
-    def __truediv__(self, other): return div(self, _wrap(other))
-    def __matmul__(self, other): return matmul(self, other)
-    def __neg__(self): return scalar_mul(self, -1.0)
-    def __getitem__(self, key): return tslice(self, key)
+    def __getitem__(self, key):
+        return tslice(self, key)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _make(data: np.ndarray, parents: Sequence[Tensor],
-          backward: Callable | None) -> Tensor:
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req,
-                  _parents=tuple(parents) if req else (),
-                  _backward=backward if req else None)
+def _make(data: np.ndarray, parents: tuple, vjps: tuple) -> Tensor:
+    """The op's output; it keeps the tape link only if a parent needs a gradient."""
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, True, parents, vjps)
+    return Tensor(data)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -88,6 +76,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _scatter(shape: tuple[int, ...], key, values: np.ndarray) -> np.ndarray:
+    """Zeros of ``shape`` with ``values`` written at ``key``."""
+    out = np.zeros(shape)
+    out[key] = values
+    return out
 
 
 def _check_broadcast(name: str, a: Tensor, b: Tensor) -> None:
@@ -103,80 +98,37 @@ def _check_broadcast(name: str, a: Tensor, b: Tensor) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
-    out_data = a.data + b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(out_data, (a, b), bwd)
+    return _make(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("sub", a, b)
-    out_data = a.data - b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _make(out_data, (a, b), bwd)
+    return _make(a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
-    out_data = a.data * b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out_data, (a, b), bwd)
+    return _make(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("div", a, b)
     out_data = a.data / b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g * out_data / b.data, b.data.shape))
-
-    return _make(out_data, (a, b), bwd)
+    return _make(out_data, (a, b),
+                 (lambda g: g / b.data, lambda g: -g * out_data / b.data))
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    out_data = a.data * c
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * c)
-
-    return _make(out_data, (a,), bwd)
+    return _make(a.data * c, (a,), (lambda g: g * c,))
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; on ties the gradient goes to the first operand."""
     _check_broadcast("maximum", a, b)
     take_a = a.data >= b.data
-    out_data = np.where(take_a, a.data, b.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g * take_a, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g * ~take_a, b.data.shape))
-
-    return _make(out_data, (a, b), bwd)
+    return _make(np.where(take_a, a.data, b.data), (a, b),
+                 (lambda g: g * take_a, lambda g: g * ~take_a))
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +138,7 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate(a.data.T @ g)
-
-    return _make(out_data, (a, b), bwd)
+    return _make(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 # ---------------------------------------------------------------------------
@@ -203,25 +147,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0  # subgradient at 0 fixed to 0
-    out_data = a.data * mask
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * mask)
-
-    return _make(out_data, (a,), bwd)
+    return _make(a.data * mask, (a,), (lambda g: g * mask,))
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    mask = a.data > 0.0
-    scale = np.where(mask, 1.0, slope)
-    out_data = a.data * scale
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * scale)
-
-    return _make(out_data, (a,), bwd)
+    scale = np.where(a.data > 0.0, 1.0, slope)
+    return _make(a.data * scale, (a,), (lambda g: g * scale,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -229,52 +160,26 @@ def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     e = np.exp(-np.abs(x))
     out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, (a,), (lambda g: g * out_data * (1.0 - out_data),))
 
 
 def tanh(a: Tensor) -> Tensor:
     out_data = np.tanh(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, (a,), (lambda g: g * (1.0 - out_data * out_data),))
 
 
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * out_data)
-
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, (a,), (lambda g: g * out_data,))
 
 
 def log(a: Tensor) -> Tensor:
-    out_data = np.log(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g / a.data)
-
-    return _make(out_data, (a,), bwd)
+    return _make(np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * 0.5 / out_data)
-
-    return _make(out_data, (a,), bwd)
+    return _make(out_data, (a,), (lambda g: g * 0.5 / out_data,))
 
 
 # ---------------------------------------------------------------------------
@@ -294,42 +199,25 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         if trial != base:
             raise ShapeError(f"concat: incompatible shapes {shapes} along axis {axis}")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t.accumulate(g[tuple(idx)])
-
-    return _make(out_data, tuple(tensors), bwd)
+    offsets = np.cumsum([0] + [s[axis] for s in shapes])
+    keys = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        key = [slice(None)] * out_data.ndim
+        key[axis] = slice(lo, hi)
+        keys.append(tuple(key))
+    return _make(out_data, tuple(tensors), tuple([lambda g, k=k: g[k] for k in keys]))
 
 
 def tslice(a: Tensor, key) -> Tensor:
     """Basic (non-overlapping) indexing: ints and slices."""
-    out_data = a.data[key]
-
-    def bwd(g):
-        if a.requires_grad:
-            gp = np.zeros_like(a.data)
-            gp[key] += g
-            a.accumulate(gp)
-
-    return _make(out_data, (a,), bwd)
+    return _make(a.data[key], (a,), (lambda g: _scatter(a.data.shape, key, g),))
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Row lookup by integer index vector; rows may repeat."""
     idx = np.asarray(idx, dtype=np.int64)
-    out_data = a.data[idx]
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_segment_reduceat(np.add, g, _segment_layout(idx, a.data.shape[0])))
-
-    return _make(out_data, (a,), bwd)
+    return _make(a.data[idx], (a,), (
+        lambda g: _segment_reduceat(np.add, g, _segment_layout(idx, a.data.shape[0])),))
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +225,9 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if a.requires_grad:
-            if axis is None:
-                a.accumulate(np.broadcast_to(g, a.data.shape).copy())
-            else:
-                ge = g if keepdims else np.expand_dims(g, axis)
-                a.accumulate(np.broadcast_to(ge, a.data.shape).copy())
-
-    return _make(out_data, (a,), bwd)
+    expand = axis is not None and not keepdims
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), (
+        lambda g: np.broadcast_to(np.expand_dims(g, axis) if expand else g, a.data.shape),))
 
 
 def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -371,9 +251,8 @@ def _segment_layout(ids: np.ndarray, num_segments: int):
 def _segment_reduceat(ufunc, values: np.ndarray, layout) -> np.ndarray:
     """``ufunc`` over the rows of each segment; empty segments give zero."""
     order, starts, nonempty, counts = layout
-    out = np.zeros(counts.shape + values.shape[1:])
-    out[nonempty] = ufunc.reduceat(values[order], starts, axis=0)
-    return out
+    return _scatter(counts.shape + values.shape[1:], nonempty,
+                    ufunc.reduceat(values[order], starts, axis=0))
 
 
 def segment_reduce(values: Tensor, ids: np.ndarray, num_segments: int,
@@ -397,18 +276,10 @@ def segment_reduce(values: Tensor, ids: np.ndarray, num_segments: int,
 
     layout = order, starts, nonempty, counts = _segment_layout(ids, num_segments)
 
-    if mode in ("sum", "mean"):
-        out_data = _segment_reduceat(np.add, values.data, layout)
-        if mode == "mean":
-            out_data = out_data / np.maximum(counts, 1.0)[:, None]
-
-        def bwd(g):
-            if values.requires_grad:
-                if mode == "mean":
-                    g = g / np.maximum(counts, 1.0)[:, None]
-                values.accumulate(g[ids])
-
-        return _make(out_data, (values,), bwd)
+    if mode != "max":
+        n = np.maximum(counts, 1.0)[:, None] if mode == "mean" else 1.0
+        return _make(_segment_reduceat(np.add, values.data, layout) / n, (values,),
+                     (lambda g: (g / n)[ids],))
 
     ordered = values.data[order]
     seg_max = np.maximum.reduceat(ordered, starts, axis=0)
@@ -417,16 +288,8 @@ def segment_reduce(values: Tensor, ids: np.ndarray, num_segments: int,
     positions = np.where(is_max, np.arange(ids.size)[:, None], ids.size)
     first = order[np.minimum.reduceat(positions, starts, axis=0)]
     cols = np.arange(values.data.shape[1])
-    out_data = np.zeros((num_segments, values.data.shape[1]))
-    out_data[nonempty] = values.data[first, cols]
-
-    def bwd(g):
-        if values.requires_grad:
-            gp = np.zeros_like(values.data)
-            gp[first, cols] = g[nonempty]
-            values.accumulate(gp)
-
-    return _make(out_data, (values,), bwd)
+    return _make(_scatter((num_segments, cols.size), nonempty, values.data[first, cols]),
+                 (values,), (lambda g: _scatter(values.data.shape, (first, cols), g[nonempty]),))
 
 
 def segment_softmax(logits: Tensor, ids: np.ndarray, num_segments: int) -> Tensor:
@@ -471,8 +334,10 @@ def backward(loss: Tensor) -> None:
 
     loss.accumulate(np.ones_like(loss.data))
     for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node.grad)
+        for p, vjp in zip(node._parents, node._vjps):
+            if p.requires_grad:
+                g = vjp(node.grad)
+                p.accumulate(g if g.shape == p.data.shape else _unbroadcast(g, p.data.shape))
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-4) -> float:

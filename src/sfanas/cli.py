@@ -72,9 +72,12 @@ def _build_dataset(cfg: dict):
     if not isinstance(section, dict):
         raise CliError("config needs a \"dataset\" section")
     if "synthetic" in section:
-        syn = dict(section["synthetic"])
-        seed = syn.pop("seed", 0)
-        spec = SyntheticSpec(**syn)
+        try:
+            syn = dict(section["synthetic"])
+            seed = syn.pop("seed", 0)
+            spec = SyntheticSpec(**syn)
+        except TypeError as e:
+            raise CliError(f"bad synthetic section: {e}")
         return generate_synthetic(spec, seed=seed)
     path = section.get("path")
     if not path:

@@ -9,7 +9,7 @@ share across workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +82,8 @@ class Graph:
         if self.edge_features is not None:
             ef = _freeze(np.asarray(self.edge_features, dtype=np.float64))
             object.__setattr__(self, "edge_features", ef)
+            if ef.ndim != 2:
+                raise ValidationError(f"edge_features must be 2-d, got shape {ef.shape}")
             if ef.shape[0] != ed.shape[0]:
                 raise ValidationError(
                     f"edge_features rows ({ef.shape[0]}) != edge count ({ed.shape[0]})")
@@ -278,6 +280,8 @@ def _parse_record(obj: dict, schema: TaskSchema, lineno: int) -> Graph:
         edges = np.asarray(obj.get("edges", []), dtype=np.int64).reshape(-1, 2)
         raw_ef = obj.get("edge_feat")
         edge_feat = None if raw_ef is None else np.asarray(raw_ef, dtype=np.float64)
+        if edge_feat is not None and edge_feat.shape == (0,):
+            edge_feat = edge_feat.reshape(0, 0)  # load_dataset sets the width
         raw_label = obj["label"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"line {lineno}: malformed graph record ({exc})") from exc
@@ -344,6 +348,12 @@ def load_dataset(path, schema: TaskSchema, splits_path=None,
             graphs.append(g)
     if not graphs:
         raise ValidationError(f"{path}: no graph records found")
+    # an edgeless record's "edge_feat": [] takes the row width of the others
+    d_edge = next((g.edge_features.shape[1] for g in graphs
+                   if g.edge_features is not None and g.num_edges), 0)
+    graphs = [replace(g, edge_features=np.zeros((0, d_edge)))
+              if g.edge_features is not None and g.edge_features.shape == (0, 0) else g
+              for g in graphs]
 
     if splits_path is not None:
         with open(splits_path, "r", encoding="utf-8") as fh:
@@ -355,13 +365,10 @@ def load_dataset(path, schema: TaskSchema, splits_path=None,
 
 
 def _symmetrize(g: Graph) -> Graph:
-    if g.num_edges == 0:
-        return g
-    n = g.num_nodes
-    keys = set((g.edges[:, 0] * np.int64(n) + g.edges[:, 1]).tolist())
-    missing = [i for i, (s, d) in enumerate(g.edges)
-               if s != d and (d * n + s) not in keys]
-    if not missing:
+    src, dst = g.edges[:, 0], g.edges[:, 1]
+    n = np.int64(g.num_nodes)
+    missing = np.flatnonzero((src != dst) & ~np.isin(dst * n + src, src * n + dst))
+    if not missing.size:
         return g
     extra = g.edges[missing][:, ::-1]
     edges = np.concatenate([g.edges, extra], axis=0)

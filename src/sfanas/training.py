@@ -410,6 +410,9 @@ def evaluate_model(dataset: Dataset, params: SupernetParams, arch: ArchEncoding,
     if params.dims.d_in != dataset.num_node_features:
         raise ValueError(f"model expects {params.dims.d_in} node features, "
                          f"dataset has {dataset.num_node_features}")
+    if params.dims.d_edge != dataset.num_edge_features:
+        raise ValueError(f"model expects {params.dims.d_edge} edge features, "
+                         f"dataset has {dataset.num_edge_features}")
     return _split_reports(schema, metric, params, _splits(dataset, virtual_node), arch, epoch)
 
 

@@ -115,6 +115,27 @@ def test_broadcasting_gradients():
     assert err < 1e-6
 
 
+@pytest.mark.parametrize("shape", [(1, 4), (4,), ()], ids=["1x4", "4", "scalar"])
+@pytest.mark.parametrize("broadcast_first", [True, False], ids=["left", "right"])
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div, ad.maximum])
+def test_broadcasting_gradients_per_op(op, broadcast_first, shape):
+    rng = np.random.default_rng(5)
+    small = rng.standard_normal(shape)
+    full = rng.standard_normal((3, 4))
+    if op is ad.div:  # keep both operands away from zero as denominators
+        small, full = np.abs(small) + 0.5, np.abs(full) + 0.5
+    weight = Tensor(rng.standard_normal((3, 4)))
+
+    def f(t):
+        args = (t, Tensor(full)) if broadcast_first else (Tensor(full), t)
+        return ad.tsum(ad.mul(op(*args), weight))
+
+    x = Tensor(small, requires_grad=True)
+    ad.backward(f(x))
+    assert x.grad.shape == shape
+    assert ad.grad_check(f, Tensor(small)) < 1e-6
+
+
 def test_primitives_at_random_points():
     rng = np.random.default_rng(11)
     cases = [

@@ -165,6 +165,14 @@ class TestSearch:
         assert main(["search", "--config", config, "--out", str(tmp_path)]) == 1
         assert "bad search section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("synthetic", [
+        {"task": "triangle-threshold", "num_graph": 20}, 5], ids=["unknown-key", "not-an-object"])
+    def test_bad_synthetic_section(self, tmp_path, capsys, synthetic):
+        config = write_config(tmp_path / "c.json", dataset={"synthetic": synthetic},
+                              search=SEARCH_SECTION)
+        assert main(["search", "--config", config, "--out", str(tmp_path)]) == 1
+        assert "error: bad synthetic section" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # derive

@@ -32,6 +32,12 @@ def test_edge_feature_rows_must_match():
               edge_features=np.ones((3, 2)))
 
 
+def test_edge_features_must_be_2d():
+    with pytest.raises(ValidationError, match="2-d"):
+        Graph(node_features=np.ones((1, 1)), edges=np.zeros((0, 2)),
+              edge_features=np.zeros(0))
+
+
 def test_batch_two_graphs():
     b = batch_graphs([_graph(2, [[0, 1]]), _graph(3, [[0, 1], [1, 2]])])
     np.testing.assert_array_equal(b.graph_ids, [0, 0, 1, 1, 1])
@@ -259,6 +265,23 @@ def test_load_dataset_symmetrizes(tmp_path):
     np.testing.assert_array_equal(g.edge_features, [[7.0], [7.0]])
     raw = load_dataset(p, TaskSchema("binary"), symmetrize=False).graphs[0]
     assert raw.edges.shape[0] == 1
+
+
+@pytest.mark.parametrize("edgeless_first", [False, True])
+def test_load_dataset_edgeless_record_takes_file_edge_width(tmp_path, edgeless_first):
+    records = [
+        json.dumps({"num_nodes": 2, "node_feat": [[1.0], [2.0]],
+                    "edges": [[0, 1]], "edge_feat": [[0.5]], "label": 0}),
+        json.dumps({"num_nodes": 1, "node_feat": [[3.0]],
+                    "edges": [], "edge_feat": [], "label": 1}),
+    ]
+    p = tmp_path / "d.jsonl"
+    _write_lines(p, records[::-1] if edgeless_first else records)
+    ds = load_dataset(p, TaskSchema("binary"))
+    assert ds.num_edge_features == 1
+    assert ds.graphs[0 if edgeless_first else 1].edge_features.shape == (0, 1)
+    batch = batch_graphs(ds.graphs)
+    np.testing.assert_array_equal(batch.edge_features, [[0.5], [0.5]])
 
 
 def test_multi_binary_labels_with_missing(tmp_path):

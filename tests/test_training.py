@@ -506,3 +506,15 @@ class TestSaveLoad:
             schema=ds.schema, splits=ds.splits)
         with pytest.raises(ValueError, match="node features"):
             evaluate_model(wider, params, arch)
+
+    def test_evaluate_model_edge_feature_width_guard(self):
+        ds = small_dataset()
+        with_ef = Dataset(
+            graphs=[Graph(node_features=g.node_features, edges=g.edges,
+                          edge_features=np.ones((g.num_edges, 2)), label=g.label)
+                    for g in ds.graphs],
+            schema=ds.schema, splits=ds.splits)
+        arch = one_block_arch(agg="GEN")
+        params, _, _ = train_discrete(with_ef, arch, HParams(epochs=0, hidden_size=8))
+        with pytest.raises(ValueError, match="model expects 2 edge features, dataset has 0"):
+            evaluate_model(ds, params, arch)
