@@ -2,12 +2,14 @@
 
 Commands: synth-data, search, derive, train, eval, gradcheck. All file
 outputs are deterministic under a fixed seed (sorted JSON keys, no
-timestamps), so repeated runs produce byte-identical artifacts.
+timestamps), so repeated runs produce byte-identical artifacts. Each
+config section is built by one helper that checks its fields' types.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from .graphs import (ParseError, SyntheticSpec, TaskSchema, ValidationError,
-                     generate_synthetic, load_dataset, write_dataset)
+                     generate_synthetic, is_number, load_dataset, write_dataset)
 from .search import SearchConfig, best_record, search
 from .supernet import ArchEncoding
 from .training import (HParams, default_metric, evaluate_model, load_model,
@@ -67,17 +69,44 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+# What each annotated field type accepts from JSON. Without these,
+# "batch_size": true would run as 1 and "epochs": 1.5 fail deep inside.
+_FIELD_CHECKS = {
+    "int": lambda v: is_number(v) and isinstance(v, int),
+    "float": is_number,
+    "bool": lambda v: isinstance(v, bool),
+}
+
+
+def _build_section(cls, name: str, section, **overrides):
+    """``cls`` built from a config section, with the command-line
+    ``overrides`` that are not None on top; each int, float or bool
+    field is checked against its annotation first."""
+    try:
+        values = {**section, **{k: v for k, v in overrides.items() if v is not None}}
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        for key, value in values.items():
+            check = _FIELD_CHECKS.get(types.get(key))
+            if check is not None and not check(value):
+                raise TypeError(f"{key} must be {types[key]}, got {value!r}")
+        return cls(**values)
+    except TypeError as e:
+        raise CliError(f"bad {name} section: {e}")
+
+
 def _build_dataset(cfg: dict):
     section = cfg.get("dataset")
     if not isinstance(section, dict):
         raise CliError("config needs a \"dataset\" section")
     if "synthetic" in section:
-        try:
-            syn = dict(section["synthetic"])
-            seed = syn.pop("seed", 0)
-            spec = SyntheticSpec(**syn)
-        except TypeError as e:
-            raise CliError(f"bad synthetic section: {e}")
+        syn = section["synthetic"]
+        if not isinstance(syn, dict):
+            raise CliError("bad synthetic section: not a JSON object")
+        seed = syn.get("seed", 0)
+        if not _FIELD_CHECKS["int"](seed):
+            raise CliError(f"bad synthetic section: seed must be int, got {seed!r}")
+        spec = _build_section(SyntheticSpec, "synthetic",
+                              {k: v for k, v in syn.items() if k != "seed"})
         return generate_synthetic(spec, seed=seed)
     path = section.get("path")
     if not path:
@@ -169,17 +198,9 @@ def cmd_synth_data(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = _load_config(args.config)
-    section = dict(cfg.get("search", {}))
-    if args.blocks is not None:
-        section["num_blocks"] = args.blocks
-    if args.fixed_agg is not None:
-        section["fixed_aggregation"] = args.fixed_agg
-    if args.seed is not None:
-        section["seed"] = args.seed
-    try:
-        config = SearchConfig(**section)
-    except TypeError as e:
-        raise CliError(f"bad search section: {e}")
+    config = _build_section(SearchConfig, "search", cfg.get("search", {}),
+                            num_blocks=args.blocks, fixed_aggregation=args.fixed_agg,
+                            seed=args.seed)
     _check_grid(cfg, {"learning_rate": config.lr_weights,
                       "batch_size": config.batch_size,
                       "hidden_size": config.hidden,
@@ -238,13 +259,7 @@ def _load_arch(path: str) -> ArchEncoding:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    section = dict(cfg.get("train", {}))
-    if args.seed is not None:
-        section["seed"] = args.seed
-    try:
-        hp = HParams(**section)
-    except TypeError as e:
-        raise CliError(f"bad train section: {e}")
+    hp = _build_section(HParams, "train", cfg.get("train", {}), seed=args.seed)
     _check_grid(cfg, {"learning_rate": hp.learning_rate, "batch_size": hp.batch_size,
                       "hidden_size": hp.hidden_size, "dropout": hp.dropout,
                       "virtual_node": hp.virtual_node}, args.strict_grid)

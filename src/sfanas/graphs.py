@@ -3,13 +3,14 @@
 Graphs are stored as explicit directed edge lists; undirected graphs carry
 both directed pairs so every aggregation operator can treat in-edges
 uniformly. All containers are immutable after construction and safe to
-share across workers.
+share across workers. Loading rejects a record with a value numpy would
+coerce or a feature width unlike the file's, naming its line.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +46,6 @@ class TaskSchema:
             raise ValidationError("multi-binary schema needs num_tasks >= 1")
         if self.task_type == "multi-class" and self.num_classes < 2:
             raise ValidationError("multi-class schema needs num_classes >= 2")
-
-    @property
-    def label_width(self) -> int:
-        return self.num_tasks if self.task_type == "multi-binary" else 1
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -107,16 +104,14 @@ class GraphBatch:
     edges: np.ndarray                  # (sum E_i) x 2, offset-adjusted
     graph_ids: np.ndarray              # (sum N_i,) int64, non-decreasing
     labels: np.ndarray                 # B x K float
+    node_counts: np.ndarray            # (B,) nodes per graph
+    edge_counts: np.ndarray            # (B,) edges per graph
     edge_features: np.ndarray | None = None
-    node_counts: np.ndarray = field(default=None)  # (B,) nodes per graph
-    edge_counts: np.ndarray = field(default=None)  # (B,) edges per graph
 
     def __post_init__(self):
         for name in ("node_features", "edges", "graph_ids", "labels",
                      "node_counts", "edge_counts"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, _freeze(np.asarray(val)))
+            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name))))
         if self.edge_features is not None:
             object.__setattr__(self, "edge_features",
                                _freeze(np.asarray(self.edge_features, dtype=np.float64)))
@@ -135,7 +130,7 @@ class GraphBatch:
     @property
     def num_graphs(self) -> int:
         # not graph_ids.max() + 1, which drops trailing zero-node graphs
-        return len(self.node_counts) if self.node_counts is not None else len(self.labels)
+        return len(self.node_counts)
 
 
 @dataclass(frozen=True)
@@ -276,16 +271,20 @@ def add_virtual_node(g: Graph) -> Graph:
 def _parse_record(obj: dict, schema: TaskSchema, lineno: int) -> Graph:
     try:
         n = int(obj["num_nodes"])
-        node_feat = np.asarray(obj["node_feat"], dtype=np.float64)
-        edges = np.asarray(obj.get("edges", []), dtype=np.int64).reshape(-1, 2)
+        node_feat = np.asarray(obj["node_feat"])
+        edges = np.asarray(obj.get("edges", [])).reshape(-1, 2)
         raw_ef = obj.get("edge_feat")
-        edge_feat = None if raw_ef is None else np.asarray(raw_ef, dtype=np.float64)
+        edge_feat = None if raw_ef is None else np.asarray(raw_ef)
         if edge_feat is not None and edge_feat.shape == (0,):
             edge_feat = edge_feat.reshape(0, 0)  # load_dataset sets the width
         raw_label = obj["label"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"line {lineno}: malformed graph record ({exc})") from exc
 
+    _check_numbers(node_feat, "node_feat", lineno)
+    _check_numbers(edges, "edges", lineno, whole=True)
+    if edge_feat is not None:
+        _check_numbers(edge_feat, "edge_feat", lineno)
     if node_feat.ndim != 2 or node_feat.shape[0] != n:
         raise ValidationError(f"line {lineno}: node_feat shape {node_feat.shape} "
                               f"does not match num_nodes {n}")
@@ -298,27 +297,65 @@ def _parse_record(obj: dict, schema: TaskSchema, lineno: int) -> Graph:
         raise ValidationError(f"line {lineno}: {exc}") from exc
 
 
+def _check_numbers(arr: np.ndarray, what: str, lineno: int, whole: bool = False) -> None:
+    """Reject what numpy would silently coerce: strings, booleans, nulls,
+    NaN and Infinity (which Python's json reads), and, when ``whole``,
+    fractions that a cast to int would truncate."""
+    if arr.size and arr.dtype.kind not in "iuf":
+        raise ParseError(f"line {lineno}: {what} must hold numbers only")
+    if arr.dtype.kind == "f":
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"line {lineno}: {what} holds a non-finite value")
+        if whole and (arr % 1.0).any():
+            raise ValidationError(f"line {lineno}: {what} must hold whole numbers")
+
+
+def is_number(v) -> bool:
+    """True for a JSON number as Python's json reads it: an int or a
+    float, but not a bool, which Python counts as an int."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_label(raw, schema: TaskSchema, lineno: int) -> np.ndarray:
     if schema.task_type == "multi-binary":
         if not isinstance(raw, list) or len(raw) != schema.num_tasks:
             raise ValidationError(
                 f"line {lineno}: expected a {schema.num_tasks}-entry label vector")
-        vals = np.array([MISSING if v is None else float(v) for v in raw])
-        present = vals[~np.isnan(vals)]
-        if present.size and not np.isin(present, (0.0, 1.0)).all():
+        vals = [MISSING if v is None else v for v in raw]
+        # a NaN entry (v != v) is missing, like null
+        if not all(is_number(v) and (v != v or v in (0, 1)) for v in vals):
             raise ValidationError(f"line {lineno}: multi-binary entries must be 0, 1 or null")
-        return vals
-    if isinstance(raw, list):
-        raise ValidationError(f"line {lineno}: scalar label expected for {schema.task_type} task")
+        return np.array(vals, dtype=np.float64)
+    if not is_number(raw):
+        raise ValidationError(f"line {lineno}: {schema.task_type} label must be a number, "
+                              f"got {raw!r}")
     val = float(raw)
     if schema.task_type == "binary":
         if val not in (0.0, 1.0):
             raise ValidationError(f"line {lineno}: binary label must be 0 or 1, got {raw}")
     else:
-        if val != int(val) or not (0 <= int(val) < schema.num_classes):
+        if not val.is_integer() or not 0 <= val < schema.num_classes:
             raise ValidationError(
                 f"line {lineno}: class index must be an integer in [0, {schema.num_classes})")
     return np.array([val])
+
+
+def _check_layout(g: Graph, lineno: int, seen: dict) -> None:
+    """Reject a record whose feature layout differs from an earlier one's.
+
+    ``seen`` maps each property to its value and line in the first record
+    that fixed it. An edgeless ``"edge_feat": []`` record fixes no edge
+    width.
+    """
+    ef = g.edge_features
+    layout = {"node_feat width": g.node_features.shape[1], "edge_feat presence": ef is not None}
+    if ef is not None and ef.shape != (0, 0):
+        layout["edge_feat width"] = ef.shape[1]
+    for prop, value in layout.items():
+        first, first_line = seen.setdefault(prop, (value, lineno))
+        if value != first:
+            raise ValidationError(f"line {lineno}: {prop} {value} differs from "
+                                  f"{first} on line {first_line}")
 
 
 def load_dataset(path, schema: TaskSchema, splits_path=None,
@@ -329,10 +366,14 @@ def load_dataset(path, schema: TaskSchema, splits_path=None,
     ``symmetrize`` is off: any directed pair lacking its reverse gets the
     reverse appended (copying the edge features). Splits come from the
     JSON file at ``splits_path``; when omitted, a contiguous 80/10/10
-    split over file order is used.
+    split over file order is used. Every record must give its features
+    the first record's widths (and carry ``edge_feat`` if it does) and
+    hold only finite numbers, whole ones for edge endpoints; a record
+    that does not is rejected with its line number.
     """
     path = Path(path)
     graphs = []
+    seen = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -343,14 +384,14 @@ def load_dataset(path, schema: TaskSchema, splits_path=None,
             except json.JSONDecodeError as exc:
                 raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
             g = _parse_record(obj, schema, lineno)
+            _check_layout(g, lineno, seen)
             if symmetrize:
                 g = _symmetrize(g)
             graphs.append(g)
     if not graphs:
         raise ValidationError(f"{path}: no graph records found")
     # an edgeless record's "edge_feat": [] takes the row width of the others
-    d_edge = next((g.edge_features.shape[1] for g in graphs
-                   if g.edge_features is not None and g.num_edges), 0)
+    d_edge = seen.get("edge_feat width", (0,))[0]
     graphs = [replace(g, edge_features=np.zeros((0, d_edge)))
               if g.edge_features is not None and g.edge_features.shape == (0, 0) else g
               for g in graphs]

@@ -166,8 +166,7 @@ def gen(batch: GraphBatch, H: Tensor, params: dict,
     return _mlp(ad.add(H, agg), params)
 
 
-def mf(batch: GraphBatch, H: Tensor, params: dict,
-       apply_sigmoid: bool = True) -> Tensor:
+def mf(batch: GraphBatch, H: Tensor, params: dict) -> Tensor:
     """Degree-indexed linear transform of self+neighbor sums."""
     max_degree = len(params) - 1
     s = ad.add(H, _neighbor_sum(batch, H))
@@ -179,7 +178,7 @@ def mf(batch: GraphBatch, H: Tensor, params: dict,
             continue
         term = ad.mul(ad.matmul(s, params[f"W{k}"]), Tensor(mask))
         out = term if out is None else ad.add(out, term)
-    return ad.sigmoid(out) if apply_sigmoid else out
+    return ad.sigmoid(out)
 
 
 def expc(batch: GraphBatch, H: Tensor, params: dict) -> Tensor:
@@ -260,7 +259,7 @@ def fuse(name: str, inputs: list, params: dict) -> Tensor:
 
 
 def select(weight, x: Tensor) -> Tensor:
-    """Scale an input by its mixed ZERO/IDENTITY selection weight."""
+    """Scale an input by one mixture weight: a length-1 Tensor or a float."""
     if isinstance(weight, Tensor):
         return ad.mul(weight, x)
     return ad.scalar_mul(x, float(weight))

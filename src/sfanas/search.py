@@ -5,7 +5,8 @@ operation weights take a step on the train loss while the logits stay
 frozen, then the logits take a step on the valid loss while the weights
 stay frozen. The softmax temperature anneals from lambda_start down to
 lambda_end, sharpening the mixtures toward one-hot, and the architecture
-returned is the per-site argmax at the best-valid-metric epoch.
+returned is the per-site argmax at the best-valid-metric epoch. Set-up
+and steps come from ``training.prepare_run`` and ``training.descend``.
 
 A fixed-aggregation mode restricts every aggregation site to one op, so
 the search explores only the wiring (selection/fusion/readout).
@@ -17,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import ops
 from .graphs import Dataset
-from .supernet import (ArchEncoding, DEFAULT_AGG_CANDIDATES, SupernetDims,
-                       derive_architecture, init_relaxed, supernet_forward)
-from .training import (SGD, check_metric, check_valid_classes, checked_loss,
-                       default_metric, evaluate_logits, minibatches, output_dim,
+from .supernet import (ArchEncoding, DEFAULT_AGG_CANDIDATES, derive_architecture,
+                       init_relaxed, supernet_forward)
+from .training import (SGD, descend, evaluate_logits, minibatches, prepare_run,
                        split_logits, task_loss)
 
 ANNEAL_SCHEDULES = ("linear", "exponential")
@@ -120,17 +119,9 @@ def search(dataset: Dataset, config: SearchConfig):
     """
     from .graphs import batch_graphs
     schema = dataset.schema
-    metric = config.metric or default_metric(schema)
-    check_metric(schema, metric)
-    train_graphs = dataset.split_graphs("train")
-    valid_graphs = dataset.split_graphs("valid")
-    if not train_graphs or not valid_graphs:
-        raise ValueError("search needs non-empty train and valid splits")
-    check_valid_classes(metric, valid_graphs)
-
-    dims = SupernetDims(d_in=dataset.num_node_features, out_dim=output_dim(schema),
-                        num_blocks=config.num_blocks, hidden=config.hidden,
-                        d_edge=dataset.num_edge_features)
+    metric, splits, dims = prepare_run(dataset, config.metric, config.num_blocks,
+                                       config.hidden)
+    train_graphs, valid_graphs = splits["train"], splits["valid"]
     params = init_relaxed(dims, config.agg_candidates(), seed=config.seed)
     opt_w = SGD(params.weights, lr=config.lr_weights, momentum=0.9)
     opt_a = SGD(params.alphas, lr=config.lr_alpha)
@@ -150,19 +141,14 @@ def search(dataset: Dataset, config: SearchConfig):
             batch = batch_graphs(chunk)
             logits = supernet_forward(batch, params, mode="relaxed", training=True,
                                       dropout_rate=config.dropout, rng=dropout_rng)
-            loss = task_loss(schema, logits, batch.labels)
-            train_loss += checked_loss(loss, epoch)
-            params.zero_grads()
-            ad.backward(loss)
-            opt_w.step()  # logits frozen: only weight tensors move
+            # logits frozen: only weight tensors move
+            train_loss += descend(params, opt_w, task_loss(schema, logits, batch.labels), epoch)
 
             vbatch = batch_graphs(valid_chunks[step % len(valid_chunks)])
             vlogits = supernet_forward(vbatch, params, mode="relaxed")
-            vloss = task_loss(schema, vlogits, vbatch.labels)
-            valid_loss += checked_loss(vloss, epoch)
-            params.zero_grads()
-            ad.backward(vloss)
-            opt_a.step()  # weights frozen: only logit tensors move
+            # weights frozen: only logit tensors move
+            valid_loss += descend(params, opt_a, task_loss(schema, vlogits, vbatch.labels),
+                                  epoch)
 
         report = evaluate_logits(schema, metric, *split_logits(params, valid_graphs),
                                  "valid", epoch)

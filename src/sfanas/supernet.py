@@ -6,7 +6,7 @@ temperature-scaled softmax over per-site logits. Driving the temperature
 down pushes the weights toward one-hot, and per-site argmax then yields a
 discrete architecture. Discrete mode runs the same forward with 0/1
 weights, so a hard one-hot relaxation and the discrete network agree
-exactly.
+exactly. ``SupernetParams.sites`` lists the decision sites once.
 """
 
 from __future__ import annotations
@@ -111,6 +111,8 @@ class SupernetParams:
 
     Candidate lists are per block so the same container serves the full
     relaxed supernet and an architecture-restricted discrete model.
+    ``sites`` lists every decision site once, in logit order; the logits,
+    site weights, derivation and one-hot pinning all read it.
     """
 
     def __init__(self, dims: SupernetDims, agg_candidates, fusion_candidates,
@@ -151,17 +153,18 @@ class SupernetParams:
         w["head/b"] = Tensor(np.zeros((1, dims.out_dim)), requires_grad=True)
         self.weights = w
 
-        self.alphas: dict[str, Tensor] = {}
-        if with_alphas:
-            for b in range(dims.num_blocks):
-                for j in range(b + 1):
-                    self.alphas[f"sel/b{b}/i{j}"] = Tensor(np.zeros(2), requires_grad=True)
-                self.alphas[f"fus/b{b}"] = Tensor(
-                    np.zeros(len(self.fusion_candidates[b])), requires_grad=True)
-                self.alphas[f"agg/b{b}"] = Tensor(
-                    np.zeros(len(self.agg_candidates[b])), requires_grad=True)
-            self.alphas["readout"] = Tensor(
-                np.zeros(len(self.readout_candidates)), requires_grad=True)
+        # logit key -> (candidate names, the choice an ArchEncoding makes there)
+        self.sites: dict[str, tuple] = {}
+        for b in range(dims.num_blocks):
+            for j in range(b + 1):
+                self.sites[f"sel/b{b}/i{j}"] = (
+                    ops.SELECTION_OPS, lambda a, b=b, j=j: ops.SELECTION_OPS[a.selection[b][j]])
+            self.sites[f"fus/b{b}"] = (self.fusion_candidates[b], lambda a, b=b: a.fusion[b])
+            self.sites[f"agg/b{b}"] = (self.agg_candidates[b], lambda a, b=b: a.aggregation[b])
+        self.sites["readout"] = (self.readout_candidates, lambda a: a.readout)
+        self.alphas: dict[str, Tensor] = {
+            key: Tensor(np.zeros(len(names)), requires_grad=True)
+            for key, (names, _) in self.sites.items()} if with_alphas else {}
 
     def fusion_params(self, b: int, name: str) -> dict:
         return {p: self.weights[k] for p, k in self._op_keys[("fus", b, name)].items()}
@@ -215,19 +218,18 @@ def arch_weights(alpha: Tensor, lam: float) -> Tensor:
     return ad.div(e, ad.tsum(e))
 
 
-def site_weights(params: SupernetParams, key: str, names, mode: str,
-                 arch: ArchEncoding | None, pick):
-    """Weights over the candidate ``names`` of the decision site ``key``.
+def site_weights(params: SupernetParams, key: str, mode: str, arch: ArchEncoding | None):
+    """Weights over the candidates of the decision site ``key``.
 
     Relaxed mode needs no architecture: it returns the temperature
     softmax of the site's logits. Discrete mode returns 0/1 floats with
-    the 1 on ``pick(arch)``, the op the architecture chose at this site;
-    mixed_op skips the zeros, so a one-hot relaxation and the discrete
-    network agree exactly.
+    the 1 on the op ``arch`` chose at this site; mixed_op skips the
+    zeros, so a one-hot relaxation and the discrete network agree exactly.
     """
     if mode == "discrete":
         if arch is None:
             raise ValueError("discrete mode needs an ArchEncoding")
+        names, pick = params.sites[key]
         chosen = pick(arch)
         if chosen not in names:
             raise ValueError(f"op {chosen!r} not among candidates {tuple(names)}")
@@ -259,7 +261,7 @@ def mixed_op(candidates, weights, x):
         elif y.data.shape != out_shape:
             raise ShapeError(f"mixed_op: candidate output shape {y.data.shape} "
                              f"differs from {out_shape}")
-        term = ad.mul(w, y) if isinstance(w, Tensor) else ad.scalar_mul(y, w)
+        term = ops.select(w, y)
         out = term if out is None else ad.add(out, term)
     if out is None:
         raise ValueError("mixed_op: all weights are zero")
@@ -289,24 +291,18 @@ def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
 
     scaled = []
     for j, Hj in enumerate(history):
-        w = site_weights(params, f"sel/b{b}/i{j}", ops.SELECTION_OPS, mode, arch,
-                         lambda a, j=j: ops.SELECTION_OPS[a.selection[b][j]])
+        w = site_weights(params, f"sel/b{b}/i{j}", mode, arch)
         scaled.append(ops.select(_per_candidate(w, 2)[1], Hj))  # the IDENTITY weight
 
-    fus_names = params.fusion_candidates[b]
     fus_cands = [lambda xs, n=name: ops.fuse(n, xs, params.fusion_params(b, n))
-                 for name in fus_names]
-    w_f = site_weights(params, f"fus/b{b}", fus_names, mode, arch, lambda a: a.fusion[b])
-    fused = mixed_op(fus_cands, w_f, scaled)
+                 for name in params.fusion_candidates[b]]
+    fused = mixed_op(fus_cands, site_weights(params, f"fus/b{b}", mode, arch), scaled)
 
-    agg_names = params.agg_candidates[b]
     agg_cands = [lambda x, n=name: ops.aggregate(
                      n, batch, x, params.agg_params(b, n),
                      _edge_features(batch, params, b) if n == "GEN" else None)
-                 for name in agg_names]
-    w_a = site_weights(params, f"agg/b{b}", agg_names, mode, arch,
-                       lambda a: a.aggregation[b])
-    return mixed_op(agg_cands, w_a, fused)
+                 for name in params.agg_candidates[b]]
+    return mixed_op(agg_cands, site_weights(params, f"agg/b{b}", mode, arch), fused)
 
 
 def supernet_forward(batch: GraphBatch, params: SupernetParams,
@@ -329,11 +325,9 @@ def supernet_forward(batch: GraphBatch, params: SupernetParams,
             H = ops.dropout(H, dropout_rate, rng)
         history.append(H)
 
-    ro_names = params.readout_candidates
     ro_cands = [lambda x, n=name: ops.readout(n, x, batch.graph_ids, batch.num_graphs)
-                for name in ro_names]
-    w_r = site_weights(params, "readout", ro_names, mode, arch, lambda a: a.readout)
-    pooled = mixed_op(ro_cands, w_r, history[-1])
+                for name in params.readout_candidates]
+    pooled = mixed_op(ro_cands, site_weights(params, "readout", mode, arch), history[-1])
     return ad.add(ad.matmul(pooled, params.weights["head/W"]), params.weights["head/b"])
 
 
@@ -344,42 +338,26 @@ def supernet_forward(batch: GraphBatch, params: SupernetParams,
 def derive_architecture(params: SupernetParams) -> ArchEncoding:
     """Per-site argmax (first index on ties); all-ZERO blocks get the
     input with the largest IDENTITY logit forced on."""
+    choice = {key: names[int(np.argmax(params.alphas[key].data))]
+              for key, (names, _) in params.sites.items()}
+    L = params.dims.num_blocks
     selection = []
-    fusion = []
-    aggregation = []
-    for b in range(params.dims.num_blocks):
-        bits = []
-        identity_logits = []
-        for j in range(b + 1):
-            a = params.alphas[f"sel/b{b}/i{j}"].data
-            bits.append(1 if int(np.argmax(a)) == 1 else 0)
-            identity_logits.append(a[1])
+    for b in range(L):
+        keys = [f"sel/b{b}/i{j}" for j in range(b + 1)]
+        bits = [int(choice[k] == "IDENTITY") for k in keys]
         if not any(bits):
-            bits[int(np.argmax(identity_logits))] = 1
+            bits[int(np.argmax([params.alphas[k].data[1] for k in keys]))] = 1
         selection.append(tuple(bits))
-        fusion.append(params.fusion_candidates[b][
-            int(np.argmax(params.alphas[f"fus/b{b}"].data))])
-        aggregation.append(params.agg_candidates[b][
-            int(np.argmax(params.alphas[f"agg/b{b}"].data))])
-    readout = params.readout_candidates[int(np.argmax(params.alphas["readout"].data))]
-    return ArchEncoding(num_blocks=params.dims.num_blocks,
-                        selection=tuple(selection), fusion=tuple(fusion),
-                        aggregation=tuple(aggregation), readout=readout)
+    return ArchEncoding(num_blocks=L, selection=tuple(selection),
+                        fusion=tuple(choice[f"fus/b{b}"] for b in range(L)),
+                        aggregation=tuple(choice[f"agg/b{b}"] for b in range(L)),
+                        readout=choice["readout"])
 
 
 def force_one_hot_alphas(params: SupernetParams, arch: ArchEncoding,
                          magnitude: float = 1e6) -> None:
     """Pin the logits so the relaxed weights reproduce ``arch`` exactly."""
-    for b in range(params.dims.num_blocks):
-        for j, bit in enumerate(arch.selection[b]):
-            params.alphas[f"sel/b{b}/i{j}"].data[:] = \
-                (-magnitude, magnitude) if bit else (magnitude, -magnitude)
-        fus = params.alphas[f"fus/b{b}"]
-        fus.data[:] = -magnitude
-        fus.data[params.fusion_candidates[b].index(arch.fusion[b])] = magnitude
-        agg = params.alphas[f"agg/b{b}"]
-        agg.data[:] = -magnitude
-        agg.data[params.agg_candidates[b].index(arch.aggregation[b])] = magnitude
-    ro = params.alphas["readout"]
-    ro.data[:] = -magnitude
-    ro.data[params.readout_candidates.index(arch.readout)] = magnitude
+    for key, (names, pick) in params.sites.items():
+        alpha = params.alphas[key].data
+        alpha[:] = -magnitude
+        alpha[names.index(pick(arch))] = magnitude

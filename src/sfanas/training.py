@@ -5,7 +5,8 @@ Losses are built from autodiff primitives in numerically stable forms.
 Metrics operate on plain arrays; the two ranking metrics match exhaustive
 pair/precision oracles exactly, including the documented tie rules
 (roc_auc counts ties as half; average_precision sorts by descending score
-with ties broken by original index).
+with ties broken by original index). A search and a retrain share their
+set-up (``prepare_run``) and their optimizer step (``descend``).
 """
 
 from __future__ import annotations
@@ -316,21 +317,46 @@ def check_valid_classes(metric: str, valid_graphs: list) -> None:
                              "labels in the valid split")
 
 
-def checked_loss(loss: Tensor, epoch: int) -> float:
-    """The loss as a float; a non-finite loss stops the run."""
+def _splits(dataset: Dataset, virtual_node: bool) -> dict:
+    """Train, valid and test graphs, each given a virtual node if asked;
+    a split the dataset does not name is empty."""
+    splits = {}
+    for split in ("train", "valid", "test"):
+        graphs = [dataset.graphs[i] for i in dataset.splits.get(split, ())]
+        splits[split] = [add_virtual_node(g) for g in graphs] if virtual_node else graphs
+    return splits
+
+
+def prepare_run(dataset: Dataset, metric: str | None, num_blocks: int, hidden: int,
+                virtual_node: bool = False) -> tuple[str, dict, SupernetDims]:
+    """The metric (the task's default when None), splits and dims that a
+    search or a retrain starts from. Fails before any parameter exists on
+    a metric the task does not allow, an empty train or valid split, or a
+    valid split that leaves the metric undefined."""
+    schema = dataset.schema
+    metric = metric or default_metric(schema)
+    check_metric(schema, metric)
+    splits = _splits(dataset, virtual_node)
+    if not splits["train"] or not splits["valid"]:
+        raise ValueError("train and valid splits must be non-empty")
+    check_valid_classes(metric, splits["valid"])
+    dims = SupernetDims(d_in=dataset.num_node_features, out_dim=output_dim(schema),
+                        num_blocks=num_blocks, hidden=hidden,
+                        d_edge=dataset.num_edge_features)
+    return metric, splits, dims
+
+
+def descend(params: SupernetParams, opt: SGD, loss: Tensor, epoch: int) -> float:
+    """One step of ``opt`` on ``loss``, which is returned as a float; a
+    non-finite loss stops the run before anything moves. All gradients are
+    cleared first, so only the tensors ``opt`` holds take the step."""
     value = float(loss.data)
     if not np.isfinite(value):
         raise ValueError(f"epoch {epoch}: loss is {value}")
+    params.zero_grads()
+    ad.backward(loss)
+    opt.step()
     return value
-
-
-def _splits(dataset: Dataset, virtual_node: bool) -> dict:
-    """Train, valid and test graphs, each given a virtual node if asked."""
-    splits = {}
-    for split in ("train", "valid", "test"):
-        graphs = dataset.split_graphs(split)
-        splits[split] = [add_virtual_node(g) for g in graphs] if virtual_node else graphs
-    return splits
 
 
 def _clone_weights(params: SupernetParams) -> dict:
@@ -349,21 +375,9 @@ def train_discrete(dataset: Dataset, arch: ArchEncoding, hp: HParams):
     With epochs=0 the reports describe the initialized model (epoch -1).
     """
     schema = dataset.schema
-    metric = hp.metric or default_metric(schema)
-    check_metric(schema, metric)
-
-    splits = _splits(dataset, hp.virtual_node)
+    metric, splits, dims = prepare_run(dataset, hp.metric, arch.num_blocks, hp.hidden_size,
+                                       hp.virtual_node)
     train_graphs, valid_graphs = splits["train"], splits["valid"]
-    if not train_graphs or not valid_graphs:
-        raise ValueError("train and valid splits must be non-empty")
-    check_valid_classes(metric, valid_graphs)
-
-    d_in = train_graphs[0].node_features.shape[1]
-    if dataset.num_node_features != d_in and not hp.virtual_node:
-        raise ValueError("dataset feature width changed unexpectedly")
-    dims = SupernetDims(d_in=d_in, out_dim=output_dim(schema),
-                        num_blocks=arch.num_blocks, hidden=hp.hidden_size,
-                        d_edge=dataset.num_edge_features)
     params = init_discrete(dims, arch, seed=hp.seed)
 
     opt = SGD(params.weights, lr=hp.learning_rate, momentum=hp.momentum)
@@ -382,11 +396,7 @@ def train_discrete(dataset: Dataset, arch: ArchEncoding, hp: HParams):
             logits = supernet_forward(batch, params, mode="discrete", arch=arch,
                                       training=True, dropout_rate=hp.dropout,
                                       rng=dropout_rng)
-            loss = task_loss(schema, logits, batch.labels)
-            epoch_loss += checked_loss(loss, epoch)
-            params.zero_grads()
-            ad.backward(loss)
-            opt.step()
+            epoch_loss += descend(params, opt, task_loss(schema, logits, batch.labels), epoch)
         report = evaluate_logits(schema, metric, *split_logits(params, valid_graphs, arch),
                                  "valid", epoch)
         history.append({"epoch": epoch, "train_loss": epoch_loss / len(chunks),

@@ -195,6 +195,7 @@ def _search_beats_random(fixed_aggregation=None):
     return float(np.mean(searched)), float(np.mean(randoms)), searched_archs
 
 
+@pytest.mark.slow
 def test_5_search_beats_random(capsys):
     start = time.monotonic()
     searched_mean, random_mean, _ = _search_beats_random()
@@ -207,6 +208,7 @@ def test_5_search_beats_random(capsys):
              f"in {elapsed:.0f}s (budget 600s)")
 
 
+@pytest.mark.slow
 def test_6_fixed_aggregation_search(capsys):
     start = time.monotonic()
     searched_mean, random_mean, archs = _search_beats_random(

@@ -13,6 +13,7 @@ import pytest
 from sfanas import cli, ops
 from sfanas.cli import main
 from sfanas.graphs import TaskSchema, load_dataset
+from sfanas.search import SearchConfig
 from sfanas.supernet import ArchEncoding
 
 
@@ -172,6 +173,33 @@ class TestSearch:
                               search=SEARCH_SECTION)
         assert main(["search", "--config", config, "--out", str(tmp_path)]) == 1
         assert "error: bad synthetic section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,field,value", [
+        ("search", "epochs", 1.5),
+        ("search", "batch_size", True),
+        ("search", "dropout", False),
+        ("train", "hidden_size", 8.0),
+        ("train", "virtual_node", 1),
+        ("synthetic", "num_graphs", 20.5),
+        ("synthetic", "seed", True),
+    ])
+    def test_bad_field_type(self, pipeline, tmp_path, capsys, section, field, value):
+        sections = {"search": dict(SEARCH_SECTION), "train": dict(TRAIN_SECTION),
+                    "synthetic": {"task": "triangle-threshold", "num_graphs": 20}}
+        sections[section][field] = value
+        config = write_config(tmp_path / "c.json",
+                              dataset={"synthetic": sections["synthetic"]},
+                              search=sections["search"], train=sections["train"])
+        command = "train" if section == "train" else "search"
+        argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+        if command == "train":
+            argv += ["--arch", str(pipeline["derive"] / "arch.json")]
+        assert main(argv) == 1
+        assert f"error: bad {section} section: {field}" in capsys.readouterr().err
+
+    def test_float_field_takes_int_unchanged(self):
+        config = cli._build_section(SearchConfig, "search", {"lr_weights": 1})
+        assert type(config.lr_weights) is int and config.lr_weights == 1
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,49 @@ def test_load_dataset_edgeless_record_takes_file_edge_width(tmp_path, edgeless_f
     np.testing.assert_array_equal(batch.edge_features, [[0.5], [0.5]])
 
 
+def _record(width=2, edge_width=1, **overrides):
+    rec = {"num_nodes": 2, "node_feat": [[1.0] * width, [2.0] * width],
+           "edges": [[0, 1]], "edge_feat": [[0.5] * edge_width], "label": 0}
+    rec.update(overrides)
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize("odd,message", [
+    (_record(width=3), "node_feat width 3 differs from 2 on line 1"),
+    (_record(edge_width=2), "edge_feat width 2 differs from 1 on line 1"),
+    (_record(edge_feat=None), "edge_feat presence False differs from True on line 1"),
+], ids=["node-width", "edge-width", "edge-presence"])
+def test_load_dataset_rejects_mixed_feature_layout(tmp_path, odd, message):
+    p = tmp_path / "d.jsonl"
+    _write_lines(p, [_record(), _record(), odd])
+    with pytest.raises(ValidationError, match=f"line 3: {message}"):
+        load_dataset(p, TaskSchema("binary"))
+
+
+@pytest.mark.parametrize("bad", [
+    {"node_feat": [[float("nan"), 1.0], [2.0, 2.0]]},
+    {"node_feat": [["1.5", 1.0], [2.0, 2.0]]},
+    {"edge_feat": [[float("inf")]]},
+    {"edges": [[0, 1.5]]},
+    {"edges": [[False, True]]},
+    {"label": True},
+    {"label": "1"},
+], ids=["nan-node-feat", "string-node-feat", "inf-edge-feat", "fractional-edge",
+        "bool-edge", "bool-label", "string-label"])
+def test_load_dataset_rejects_bad_values(tmp_path, bad):
+    p = tmp_path / "d.jsonl"
+    _write_lines(p, [_record(), _record(**bad)])
+    with pytest.raises((ParseError, ValidationError), match="line 2"):
+        load_dataset(p, TaskSchema("binary"))
+
+
+def test_load_dataset_takes_whole_float_endpoints(tmp_path):
+    p = tmp_path / "d.jsonl"
+    _write_lines(p, [_record(edges=[[0.0, 1.0]])])
+    np.testing.assert_array_equal(load_dataset(p, TaskSchema("binary")).graphs[0].edges,
+                                  [[0, 1], [1, 0]])
+
+
 def test_multi_binary_labels_with_missing(tmp_path):
     p = tmp_path / "d.jsonl"
     _write_lines(p, [json.dumps({"num_nodes": 1, "node_feat": [[0.0]],

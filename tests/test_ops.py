@@ -16,6 +16,10 @@ def T(x):
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+
+
 def make_batch(node_features, edges, edge_features=None):
     g = graphs.Graph(node_features=node_features,
                      edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
@@ -219,12 +223,12 @@ class TestMf:
         batch = random_batch(rng, n=7, d=3, num_edges=12)
         W = rng.normal(size=(3, 3))
         params = {f"W{k}": T(W) for k in range(6)}
-        out = ops.mf(batch, T(batch.node_features), params, apply_sigmoid=False)
+        out = ops.mf(batch, T(batch.node_features), params)
 
         s = batch.node_features.copy()
         for src, dst in batch.edges:
             s[dst] += batch.node_features[src]
-        np.testing.assert_allclose(out.data, s @ W, atol=1e-9)
+        np.testing.assert_allclose(out.data, sigmoid(s @ W), atol=1e-9)
 
     def test_degree_clamped_to_last_bucket(self):
         # center of a 7-leaf star: degree 7 exceeds max_degree 2, so the
@@ -235,18 +239,18 @@ class TestMf:
             edges += [[0, leaf], [leaf, 0]]
         batch = make_batch(np.ones((n, 1)), edges)
         params = {f"W{k}": T([[float(k + 1)]]) for k in range(3)}
-        out = ops.mf(batch, T(batch.node_features), params, apply_sigmoid=False)
+        out = ops.mf(batch, T(batch.node_features), params)
         s_center = 1.0 + 7.0
         s_leaf = 1.0 + 1.0
-        assert out.data[0, 0] == pytest.approx(s_center * 3.0, abs=1e-12)
-        np.testing.assert_allclose(out.data[1:], np.full((7, 1), s_leaf * 2.0),
+        assert out.data[0, 0] == pytest.approx(sigmoid(s_center * 3.0), abs=1e-12)
+        np.testing.assert_allclose(out.data[1:], np.full((7, 1), sigmoid(s_leaf * 2.0)),
                                    atol=1e-12)
 
     def test_edgeless_uses_bucket_zero(self):
         batch = make_batch([[2.0]], np.zeros((0, 2)))
         params = {"W0": T([[3.0]]), "W1": T([[100.0]])}
-        out = ops.mf(batch, T(batch.node_features), params, apply_sigmoid=False)
-        np.testing.assert_allclose(out.data, [[6.0]], atol=1e-12)
+        out = ops.mf(batch, T(batch.node_features), params)
+        np.testing.assert_allclose(out.data, [[sigmoid(6.0)]], atol=1e-12)
 
     def test_sigmoid_applied_by_default(self):
         batch = make_batch([[2.0]], np.zeros((0, 2)))

@@ -6,6 +6,7 @@ import pytest
 from sfanas import autodiff as ad
 from sfanas import graphs, ops, supernet
 from sfanas.autodiff import ShapeError, Tensor
+from sfanas.search import SearchConfig, random_architecture
 from sfanas.supernet import (ArchEncoding, SupernetDims, arch_weights,
                              derive_architecture, force_one_hot_alphas,
                              init_discrete, init_relaxed, mixed_op,
@@ -433,15 +434,13 @@ class TestDerive:
 
 class TestForceOneHot:
     def test_round_trip_through_derivation(self):
-        dims = SupernetDims(d_in=2, out_dim=1, num_blocks=3, hidden=2)
-        arch = ArchEncoding(num_blocks=3,
-                            selection=((1,), (1, 1), (0, 0, 1)),
-                            fusion=("LSTM", "MEAN", "CONCAT"),
-                            aggregation=("MF", "GCN", "GEN"),
-                            readout="GLOBAL_MAX")
-        params = init_relaxed(dims, seed=15)
-        force_one_hot_alphas(params, arch)
-        assert derive_architecture(params) == arch
+        for num_blocks in range(1, 5):
+            dims = SupernetDims(d_in=2, out_dim=1, num_blocks=num_blocks, hidden=2)
+            params = init_relaxed(dims, seed=15)
+            for seed in range(10):
+                arch = random_architecture(SearchConfig(num_blocks=num_blocks), seed)
+                force_one_hot_alphas(params, arch)
+                assert derive_architecture(params) == arch
 
     def test_weights_become_exactly_one_hot(self):
         dims = SupernetDims(d_in=2, out_dim=1, num_blocks=1, hidden=2)

@@ -370,6 +370,15 @@ class TestTrainDiscrete:
         _, reports, _ = train_discrete(ds, one_block_arch(), hp)
         assert reports["valid"].value == 1.0
 
+    def test_dataset_without_test_split(self):
+        ds = small_dataset()
+        splits = {"train": np.concatenate([ds.splits["train"], ds.splits["test"]]),
+                  "valid": ds.splits["valid"]}
+        hp = HParams(epochs=1, hidden_size=8, metric="accuracy")
+        _, reports, _ = train_discrete(Dataset(graphs=ds.graphs, schema=ds.schema,
+                                               splits=splits), one_block_arch(), hp)
+        assert set(reports) == {"train", "valid"}
+
     def test_virtual_node_trains(self):
         ds = small_dataset()
         hp = HParams(epochs=1, hidden_size=8, virtual_node=True, metric="accuracy")
