@@ -6,6 +6,12 @@ builds the backward tape on the fly (define-by-run); calling
 leaf. The op set is deliberately small: just enough for message-passing
 layers, the relaxed architecture mixture, and the training losses.
 
+A tape lives only as long as a gradient needs it. :func:`backward` frees
+each node once its VJPs have run, so a loss can be backpropagated once;
+a second pass through the same tape raises ``RuntimeError``. Inside
+:func:`no_grad` the ops record no tape at all, for forwards that are
+only scored.
+
 The tape contract: an op computes its output and hands :func:`_make` its
 parents plus one vector-Jacobian product (VJP) per parent, each mapping
 the output's gradient to that parent's gradient at the output's
@@ -16,6 +22,7 @@ accumulates the parents' gradients in the order the op listed them.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,8 +51,11 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # g + 0.0 rather than a copy: it stores -0.0 as 0.0, as adding
+            # onto zeros does, and turns a read-only view into an own array
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -60,9 +70,26 @@ class Tensor:
         return tslice(self, key)
 
 
+_recording = True  # False inside no_grad()
+
+
+@contextmanager
+def no_grad():
+    """Within the block, ops record no tape: their outputs need no
+    gradient and hold no parents, whatever their inputs. The values are
+    the same as with recording on."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _make(data: np.ndarray, parents: tuple, vjps: tuple) -> Tensor:
-    """The op's output; it keeps the tape link only if a parent needs a gradient."""
-    if any(p.requires_grad for p in parents):
+    """The op's output; it keeps the tape link only while recording and
+    only if a parent needs a gradient."""
+    if _recording and any(p.requires_grad for p in parents):
         return Tensor(data, True, parents, vjps)
     return Tensor(data)
 
@@ -306,10 +333,14 @@ def segment_softmax(logits: Tensor, ids: np.ndarray, num_segments: int) -> Tenso
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every leaf reachable from a scalar loss.
+    """Populate ``grad`` on every leaf reachable from a scalar loss, and
+    free the tape on the way.
 
-    Repeated calls without zeroing accumulate, matching the usual
-    gradient-accumulation convention.
+    Once a node's VJPs have run, its gradient, parents and VJPs are
+    dropped, so the tape is consumed: a loss can be backpropagated once,
+    and a pass that reaches a consumed node raises ``RuntimeError``.
+    Leaves keep their gradients, and a later loss over the same leaves
+    adds to them unless they are zeroed first.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -326,6 +357,9 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._vjps is None:
+            raise RuntimeError("backward: the tape was already consumed by an earlier "
+                               "backward; a loss can be backpropagated once")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -333,11 +367,15 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     loss.accumulate(np.ones_like(loss.data))
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()  # reverse topological order; the list lets go of each node
+        if not node._parents:
+            continue  # a leaf keeps its gradient
         for p, vjp in zip(node._parents, node._vjps):
             if p.requires_grad:
                 g = vjp(node.grad)
                 p.accumulate(g if g.shape == p.data.shape else _unbroadcast(g, p.data.shape))
+        node.grad, node._parents, node._vjps = None, (), None
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-4) -> float:

@@ -116,9 +116,8 @@ def _build_dataset(cfg: dict):
     task = section.get("task")
     if not isinstance(task, dict) or "type" not in task:
         raise CliError("dataset section needs \"task\": {\"type\": ...}")
-    schema = TaskSchema(task_type=task["type"],
-                        num_tasks=int(task.get("num_tasks", 1)),
-                        num_classes=int(task.get("num_classes", 2)))
+    schema = _build_section(TaskSchema, "task",
+                            {"task_type" if k == "type" else k: v for k, v in task.items()})
     splits_path = section.get("splits_path")
     if splits_path and not Path(splits_path).exists():
         raise CliError(f"splits file not found: {splits_path}")

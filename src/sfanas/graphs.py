@@ -270,7 +270,7 @@ def add_virtual_node(g: Graph) -> Graph:
 
 def _parse_record(obj: dict, schema: TaskSchema, lineno: int) -> Graph:
     try:
-        n = int(obj["num_nodes"])
+        n = obj["num_nodes"]
         node_feat = np.asarray(obj["node_feat"])
         edges = np.asarray(obj.get("edges", [])).reshape(-1, 2)
         raw_ef = obj.get("edge_feat")
@@ -281,6 +281,11 @@ def _parse_record(obj: dict, schema: TaskSchema, lineno: int) -> Graph:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"line {lineno}: malformed graph record ({exc})") from exc
 
+    if not is_number(n):
+        raise ParseError(f"line {lineno}: num_nodes must be a number, got {n!r}")
+    if not float(n).is_integer():
+        raise ValidationError(f"line {lineno}: num_nodes must be a whole number, got {n}")
+    n = int(n)
     _check_numbers(node_feat, "node_feat", lineno)
     _check_numbers(edges, "edges", lineno, whole=True)
     if edge_feat is not None:

@@ -278,13 +278,15 @@ def minibatches(graphs: list, batch_size: int, rng: np.random.Generator | None =
 def split_logits(params: SupernetParams, graphs: list, arch: ArchEncoding | None = None,
                  batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """Logits and labels over ``graphs``: of the relaxed supernet when
-    ``arch`` is None, else of the discrete network ``arch``."""
+    ``arch`` is None, else of the discrete network ``arch``. The forwards
+    are only scored, so they record no tape."""
     parts = []
     labels = []
     for chunk in minibatches(graphs, batch_size):
         batch = batch_graphs(chunk)
-        logits = supernet_forward(batch, params, mode="relaxed" if arch is None else "discrete",
-                                  arch=arch)
+        with ad.no_grad():
+            logits = supernet_forward(batch, params,
+                                      mode="relaxed" if arch is None else "discrete", arch=arch)
         parts.append(logits.data)
         labels.append(batch.labels)
     return np.concatenate(parts, axis=0), np.concatenate(labels, axis=0)
@@ -349,7 +351,8 @@ def prepare_run(dataset: Dataset, metric: str | None, num_blocks: int, hidden: i
 def descend(params: SupernetParams, opt: SGD, loss: Tensor, epoch: int) -> float:
     """One step of ``opt`` on ``loss``, which is returned as a float; a
     non-finite loss stops the run before anything moves. All gradients are
-    cleared first, so only the tensors ``opt`` holds take the step."""
+    cleared first, so only the tensors ``opt`` holds take the step. The
+    backward pass consumes the loss's tape."""
     value = float(loss.data)
     if not np.isfinite(value):
         raise ValueError(f"epoch {epoch}: loss is {value}")

@@ -80,6 +80,61 @@ def test_backward_deterministic_bits():
     assert grads[0].tobytes() == grads[1].tobytes()
 
 
+def _tape_nodes(loss):
+    """Every tensor reachable from ``loss`` through the tape."""
+    seen = {id(loss): loss}
+    stack = [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+def test_backward_frees_the_tape_and_leaves_keep_gradients():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    w = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+    h = ad.relu(ad.matmul(x, w))
+    loss = ad.add(ad.tsum(ad.mul(h, ad.sigmoid(h))),
+                  ad.tsum(ad.gather_rows(h, np.array([2, 0, 0]))))
+    inner = [t for t in _tape_nodes(loss) if t._parents]
+    assert len(inner) == 8
+    ad.backward(loss)
+    for t in inner:
+        assert t.grad is None and t._parents == ()
+    assert x.grad.shape == (3, 2) and w.grad.shape == (2, 2)
+    assert np.abs(w.grad).max() > 0
+
+
+def test_second_backward_through_a_consumed_tape_raises():
+    x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+    logits = ad.mul(x, x)
+    loss = ad.tsum(logits)
+    ad.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError, match="already consumed"):
+        ad.backward(loss)
+    with pytest.raises(RuntimeError, match="already consumed"):
+        ad.backward(ad.tsum(ad.scalar_mul(logits, 2.0)))
+    np.testing.assert_array_equal(x.grad, first)
+
+
+def test_no_grad_records_no_tape():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    taped = ad.tsum(ad.sigmoid(ad.mul(x, x)))
+    with ad.no_grad():
+        out = ad.tsum(ad.sigmoid(ad.mul(x, x)))
+    assert not out.requires_grad and out._parents == ()
+    assert out.data.tobytes() == taped.data.tobytes()
+    with pytest.raises(ZeroDivisionError):
+        with ad.no_grad():
+            1 / 0
+    again = ad.mul(x, x)
+    assert again.requires_grad and again._parents == (x, x)
+
+
 def test_grad_check_square():
     err = ad.grad_check(lambda t: ad.tsum(ad.mul(t, t)),
                         Tensor(np.array([3.0, -1.0])))

@@ -197,6 +197,16 @@ class TestSearch:
         assert main(argv) == 1
         assert f"error: bad {section} section: {field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("num_tasks", 1.9), ("num_tasks", "2"), ("num_classes", True), ("num_task", 2)])
+    def test_bad_task_section(self, pipeline, tmp_path, capsys, field, value):
+        dataset = synth_section(pipeline["data"])
+        dataset["task"][field] = value
+        config = write_config(tmp_path / "c.json", dataset=dataset, search=SEARCH_SECTION)
+        assert main(["search", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error: bad task section: " in err and field in err
+
     def test_float_field_takes_int_unchanged(self):
         config = cli._build_section(SearchConfig, "search", {"lr_weights": 1})
         assert type(config.lr_weights) is int and config.lr_weights == 1

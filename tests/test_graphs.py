@@ -311,8 +311,12 @@ def test_load_dataset_rejects_mixed_feature_layout(tmp_path, odd, message):
     {"edges": [[False, True]]},
     {"label": True},
     {"label": "1"},
+    {"num_nodes": 2.5},
+    {"num_nodes": "2"},
+    {"num_nodes": True, "node_feat": [[1.0, 1.0]], "edges": [], "edge_feat": []},
 ], ids=["nan-node-feat", "string-node-feat", "inf-edge-feat", "fractional-edge",
-        "bool-edge", "bool-label", "string-label"])
+        "bool-edge", "bool-label", "string-label", "fractional-num-nodes",
+        "string-num-nodes", "bool-num-nodes"])
 def test_load_dataset_rejects_bad_values(tmp_path, bad):
     p = tmp_path / "d.jsonl"
     _write_lines(p, [_record(), _record(**bad)])

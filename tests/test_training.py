@@ -10,9 +10,10 @@ import pytest
 from sfanas import autodiff as ad
 from sfanas import training
 from sfanas.autodiff import Tensor
-from sfanas.graphs import (Dataset, Graph, SyntheticSpec, TaskSchema,
+from sfanas.graphs import (Dataset, Graph, SyntheticSpec, TaskSchema, batch_graphs,
                            generate_synthetic)
-from sfanas.supernet import ArchEncoding
+from sfanas.supernet import (ArchEncoding, SupernetDims, init_discrete, init_relaxed,
+                             supernet_forward)
 from sfanas.training import (HParams, SGD, accuracy, average_precision,
                              bce_masked, check_metric, cross_entropy,
                              default_metric, evaluate_model, load_model,
@@ -384,6 +385,35 @@ class TestTrainDiscrete:
         hp = HParams(epochs=1, hidden_size=8, virtual_node=True, metric="accuracy")
         _, reports, _ = train_discrete(ds, one_block_arch(), hp)
         assert 0.0 <= reports["valid"].value <= 1.0
+
+
+class TestTape:
+    @staticmethod
+    def build(arch=None):
+        ds = small_dataset(num_graphs=40)
+        dims = SupernetDims(d_in=ds.num_node_features, out_dim=1, num_blocks=1, hidden=8)
+        params = init_relaxed(dims, seed=3) if arch is None else init_discrete(dims, arch, seed=3)
+        return ds, params
+
+    @pytest.mark.parametrize("arch", [None, one_block_arch("GAT")], ids=["relaxed", "discrete"])
+    def test_split_logits_equals_a_taped_forward(self, arch):
+        ds, params = self.build(arch)
+        graphs_ = ds.split_graphs("valid")
+        logits, labels = training.split_logits(params, graphs_, arch)
+        taped = supernet_forward(batch_graphs(graphs_), params,
+                                 mode="relaxed" if arch is None else "discrete", arch=arch)
+        assert taped.requires_grad
+        assert logits.tobytes() == taped.data.tobytes()
+        assert labels.tobytes() == batch_graphs(graphs_).labels.tobytes()
+
+    def test_descend_consumes_the_logits_tape(self):
+        ds, params = self.build()
+        batch = batch_graphs(ds.split_graphs("train"))
+        logits = supernet_forward(batch, params)
+        training.descend(params, SGD(params.weights, lr=0.1),
+                         training.task_loss(ds.schema, logits, batch.labels), 0)
+        assert logits._parents == () and logits.grad is None
+        assert all(t.grad is not None for t in params.alphas.values())
 
 
 # ---------------------------------------------------------------------------
