@@ -10,7 +10,12 @@ A tape lives only as long as a gradient needs it. :func:`backward` frees
 each node once its VJPs have run, so a loss can be backpropagated once;
 a second pass through the same tape raises ``RuntimeError``. Inside
 :func:`no_grad` the ops record no tape at all, for forwards that are
-only scored.
+only scored, and :func:`frozen` holds chosen leaves out of the tape.
+
+Segment reductions sort nothing. Row ``i``, column ``c`` goes to slot
+``ids[i] * width + c`` of one flat output: sums are one ``bincount``
+over that index, which adds each segment's rows in row order onto
+zeros, and maxima are one ``maximum.at``.
 
 The tape contract: an op computes its output and hands :func:`_make` its
 parents plus one vector-Jacobian product (VJP) per parent, each mapping
@@ -84,6 +89,23 @@ def no_grad():
         yield
     finally:
         _recording = previous
+
+
+@contextmanager
+def frozen(tensors):
+    """Within the block, ``tensors`` need no gradient: ops record no tape
+    node for them, and :func:`backward` neither reaches them nor runs
+    their VJPs. The values are the same as unfrozen, and so are the other
+    tensors' gradients. Each ``requires_grad`` is restored on the way out."""
+    tensors = list(tensors)
+    previous = [t.requires_grad for t in tensors]
+    for t in tensors:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in zip(tensors, previous):
+            t.requires_grad = flag
 
 
 def _make(data: np.ndarray, parents: tuple, vjps: tuple) -> Tensor:
@@ -244,7 +266,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Row lookup by integer index vector; rows may repeat."""
     idx = np.asarray(idx, dtype=np.int64)
     return _make(a.data[idx], (a,), (
-        lambda g: _segment_reduceat(np.add, g, _segment_layout(idx, a.data.shape[0])),))
+        lambda g: _segment_sum(g, idx, a.data.shape[0]),))
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +288,28 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 # segment reduction (the message-passing/readout workhorse)
 
 
-def _segment_layout(ids: np.ndarray, num_segments: int):
-    """Stable row order by id, the first sorted position of each non-empty
-    segment, the non-empty segment ids, and the per-segment row counts."""
-    counts = np.bincount(ids, minlength=num_segments)
-    nonempty = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[nonempty]
-    return np.argsort(ids, kind="stable"), starts, nonempty, counts
+def _flat_index(ids: np.ndarray, width: int) -> np.ndarray:
+    """Row ``i``, column ``c`` of a ``width``-column array goes to slot
+    ``ids[i] * width + c`` of the flattened per-segment output."""
+    return (ids[:, None] * width + np.arange(width)).ravel()
 
 
-def _segment_reduceat(ufunc, values: np.ndarray, layout) -> np.ndarray:
-    """``ufunc`` over the rows of each segment; empty segments give zero."""
-    order, starts, nonempty, counts = layout
-    return _scatter(counts.shape + values.shape[1:], nonempty,
-                    ufunc.reduceat(values[order], starts, axis=0))
+def _segment_sum(values: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:
+    """Per-segment sums of the rows of ``values``: each segment's rows are
+    added one by one, in row order, onto zeros, so empty segments give zero."""
+    width = int(np.prod(values.shape[1:], dtype=np.int64))
+    sums = np.bincount(_flat_index(ids, width), weights=values.ravel(),
+                       minlength=num_segments * width)
+    return sums.reshape((num_segments,) + values.shape[1:])
+
+
+def _segment_max(values: np.ndarray, flat: np.ndarray, num_segments: int) -> np.ndarray:
+    """Per-segment column maxima of 2-d ``values`` at the flat index ``flat``;
+    empty segments give -inf and a NaN row makes its column's max NaN."""
+    out = np.full(num_segments * values.shape[1], -np.inf)
+    with np.errstate(invalid="ignore"):  # a NaN is a max, not an error
+        np.maximum.at(out, flat, values.ravel())
+    return out
 
 
 def segment_reduce(values: Tensor, ids: np.ndarray, num_segments: int,
@@ -287,8 +317,11 @@ def segment_reduce(values: Tensor, ids: np.ndarray, num_segments: int,
     """Reduce rows of ``values`` into ``num_segments`` buckets given by ``ids``.
 
     Empty segments produce zero rows in every mode, and zero-row input
-    gives ``num_segments`` zero rows. For ``max`` the output is read from,
-    and the gradient flows only to, the first max row per column.
+    gives ``num_segments`` zero rows. A sum adds each segment's rows one
+    by one, in row order, onto zeros (one ``bincount``); a mean divides
+    that sum by the row count. For ``max`` (one ``maximum.at``) the output
+    is read from, and the gradient flows only to, the first max row per
+    column; a NaN row counts as a max.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if values.data.ndim != 2:
@@ -301,29 +334,31 @@ def segment_reduce(values: Tensor, ids: np.ndarray, num_segments: int,
     if mode not in ("sum", "mean", "max"):
         raise ValueError(f"segment_reduce: unknown mode {mode!r}")
 
-    layout = order, starts, nonempty, counts = _segment_layout(ids, num_segments)
-
     if mode != "max":
-        n = np.maximum(counts, 1.0)[:, None] if mode == "mean" else 1.0
-        return _make(_segment_reduceat(np.add, values.data, layout) / n, (values,),
+        n = np.maximum(np.bincount(ids, minlength=num_segments), 1.0)[:, None] \
+            if mode == "mean" else 1.0
+        return _make(_segment_sum(values.data, ids, num_segments) / n, (values,),
                      (lambda g: (g / n)[ids],))
 
-    ordered = values.data[order]
-    seg_max = np.maximum.reduceat(ordered, starts, axis=0)
-    is_max = ordered == np.repeat(seg_max, counts[nonempty], axis=0)
-    is_max |= np.isnan(ordered)  # a NaN is its segment's max, as in argmax
-    positions = np.where(is_max, np.arange(ids.size)[:, None], ids.size)
-    first = order[np.minimum.reduceat(positions, starts, axis=0)]
-    cols = np.arange(values.data.shape[1])
-    return _make(_scatter((num_segments, cols.size), nonempty, values.data[first, cols]),
-                 (values,), (lambda g: _scatter(values.data.shape, (first, cols), g[nonempty]),))
+    rows, width = values.data.shape
+    flat, v = _flat_index(ids, width), values.data.ravel()
+    is_max = (v == _segment_max(values.data, flat, num_segments)[flat]) | np.isnan(v)
+    # the first max row per column, as a position in the flattened values
+    first = np.full(num_segments * width, v.size)
+    np.minimum.at(first, flat[is_max], np.flatnonzero(is_max))
+    hit = np.flatnonzero(first < v.size)
+    out = np.zeros(num_segments * width)
+    out[hit] = v[first[hit]]
+    return _make(out.reshape(num_segments, width), (values,), (
+        lambda g: _scatter(values.data.size, first[hit], g.ravel()[hit]).reshape(rows, width),))
 
 
 def segment_softmax(logits: Tensor, ids: np.ndarray, num_segments: int) -> Tensor:
     """Softmax over each segment, per column. Max-shifted for stability."""
     ids = np.asarray(ids, dtype=np.int64)
-    shift = _segment_reduceat(np.maximum, logits.data, _segment_layout(ids, num_segments))
-    z = exp(sub(logits, Tensor(shift[ids])))
+    flat = _flat_index(ids, logits.data.shape[1])
+    shift = _segment_max(logits.data, flat, num_segments)[flat].reshape(logits.data.shape)
+    z = exp(sub(logits, Tensor(shift)))
     denom = segment_reduce(z, ids, num_segments, "sum")
     return div(z, gather_rows(denom, ids))
 

@@ -68,11 +68,15 @@ class Graph:
 
     def __post_init__(self):
         nf = _freeze(np.asarray(self.node_features, dtype=np.float64))
-        ed = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        ed = np.asarray(self.edges, dtype=np.int64)
+        if ed.shape == (0,):  # an empty list
+            ed = ed.reshape(0, 2)
         object.__setattr__(self, "node_features", nf)
         object.__setattr__(self, "edges", _freeze(ed))
         if nf.ndim != 2:
             raise ValidationError(f"node_features must be 2-d, got shape {nf.shape}")
+        if ed.ndim != 2 or ed.shape[1] != 2:
+            raise ValidationError(f"edges must have shape (E, 2), got shape {ed.shape}")
         n = nf.shape[0]
         if ed.size and (ed.min() < 0 or ed.max() >= n):
             raise ValidationError(f"edge endpoint out of range [0, {n})")
@@ -272,11 +276,14 @@ def _parse_record(obj: dict, schema: TaskSchema, lineno: int) -> Graph:
     try:
         n = obj["num_nodes"]
         node_feat = np.asarray(obj["node_feat"])
-        edges = np.asarray(obj.get("edges", [])).reshape(-1, 2)
+        edges = np.asarray(obj.get("edges", []))
         raw_ef = obj.get("edge_feat")
         edge_feat = None if raw_ef is None else np.asarray(raw_ef)
+        # load_dataset sets the width of an empty "node_feat": [] or "edge_feat": []
+        if node_feat.shape == (0,):
+            node_feat = node_feat.reshape(0, 0)
         if edge_feat is not None and edge_feat.shape == (0,):
-            edge_feat = edge_feat.reshape(0, 0)  # load_dataset sets the width
+            edge_feat = edge_feat.reshape(0, 0)
         raw_label = obj["label"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"line {lineno}: malformed graph record ({exc})") from exc
@@ -349,11 +356,14 @@ def _check_layout(g: Graph, lineno: int, seen: dict) -> None:
     """Reject a record whose feature layout differs from an earlier one's.
 
     ``seen`` maps each property to its value and line in the first record
-    that fixed it. An edgeless ``"edge_feat": []`` record fixes no edge
-    width.
+    that fixed it. A zero-node ``"node_feat": []`` record fixes no node
+    width, and an edgeless ``"edge_feat": []`` record no edge width.
     """
     ef = g.edge_features
-    layout = {"node_feat width": g.node_features.shape[1], "edge_feat presence": ef is not None}
+    layout = {}
+    if g.node_features.shape != (0, 0):
+        layout["node_feat width"] = g.node_features.shape[1]
+    layout["edge_feat presence"] = ef is not None
     if ef is not None and ef.shape != (0, 0):
         layout["edge_feat width"] = ef.shape[1]
     for prop, value in layout.items():
@@ -395,11 +405,11 @@ def load_dataset(path, schema: TaskSchema, splits_path=None,
             graphs.append(g)
     if not graphs:
         raise ValidationError(f"{path}: no graph records found")
-    # an edgeless record's "edge_feat": [] takes the row width of the others
+    # a zero-node record's "node_feat": [] and an edgeless record's
+    # "edge_feat": [] take the row widths of the others
+    d_node = seen.get("node_feat width", (0,))[0]
     d_edge = seen.get("edge_feat width", (0,))[0]
-    graphs = [replace(g, edge_features=np.zeros((0, d_edge)))
-              if g.edge_features is not None and g.edge_features.shape == (0, 0) else g
-              for g in graphs]
+    graphs = [_set_empty_widths(g, d_node, d_edge) for g in graphs]
 
     if splits_path is not None:
         with open(splits_path, "r", encoding="utf-8") as fh:
@@ -408,6 +418,14 @@ def load_dataset(path, schema: TaskSchema, splits_path=None,
     else:
         splits = contiguous_split(len(graphs))
     return Dataset(graphs=graphs, schema=schema, splits=splits)
+
+
+def _set_empty_widths(g: Graph, d_node: int, d_edge: int) -> Graph:
+    if g.node_features.shape == (0, 0):
+        g = replace(g, node_features=np.zeros((0, d_node)))
+    if g.edge_features is not None and g.edge_features.shape == (0, 0):
+        g = replace(g, edge_features=np.zeros((0, d_edge)))
+    return g
 
 
 def _symmetrize(g: Graph) -> Graph:

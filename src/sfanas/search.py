@@ -3,10 +3,14 @@
 Each epoch pairs train minibatches with (cycling) valid minibatches: the
 operation weights take a step on the train loss while the logits stay
 frozen, then the logits take a step on the valid loss while the weights
-stay frozen. The softmax temperature anneals from lambda_start down to
-lambda_end, sharpening the mixtures toward one-hot, and the architecture
-returned is the per-site argmax at the best-valid-metric epoch. Set-up
-and steps come from ``training.prepare_run`` and ``training.descend``.
+stay frozen. The frozen side records no gradient: each half-step's
+forward and backward run inside ``autodiff.frozen`` over the tensors its
+optimizer does not hold, so the weight step computes no logit VJPs and
+the logit step no weight VJPs. The softmax temperature anneals from
+lambda_start down to lambda_end, sharpening the mixtures toward one-hot,
+and the architecture returned is the per-site argmax at the
+best-valid-metric epoch. Set-up and steps come from
+``training.prepare_run`` and ``training.descend``.
 
 A fixed-aggregation mode restricts every aggregation site to one op, so
 the search explores only the wiring (selection/fusion/readout).
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import ops
 from .graphs import Dataset
 from .supernet import (ArchEncoding, DEFAULT_AGG_CANDIDATES, derive_architecture,
@@ -139,16 +144,17 @@ def search(dataset: Dataset, config: SearchConfig):
         valid_loss = 0.0
         for step, chunk in enumerate(train_chunks):
             batch = batch_graphs(chunk)
-            logits = supernet_forward(batch, params, mode="relaxed", training=True,
-                                      dropout_rate=config.dropout, rng=dropout_rng)
-            # logits frozen: only weight tensors move
-            train_loss += descend(params, opt_w, task_loss(schema, logits, batch.labels), epoch)
+            with ad.frozen(params.alphas.values()):
+                logits = supernet_forward(batch, params, mode="relaxed", training=True,
+                                          dropout_rate=config.dropout, rng=dropout_rng)
+                train_loss += descend(params, opt_w,
+                                      task_loss(schema, logits, batch.labels), epoch)
 
             vbatch = batch_graphs(valid_chunks[step % len(valid_chunks)])
-            vlogits = supernet_forward(vbatch, params, mode="relaxed")
-            # weights frozen: only logit tensors move
-            valid_loss += descend(params, opt_a, task_loss(schema, vlogits, vbatch.labels),
-                                  epoch)
+            with ad.frozen(params.weights.values()):
+                vlogits = supernet_forward(vbatch, params, mode="relaxed")
+                valid_loss += descend(params, opt_a,
+                                      task_loss(schema, vlogits, vbatch.labels), epoch)
 
         report = evaluate_logits(schema, metric, *split_logits(params, valid_graphs),
                                  "valid", epoch)

@@ -259,12 +259,17 @@ def test_segment_reduce_id_out_of_range():
         ad.segment_reduce(v, np.array([-1, 0]), 2, "sum")
 
 
+def _fold(rows, d):
+    """The rows added one by one, in order, onto zeros."""
+    return functools.reduce(np.add, rows, np.zeros(d))
+
+
 def _segment_loop(vals, ids, s, mode, g):
     """Per-segment reference: output and input gradient under upstream ``g``.
 
-    Sums add rows one by one in input order; max reads the first max row per
-    column and sends it the whole gradient. Gradients are accumulated onto
-    zeros, as ``Tensor.accumulate`` does.
+    Sums add rows one by one in input order onto zeros; max reads the first
+    max row per column and sends it the whole gradient. Gradients are
+    accumulated onto zeros, as ``Tensor.accumulate`` does.
     """
     out = np.zeros((s, vals.shape[1]))
     grad = np.zeros_like(vals)
@@ -278,7 +283,7 @@ def _segment_loop(vals, ids, s, mode, g):
             out[k] = vals[first, cols]
             grad[first, cols] = g[k]
             continue
-        out[k] = functools.reduce(np.add, vals[rows])
+        out[k] = _fold(vals[rows], vals.shape[1])
         if mode == "mean":
             out[k] = out[k] / rows.size
         grad[rows] = g[k] / rows.size if mode == "mean" else g[k]
@@ -315,12 +320,38 @@ def test_segment_sum_matches_one_hot_matmul():
         src = Tensor(np.zeros((s, d)), requires_grad=True)
         up = sample((m, d))
         ad.backward(ad.tsum(ad.mul(ad.gather_rows(src, ids), Tensor(up))))
-        want = np.zeros((s, d))
-        for k in range(s):
-            rows = np.flatnonzero(ids == k)
-            if rows.size:
-                want[k] = functools.reduce(np.add, up[rows])
-        assert src.grad.tobytes() == (0.0 + want).tobytes(), case
+        want = np.array([_fold(up[ids == k], d) for k in range(s)])
+        assert src.grad.tobytes() == want.tobytes(), case
+
+
+def test_segment_sums_fold_rows_in_order():
+    # non-integer values, many rows per segment: the summation order shows
+    rng = np.random.default_rng(11)
+    m, d, s = 300, 3, 4
+    vals = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-8, 8, size=(m, d))
+    ids = rng.integers(0, s, size=m)
+    g = rng.standard_normal((s, d))
+    for mode in ("sum", "mean"):
+        x = Tensor(vals, requires_grad=True)
+        out = ad.segment_reduce(x, ids, s, mode)
+        ad.backward(ad.tsum(ad.mul(out, Tensor(g))))
+        want_out, want_grad = _segment_loop(vals, ids, s, mode, g)
+        assert out.data.tobytes() == want_out.tobytes(), mode
+        assert x.grad.tobytes() == want_grad.tobytes(), mode
+    src = Tensor(np.zeros((s, d)), requires_grad=True)
+    ad.backward(ad.tsum(ad.mul(ad.gather_rows(src, ids), Tensor(vals))))
+    want = np.array([_fold(vals[ids == k], d) for k in range(s)])
+    assert src.grad.tobytes() == want.tobytes()
+
+
+def test_segment_max_nan_row_is_the_max():
+    vals = np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, np.nan], [np.nan, 5.0]])
+    x = Tensor(vals, requires_grad=True)
+    out = ad.segment_reduce(x, np.array([0, 0, 0, 1]), 2, "max")  # no RuntimeWarning
+    np.testing.assert_array_equal(out.data, [[np.nan, np.nan], [np.nan, 5.0]])
+    ad.backward(ad.tsum(out))
+    np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    assert np.isnan(ad.segment_softmax(Tensor(vals), np.array([0, 0, 0, 1]), 2).data[:3]).all()
 
 
 def test_segment_softmax_sums_to_one_per_segment():
@@ -330,6 +361,18 @@ def test_segment_softmax_sums_to_one_per_segment():
     w = ad.segment_softmax(Tensor(logits), ids, 3)
     sums = ad.segment_reduce(w, ids, 3, "sum").data
     np.testing.assert_allclose(sums, np.ones((3, 2)), atol=1e-12)
+
+
+def test_frozen_holds_leaves_out_and_restores_after_an_exception():
+    a = Tensor(np.array([2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0]), requires_grad=True)
+    with pytest.raises(KeyError):
+        with ad.frozen([a]):
+            assert not a.requires_grad and b.requires_grad
+            ad.backward(ad.tsum(ad.mul(a, b)))
+            raise KeyError("boom")
+    assert a.requires_grad and b.requires_grad
+    assert a.grad is None and b.grad.tolist() == [2.0]
 
 
 def test_detach_blocks_gradient():

@@ -314,9 +314,13 @@ def test_load_dataset_rejects_mixed_feature_layout(tmp_path, odd, message):
     {"num_nodes": 2.5},
     {"num_nodes": "2"},
     {"num_nodes": True, "node_feat": [[1.0, 1.0]], "edges": [], "edge_feat": []},
+    {"edges": [0, 1], "edge_feat": [[0.5]]},
+    {"edges": [[0, 1, 1]]},
+    {"node_feat": [], "num_nodes": 2},
 ], ids=["nan-node-feat", "string-node-feat", "inf-edge-feat", "fractional-edge",
         "bool-edge", "bool-label", "string-label", "fractional-num-nodes",
-        "string-num-nodes", "bool-num-nodes"])
+        "string-num-nodes", "bool-num-nodes", "flat-edges", "three-column-edges",
+        "empty-node-feat"])
 def test_load_dataset_rejects_bad_values(tmp_path, bad):
     p = tmp_path / "d.jsonl"
     _write_lines(p, [_record(), _record(**bad)])
@@ -355,6 +359,39 @@ def test_write_then_load_round_trip(tmp_path):
         np.testing.assert_array_equal(g.label, h.label)
     for split in ("train", "valid", "test"):
         np.testing.assert_array_equal(ds.splits[split], back.splits[split])
+
+
+def test_flat_edges_are_rejected_not_paired(tmp_path):
+    p = tmp_path / "d.jsonl"
+    _write_lines(p, [json.dumps({"num_nodes": 4, "node_feat": [[0.0]] * 4,
+                                 "edges": [0, 1, 2, 3], "label": 0})])
+    with pytest.raises(ValidationError, match=r"line 1: edges must have shape \(E, 2\)"):
+        load_dataset(p, TaskSchema("binary"), symmetrize=False)
+    with pytest.raises(ValidationError, match="edges must have shape"):
+        Graph(node_features=np.zeros((4, 1)), edges=np.array([0, 1, 2, 3]))
+    assert Graph(node_features=np.zeros((1, 1)), edges=[]).edges.shape == (0, 2)
+
+
+@pytest.mark.parametrize("edge_feat", [False, True], ids=["plain", "edge-feat"])
+def test_zero_node_graph_survives_write_and_load(tmp_path, edge_feat):
+    def graph(n, label):
+        return Graph(node_features=np.arange(3.0 * n).reshape(n, 3),
+                     edges=np.array([[0, 1], [1, 0]]) if n else np.zeros((0, 2)),
+                     edge_features=(np.ones((2 if n else 0, 2)) if edge_feat else None),
+                     label=np.array([label]))
+    ds = Dataset(graphs=[graph(2, 0.0), graph(3, 1.0), graph(0, 1.0)],
+                 schema=TaskSchema("binary"),
+                 splits={"train": np.array([0]), "valid": np.array([1]),
+                         "test": np.array([2])})
+    write_dataset(ds, tmp_path / "d.jsonl", tmp_path / "s.json")
+    back = load_dataset(tmp_path / "d.jsonl", ds.schema, tmp_path / "s.json")
+    for g, h in zip(ds.graphs, back.graphs):
+        assert g.node_features.shape == h.node_features.shape
+        np.testing.assert_array_equal(g.node_features, h.node_features)
+        np.testing.assert_array_equal(g.edges, h.edges)
+        if edge_feat:
+            assert g.edge_features.shape == h.edge_features.shape
+    assert batch_graphs(back.graphs).num_graphs == 3
 
 
 def test_splits_must_partition():

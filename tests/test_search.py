@@ -1,5 +1,7 @@
 """Tests for the alternating architecture search."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,58 @@ class TestFreezeDiscipline:
             np.testing.assert_array_equal(t.data, weights_before[k])
         assert any(np.abs(t.data - alphas_before[k]).max() > 0
                    for k, t in params.alphas.items())
+
+    def test_frozen_side_leaves_the_other_gradients_unchanged(self):
+        ds = tiny_dataset()
+        batch = graphs.batch_graphs(ds.split_graphs("train")[:16])
+        params = init_relaxed(SupernetDims(d_in=ds.num_node_features, out_dim=1,
+                                           num_blocks=3, hidden=4), seed=0)
+
+        def grads(frozen=()):
+            params.zero_grads()
+            with ad.frozen(frozen):
+                ad.backward(task_loss(ds.schema, supernet_forward(batch, params, training=True),
+                                      batch.labels))
+            return {k: None if t.grad is None else t.grad.tobytes()
+                    for k, t in {**params.weights, **params.alphas}.items()}
+
+        full = grads()
+        assert all(g is not None for g in full.values())
+        for frozen, moving in ((params.alphas, params.weights),
+                               (params.weights, params.alphas)):
+            got = grads(frozen.values())
+            assert all(got[k] is None for k in frozen)
+            assert all(got[k] == full[k] for k in moving)
+            assert all(t.requires_grad for t in frozen.values())
+
+    def test_each_half_step_differentiates_only_its_side(self, monkeypatch):
+        captured = {}
+        real_init, real_step = search.init_relaxed, SGD.step
+
+        def init(*args, **kw):
+            captured["params"] = real_init(*args, **kw)
+            return captured["params"]
+
+        def step(self):
+            p = captured["params"]
+            moving, frozen = ((p.weights, p.alphas) if self.params is p.weights
+                              else (p.alphas, p.weights))
+            assert all(t.grad is None for t in frozen.values())
+            assert all(t.grad is not None for t in moving.values())
+            real_step(self)
+
+        monkeypatch.setattr(search, "init_relaxed", init)
+        monkeypatch.setattr(SGD, "step", step)
+        search.search(tiny_dataset(), SearchConfig(num_blocks=2, hidden=4, epochs=1,
+                                                   batch_size=16))
+        # the last half-step moved the logits: no weight holds a gradient
+        assert all(t.grad is None for t in captured["params"].weights.values())
+
+    def test_search_is_the_same_without_the_freeze(self, monkeypatch):
+        cfg = SearchConfig(num_blocks=2, hidden=4, epochs=2, batch_size=16, dropout=0.2)
+        arch, history = search.search(tiny_dataset(), cfg)
+        monkeypatch.setattr(ad, "frozen", lambda tensors: contextlib.nullcontext())
+        assert search.search(tiny_dataset(), cfg) == (arch, history)
 
 
 # ---------------------------------------------------------------------------
