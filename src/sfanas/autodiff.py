@@ -65,9 +65,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -199,8 +196,9 @@ def relu(a: Tensor) -> Tensor:
     return _make(a.data * mask, (a,), (lambda g: g * mask,))
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    scale = np.where(a.data > 0.0, 1.0, slope)
+def leaky_relu(a: Tensor) -> Tensor:
+    """Slope 0.2 below zero, as GAT uses."""
+    scale = np.where(a.data > 0.0, 1.0, 0.2)
     return _make(a.data * scale, (a,), (lambda g: g * scale,))
 
 
@@ -413,11 +411,13 @@ def backward(loss: Tensor) -> None:
         node.grad, node._parents, node._vjps = None, (), None
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-4) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
+    """Max relative error between analytic and central-difference gradients
+    (step 1e-4).
 
     Relative error per coordinate is |analytic - numeric| / max(1, |numeric|).
     """
+    eps = 1e-4
     x = Tensor(x.data.copy(), requires_grad=True)
     out = f(x)
     backward(out)

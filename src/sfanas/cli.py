@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcheck as gradcheck_mod
-from .graphs import (ParseError, SyntheticSpec, TaskSchema, ValidationError,
-                     generate_synthetic, is_number, load_dataset, write_dataset)
+from .graphs import (SyntheticSpec, TaskSchema, generate_synthetic, is_number, load_dataset,
+                     write_dataset)
 from .search import SearchConfig, best_record, search
 from .supernet import ArchEncoding
 from .training import (HParams, default_metric, evaluate_model, load_model,
@@ -402,10 +402,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValidationError, ParseError, ValueError) as e:
+    except (CliError, ValueError) as e:  # ValidationError and ParseError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 1
 

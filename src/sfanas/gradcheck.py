@@ -69,8 +69,7 @@ def _primitive_checks():
            data_fn=lambda x: x + np.sign(x + 1e-12) * 0.3)
     simple("matmul", lambda rng: (lambda t, c=const(rng, (4, 2)): ad.matmul(t, c)))
     simple("relu", lambda rng: ad.relu, data_fn=_away_from)
-    simple("leaky_relu", lambda rng: (lambda t: ad.leaky_relu(t, 0.2)),
-           data_fn=_away_from)
+    simple("leaky_relu", lambda rng: ad.leaky_relu, data_fn=_away_from)
     simple("sigmoid", lambda rng: ad.sigmoid)
     simple("tanh", lambda rng: ad.tanh)
     simple("exp", lambda rng: ad.exp)

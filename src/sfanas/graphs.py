@@ -109,12 +109,10 @@ class GraphBatch:
     graph_ids: np.ndarray              # (sum N_i,) int64, non-decreasing
     labels: np.ndarray                 # B x K float
     node_counts: np.ndarray            # (B,) nodes per graph
-    edge_counts: np.ndarray            # (B,) edges per graph
     edge_features: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("node_features", "edges", "graph_ids", "labels",
-                     "node_counts", "edge_counts"):
+        for name in ("node_features", "edges", "graph_ids", "labels", "node_counts"):
             object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name))))
         if self.edge_features is not None:
             object.__setattr__(self, "edge_features",
@@ -184,11 +182,6 @@ def _undirected_degrees(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     return deg
 
 
-def compute_degrees(g: Graph) -> np.ndarray:
-    """Per-node degree; directed pairs (u,v) and (v,u) count as one edge."""
-    return _undirected_degrees(g.edges, g.num_nodes)
-
-
 # ---------------------------------------------------------------------------
 # batching
 
@@ -209,38 +202,17 @@ def batch_graphs(graphs: list) -> GraphBatch:
             raise ValidationError("mixed edge feature presence or widths")
 
     node_counts = np.array([g.num_nodes for g in graphs], dtype=np.int64)
-    edge_counts = np.array([g.num_edges for g in graphs], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(node_counts)[:-1]])
 
     feats = np.concatenate([g.node_features for g in graphs], axis=0)
-    edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)], axis=0) \
-        if edge_counts.sum() else np.zeros((0, 2), dtype=np.int64)
+    edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)], axis=0)
     gids = np.repeat(np.arange(len(graphs), dtype=np.int64), node_counts)
     labels = np.stack([g.label for g in graphs], axis=0)
     efeats = np.concatenate([g.edge_features for g in graphs], axis=0) if has_ef else None
 
     return GraphBatch(node_features=feats, edges=edges, graph_ids=gids,
                       labels=labels, edge_features=efeats,
-                      node_counts=node_counts, edge_counts=edge_counts)
-
-
-def unbatch(batch: GraphBatch) -> list:
-    """Invert batch_graphs, reproducing the original graphs."""
-    graphs = []
-    n_off = 0
-    e_off = 0
-    for i, (n, e) in enumerate(zip(batch.node_counts, batch.edge_counts)):
-        ef = None
-        if batch.edge_features is not None:
-            ef = batch.edge_features[e_off:e_off + e]
-        graphs.append(Graph(
-            node_features=batch.node_features[n_off:n_off + n],
-            edges=batch.edges[e_off:e_off + e] - n_off,
-            edge_features=ef,
-            label=batch.labels[i]))
-        n_off += n
-        e_off += e
-    return graphs
+                      node_counts=node_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +244,10 @@ def add_virtual_node(g: Graph) -> Graph:
 # JSON-lines IO
 
 
-def _parse_record(obj: dict, schema: TaskSchema, lineno: int) -> Graph:
+def _parse_record(obj: dict, schema: TaskSchema, lineno: int, may_hold_bool: bool) -> Graph:
+    """One graph from a decoded line. ``may_hold_bool`` says the line
+    holds a ``true`` or ``false``, which numpy would read as 1 or 0
+    inside a numeric array, so each array value is then checked."""
     try:
         n = obj["num_nodes"]
         node_feat = np.asarray(obj["node_feat"])
@@ -288,6 +263,10 @@ def _parse_record(obj: dict, schema: TaskSchema, lineno: int) -> Graph:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"line {lineno}: malformed graph record ({exc})") from exc
 
+    if may_hold_bool:
+        for what in ("node_feat", "edges", "edge_feat"):
+            if _holds_bool(obj.get(what)):
+                raise ParseError(f"line {lineno}: {what} must hold numbers only")
     if not is_number(n):
         raise ParseError(f"line {lineno}: num_nodes must be a number, got {n!r}")
     if not float(n).is_integer():
@@ -320,6 +299,12 @@ def _check_numbers(arr: np.ndarray, what: str, lineno: int, whole: bool = False)
             raise ValidationError(f"line {lineno}: {what} holds a non-finite value")
         if whole and (arr % 1.0).any():
             raise ValidationError(f"line {lineno}: {what} must hold whole numbers")
+
+
+def _holds_bool(raw) -> bool:
+    if isinstance(raw, list):
+        return any(_holds_bool(v) for v in raw)
+    return isinstance(raw, bool)
 
 
 def is_number(v) -> bool:
@@ -398,7 +383,7 @@ def load_dataset(path, schema: TaskSchema, splits_path=None,
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            g = _parse_record(obj, schema, lineno)
+            g = _parse_record(obj, schema, lineno, "true" in line or "false" in line)
             _check_layout(g, lineno, seen)
             if symmetrize:
                 g = _symmetrize(g)
@@ -543,12 +528,10 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     return Dataset(graphs=graphs, schema=TaskSchema("binary"), splits=splits)
 
 
-def stratified_split(labels: np.ndarray, rng: np.random.Generator,
-                     frac_valid: float = 0.1, frac_test: float = 0.1) -> dict:
+def stratified_split(labels: np.ndarray, rng: np.random.Generator) -> dict:
     """80/10/10 split preserving class proportions (largest remainder)."""
     n = len(labels)
-    n_va = round(frac_valid * n)
-    n_te = round(frac_test * n)
+    n_va = n_te = round(0.1 * n)
     classes = np.unique(labels)
     per_class = {c: rng.permutation(np.flatnonzero(labels == c)) for c in classes}
 

@@ -279,12 +279,13 @@ def readout(name: str, H: Tensor, graph_ids: np.ndarray, num_graphs: int) -> Ten
 # shared post-block transforms
 
 
-def layer_norm(H: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-node normalization over features; batch-independent."""
+def layer_norm(H: Tensor) -> Tensor:
+    """Per-node normalization over features (variance floor 1e-5);
+    batch-independent."""
     mu = ad.tmean(H, axis=1, keepdims=True)
     xc = ad.sub(H, mu)
     var = ad.tmean(ad.mul(xc, xc), axis=1, keepdims=True)
-    return ad.div(xc, ad.sqrt(ad.add(var, Tensor(eps))))
+    return ad.div(xc, ad.sqrt(ad.add(var, Tensor(1e-5))))
 
 
 def dropout(H: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

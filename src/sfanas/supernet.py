@@ -354,10 +354,10 @@ def derive_architecture(params: SupernetParams) -> ArchEncoding:
                         readout=choice["readout"])
 
 
-def force_one_hot_alphas(params: SupernetParams, arch: ArchEncoding,
-                         magnitude: float = 1e6) -> None:
-    """Pin the logits so the relaxed weights reproduce ``arch`` exactly."""
+def force_one_hot_alphas(params: SupernetParams, arch: ArchEncoding) -> None:
+    """Pin the logits to -1e6 but 1e6 for ``arch``'s pick, so the relaxed
+    weights reproduce ``arch`` exactly."""
     for key, (names, pick) in params.sites.items():
         alpha = params.alphas[key].data
-        alpha[:] = -magnitude
-        alpha[names.index(pick(arch))] = magnitude
+        alpha[:] = -1e6
+        alpha[names.index(pick(arch))] = 1e6

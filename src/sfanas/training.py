@@ -88,16 +88,9 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = int(labels.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc: needs at least one positive and one negative")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # each group of tied scores takes the average of its 1-based ranks
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[group]
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -134,7 +127,8 @@ def average_precision(scores: np.ndarray, labels: np.ndarray):
         per_task.append(apk)
         valid.append(apk)
     if not valid:
-        raise ValueError("average_precision: no task has both classes")
+        raise ValueError("average_precision: no task has both classes; it needs a task "
+                         "with both classes among its non-missing labels")
     return float(np.mean(valid)), per_task
 
 
@@ -188,20 +182,24 @@ class EvalReport:
                 "epoch": self.epoch, "per_task": self.per_task}
 
 
+def _score(schema: TaskSchema, metric: str, logits: np.ndarray,
+           labels: np.ndarray) -> tuple[float, list | None]:
+    """The metric's value, plus AP's per-task list on a multi-binary task.
+    The metric functions raise where the labels leave the metric undefined."""
+    if metric == "auc":
+        return roc_auc(logits[:, 0], labels[:, 0]), None
+    if metric == "ap":
+        value, per_task = average_precision(logits, labels)
+        return value, None if schema.task_type == "binary" else per_task
+    return accuracy(predictions_from_logits(schema, logits), labels), None
+
+
 def evaluate_logits(schema: TaskSchema, metric: str, logits: np.ndarray,
                     labels: np.ndarray, split: str, epoch: int) -> EvalReport:
     check_metric(schema, metric)
     if not np.isfinite(logits).all():
         raise ValueError(f"{split} logits at epoch {epoch} are not all finite")
-    per_task = None
-    if metric == "auc":
-        value = roc_auc(logits[:, 0], labels[:, 0])
-    elif metric == "ap":
-        value, per_task = average_precision(logits, labels)
-        if schema.task_type == "binary":
-            per_task = None
-    else:
-        value = accuracy(predictions_from_logits(schema, logits), labels)
+    value, per_task = _score(schema, metric, logits, labels)
     return EvalReport(metric=metric, value=value, split=split, epoch=epoch,
                       per_task=per_task)
 
@@ -211,7 +209,9 @@ def evaluate_logits(schema: TaskSchema, metric: str, logits: np.ndarray,
 
 
 class SGD:
-    """Gradient descent over named tensors, optional momentum."""
+    """Gradient descent over named tensors with heavy-ball momentum:
+    ``v = momentum * v + grad`` and ``x -= lr * v``, so momentum 0 steps
+    by the gradient alone."""
 
     def __init__(self, params: dict, lr: float, momentum: float = 0.0):
         if lr <= 0:
@@ -219,20 +219,16 @@ class SGD:
         self.params = params
         self.lr = lr
         self.momentum = momentum
-        self.velocity = {k: np.zeros_like(t.data) for k, t in params.items()} \
-            if momentum > 0 else None
+        self.velocity = {k: np.zeros_like(t.data) for k, t in params.items()}
 
     def step(self) -> None:
         for k, t in self.params.items():
             if t.grad is None:
                 continue
-            if self.velocity is not None:
-                v = self.velocity[k]
-                v *= self.momentum
-                v += t.grad
-                t.data -= self.lr * v
-            else:
-                t.data -= self.lr * t.grad
+            v = self.velocity[k]
+            v *= self.momentum
+            v += t.grad
+            t.data -= self.lr * v
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +271,14 @@ def minibatches(graphs: list, batch_size: int, rng: np.random.Generator | None =
             for s in range(0, len(graphs), batch_size)]
 
 
-def split_logits(params: SupernetParams, graphs: list, arch: ArchEncoding | None = None,
-                 batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Logits and labels over ``graphs``: of the relaxed supernet when
-    ``arch`` is None, else of the discrete network ``arch``. The forwards
-    are only scored, so they record no tape."""
+def split_logits(params: SupernetParams, graphs: list,
+                 arch: ArchEncoding | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Logits and labels over ``graphs``, in chunks of 256: of the relaxed
+    supernet when ``arch`` is None, else of the discrete network ``arch``.
+    The forwards are only scored, so they record no tape."""
     parts = []
     labels = []
-    for chunk in minibatches(graphs, batch_size):
+    for chunk in minibatches(graphs, 256):
         batch = batch_graphs(chunk)
         with ad.no_grad():
             logits = supernet_forward(batch, params,
@@ -298,25 +294,6 @@ def _split_reports(schema: TaskSchema, metric: str, params: SupernetParams, spli
     return {split: evaluate_logits(schema, metric, *split_logits(params, graphs, arch),
                                    split, epoch)
             for split, graphs in splits.items() if graphs}
-
-
-def check_valid_classes(metric: str, valid_graphs: list) -> None:
-    """Fail before training when the valid split leaves the metric undefined:
-    auc needs a positive and a negative graph, ap a task with both classes
-    among its non-missing labels."""
-    if metric == "auc":
-        positive = np.array([g.label[0] == 1 for g in valid_graphs])
-        if positive.all() or not positive.any():
-            raise ValueError("auc needs at least one positive and one negative graph "
-                             "in the valid split")
-    elif metric == "ap":
-        labels = np.stack([g.label for g in valid_graphs])
-        missing = np.isnan(labels)
-        low = np.where(missing, np.inf, labels).min(axis=0)
-        high = np.where(missing, -np.inf, labels).max(axis=0)
-        if not (low < high).any():
-            raise ValueError("ap needs a task with both classes among its non-missing "
-                             "labels in the valid split")
 
 
 def _splits(dataset: Dataset, virtual_node: bool) -> dict:
@@ -341,7 +318,12 @@ def prepare_run(dataset: Dataset, metric: str | None, num_blocks: int, hidden: i
     splits = _splits(dataset, virtual_node)
     if not splits["train"] or not splits["valid"]:
         raise ValueError("train and valid splits must be non-empty")
-    check_valid_classes(metric, splits["valid"])
+    # scoring constant logits fails where the valid labels leave the metric undefined
+    labels = np.stack([g.label for g in splits["valid"]])
+    try:
+        _score(schema, metric, np.zeros((len(labels), output_dim(schema))), labels)
+    except ValueError as exc:
+        raise ValueError(f"the valid split leaves {metric} undefined: {exc}") from exc
     dims = SupernetDims(d_in=dataset.num_node_features, out_dim=output_dim(schema),
                         num_blocks=num_blocks, hidden=hidden,
                         d_edge=dataset.num_edge_features)

@@ -375,14 +375,6 @@ def test_frozen_holds_leaves_out_and_restores_after_an_exception():
     assert a.grad is None and b.grad.tolist() == [2.0]
 
 
-def test_detach_blocks_gradient():
-    x = Tensor(np.array([2.0]), requires_grad=True)
-    y = ad.mul(x, x).detach()
-    loss = ad.tsum(ad.mul(y, Tensor(np.array([3.0]))))
-    ad.backward(loss)
-    assert x.grad is None or not np.any(x.grad)
-
-
 def test_gather_rows_accumulates_duplicates():
     x = Tensor(np.array([[1.0], [2.0]]), requires_grad=True)
     out = ad.gather_rows(x, np.array([0, 0, 1]))

@@ -1,13 +1,16 @@
+import collections
+import copy
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
 from sfanas.graphs import (Dataset, Graph, ParseError, SyntheticSpec, TaskSchema,
                            ValidationError, add_virtual_node, batch_graphs,
-                           compute_degrees, count_triangles, generate_synthetic,
-                           load_dataset, unbatch, write_dataset)
+                           count_triangles, generate_synthetic, load_dataset,
+                           write_dataset)
 
 
 def _graph(n, edges, d=2, label=None):
@@ -59,7 +62,7 @@ def test_batch_rejects_mixed_widths():
         batch_graphs([_graph(2, [], d=2), _graph(2, [], d=3)])
 
 
-def test_batch_unbatch_round_trip():
+def test_batch_holds_each_graph_at_its_offsets():
     rng = np.random.default_rng(0)
     graphs = []
     for _ in range(10):
@@ -70,13 +73,20 @@ def test_batch_unbatch_round_trip():
         graphs.append(Graph(node_features=rng.standard_normal((n, 2)),
                             edges=edges, edge_features=ef,
                             label=np.array([float(rng.integers(0, 2))])))
-    back = unbatch(batch_graphs(graphs))
-    assert len(back) == len(graphs)
-    for g, h in zip(graphs, back):
-        np.testing.assert_array_equal(g.node_features, h.node_features)
-        np.testing.assert_array_equal(g.edges, h.edges)
-        np.testing.assert_array_equal(g.edge_features, h.edge_features)
-        np.testing.assert_array_equal(g.label, h.label)
+    batch = batch_graphs(graphs)
+    assert batch.num_graphs == len(graphs)
+    n_off = e_off = 0
+    for i, g in enumerate(graphs):
+        nodes = slice(n_off, n_off + g.num_nodes)
+        edges = slice(e_off, e_off + g.num_edges)
+        np.testing.assert_array_equal(batch.node_features[nodes], g.node_features)
+        np.testing.assert_array_equal(batch.graph_ids[nodes], i)
+        np.testing.assert_array_equal(batch.edges[edges] - n_off, g.edges)
+        np.testing.assert_array_equal(batch.edge_features[edges], g.edge_features)
+        np.testing.assert_array_equal(batch.labels[i], g.label)
+        n_off += g.num_nodes
+        e_off += g.num_edges
+    assert (n_off, e_off) == (batch.num_nodes, len(batch.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -111,27 +121,31 @@ def test_virtual_node_zero_features():
 
 
 # ---------------------------------------------------------------------------
-# degrees
+# degrees (GraphBatch.degrees, which the aggregation operators read)
+
+
+def _degrees(g):
+    return batch_graphs([g]).degrees
 
 
 def test_degrees_three_cycle():
     g = _graph(3, [[0, 1], [1, 0], [1, 2], [2, 1], [2, 0], [0, 2]])
-    np.testing.assert_array_equal(compute_degrees(g), [2, 2, 2])
+    np.testing.assert_array_equal(_degrees(g), [2, 2, 2])
 
 
 def test_degrees_isolated_node():
-    np.testing.assert_array_equal(compute_degrees(_graph(2, [])), [0, 0])
+    np.testing.assert_array_equal(_degrees(_graph(2, [])), [0, 0])
 
 
 def test_degrees_star():
     edges = [[0, 1], [1, 0], [0, 2], [2, 0], [0, 3], [3, 0]]
-    np.testing.assert_array_equal(compute_degrees(_graph(4, edges)), [3, 1, 1, 1])
+    np.testing.assert_array_equal(_degrees(_graph(4, edges)), [3, 1, 1, 1])
 
 
 def test_degrees_count_directed_pair_once():
     # one direction only still counts as the same undirected edge
-    np.testing.assert_array_equal(compute_degrees(_graph(2, [[0, 1]])), [1, 1])
-    np.testing.assert_array_equal(compute_degrees(_graph(2, [[0, 1], [1, 0]])), [1, 1])
+    np.testing.assert_array_equal(_degrees(_graph(2, [[0, 1]])), [1, 1])
+    np.testing.assert_array_equal(_degrees(_graph(2, [[0, 1], [1, 0]])), [1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +331,15 @@ def test_load_dataset_rejects_mixed_feature_layout(tmp_path, odd, message):
     {"edges": [0, 1], "edge_feat": [[0.5]]},
     {"edges": [[0, 1, 1]]},
     {"node_feat": [], "num_nodes": 2},
+    # numpy would read a bool among numbers as 1 or 0
+    {"node_feat": [[1.5, True], [2.0, 2.0]]},
+    {"edges": [[0, True]]},
+    {"edges": [[0, 1], [1, 0]], "edge_feat": [[0.5], [False]]},
 ], ids=["nan-node-feat", "string-node-feat", "inf-edge-feat", "fractional-edge",
         "bool-edge", "bool-label", "string-label", "fractional-num-nodes",
         "string-num-nodes", "bool-num-nodes", "flat-edges", "three-column-edges",
-        "empty-node-feat"])
+        "empty-node-feat", "bool-among-node-feat", "bool-among-edges",
+        "bool-among-edge-feat"])
 def test_load_dataset_rejects_bad_values(tmp_path, bad):
     p = tmp_path / "d.jsonl"
     _write_lines(p, [_record(), _record(**bad)])
@@ -392,6 +411,114 @@ def test_zero_node_graph_survives_write_and_load(tmp_path, edge_feat):
         if edge_feat:
             assert g.edge_features.shape == h.edge_features.shape
     assert batch_graphs(back.graphs).num_graphs == 3
+
+
+# ---------------------------------------------------------------------------
+# record fuzzing
+
+
+_FUZZ_RECORDS = [
+    {"num_nodes": 3, "node_feat": [[1.0, 0.5], [2.0, -1.0], [0.0, 3.0]],
+     "edges": [[0, 1], [1, 2]], "edge_feat": [[0.5], [1.5]], "label": 1},
+    {"num_nodes": 2, "node_feat": [[1.0, 1.0], [2.0, 2.0]],
+     "edges": [[1, 0]], "edge_feat": [[2.0]], "label": 0},
+    {"num_nodes": 1, "node_feat": [[3.0, 4.0]], "edges": [], "edge_feat": [], "label": 1},
+    {"num_nodes": 4, "node_feat": [[0.0, 1.0]] * 4,
+     "edges": [[0, 3], [3, 2], [2, 2]], "edge_feat": [[1.0], [-1.0], [0.0]], "label": 0},
+]
+_FUZZ_KINDS = ("drop", "type", "nan", "fraction", "bool", "range", "width", "benign")
+
+
+def _leaves(rec, fields):
+    """(field, row, column) of each number in ``fields``; row and column
+    are None for a scalar field."""
+    out = []
+    for field in fields:
+        value = rec[field]
+        if isinstance(value, list):
+            out += [(field, i, j) for i, row in enumerate(value) for j in range(len(row))]
+        else:
+            out.append((field, None, None))
+    return out
+
+
+def _mutate(rec, kind, rng):
+    """A copy of the valid record ``rec`` with one ``kind`` of change."""
+    rec = copy.deepcopy(rec)
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    def get(leaf):
+        field, i, j = leaf
+        return rec[field] if i is None else rec[field][i][j]
+
+    def put(leaf, value):
+        field, i, j = leaf
+        if i is None:
+            rec[field] = value
+        else:
+            rec[field][i][j] = value
+
+    arrays = ("node_feat", "edges", "edge_feat")
+    whole = ("num_nodes", "edges", "label")
+    if kind == "drop":
+        del rec[pick(sorted(rec))]
+    elif kind == "type":
+        leaf = pick(_leaves(rec, sorted(rec)) + [(field, None, None) for field in arrays])
+        put(leaf, pick(["1", "", None, {}, [1.0]]))
+    elif kind == "nan":
+        put(pick(_leaves(rec, sorted(rec))), pick([float("nan"), float("inf"), -float("inf")]))
+    elif kind == "fraction":
+        leaf = pick(_leaves(rec, whole))
+        put(leaf, get(leaf) + 0.5)
+    elif kind == "bool":
+        leaf = pick(_leaves(rec, arrays))
+        put(leaf, get(leaf) != 1)  # a bool unlike the number it replaces
+    elif kind == "range":
+        leaf = pick(_leaves(rec, whole))
+        put(leaf, {"num_nodes": rec["num_nodes"] + pick([1, -1]),
+                   "edges": pick([rec["num_nodes"], -1]),
+                   "label": pick([2, -1])}[leaf[0]])
+    elif kind == "width":
+        rows = rec[pick([field for field in arrays if rec[field]])]
+        for i in pick([[int(rng.integers(len(rows)))], range(len(rows))]):
+            rows[i] = rows[i] + [0.0]
+    elif rng.random() < 0.5:  # benign: a key the loader ignores
+        rec["comment"] = "true or false"
+    else:  # benign: a whole number written as a float
+        leaf = pick(_leaves(rec, whole))
+        put(leaf, float(get(leaf)))
+    return rec
+
+
+def test_mutated_records_load_the_same_graphs_or_fail_naming_their_line(tmp_path):
+    schema = TaskSchema("binary")
+    p = tmp_path / "d.jsonl"
+    _write_lines(p, [json.dumps(rec) for rec in _FUZZ_RECORDS])
+    base = load_dataset(p, schema, symmetrize=False).graphs
+    rng = np.random.default_rng(11)
+    outcomes = collections.Counter()
+    for trial in range(400):
+        kind = _FUZZ_KINDS[trial % len(_FUZZ_KINDS)]
+        r = int(rng.integers(len(_FUZZ_RECORDS)))
+        lines = [json.dumps(rec) for rec in _FUZZ_RECORDS]
+        lines[r] = json.dumps(_mutate(_FUZZ_RECORDS[r], kind, rng))
+        _write_lines(p, lines)
+        try:
+            graphs = load_dataset(p, schema, symmetrize=False).graphs
+        except (ParseError, ValidationError) as exc:
+            assert re.search(rf"\bline {r + 1}\b", str(exc)), (kind, lines[r], str(exc))
+            outcomes[kind, "rejected"] += 1
+            continue
+        assert len(graphs) == len(base), (kind, lines[r])
+        for g, h in zip(base, graphs):
+            for a, b in ((g.node_features, h.node_features), (g.edges, h.edges),
+                         (g.edge_features, h.edge_features), (g.label, h.label)):
+                assert a.shape == b.shape and np.array_equal(a, b), (kind, lines[r])
+        outcomes[kind, "loaded"] += 1
+    assert outcomes["benign", "loaded"] == 400 // len(_FUZZ_KINDS)
+    assert all(outcomes[kind, "rejected"] for kind in _FUZZ_KINDS if kind != "benign")
 
 
 def test_splits_must_partition():

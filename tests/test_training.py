@@ -267,10 +267,16 @@ class TestMetricSelection:
 
 class TestSgd:
     def test_plain_step(self):
+        # without momentum each step moves by its own gradient alone
         w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        opt = SGD({"w": w}, lr=0.1)
         w.grad = np.array([0.5, -1.0])
-        SGD({"w": w}, lr=0.1).step()
-        np.testing.assert_allclose(w.data, [0.95, 2.1], atol=1e-12)
+        opt.step()
+        np.testing.assert_array_equal(w.data, [1.0 - 0.1 * 0.5, 2.0 + 0.1 * 1.0])
+        w.grad = np.array([-2.0, 0.25])
+        opt.step()
+        np.testing.assert_array_equal(
+            w.data, [1.0 - 0.1 * 0.5 + 0.1 * 2.0, 2.0 + 0.1 * 1.0 - 0.1 * 0.25])
 
     def test_momentum_accumulates(self):
         w = Tensor(np.array([0.0]), requires_grad=True)
@@ -475,8 +481,9 @@ class TestFailsEarly:
         assert steps == []
 
     def test_multi_binary_one_two_class_task_suffices(self):
-        training.check_valid_classes("ap", self.two_task_dataset([1.0, np.nan, 0.0])
-                                     .split_graphs("valid"))
+        metric, splits, _ = training.prepare_run(self.two_task_dataset([1.0, np.nan, 0.0]),
+                                                 None, num_blocks=1, hidden=4)
+        assert metric == "ap" and splits["valid"]
 
 
 class TestSaveLoad:
