@@ -8,9 +8,11 @@ layers, the relaxed architecture mixture, and the training losses.
 
 A tape lives only as long as a gradient needs it. :func:`backward` frees
 each node once its VJPs have run, so a loss can be backpropagated once;
-a second pass through the same tape raises ``RuntimeError``. Inside
-:func:`no_grad` the ops record no tape at all, for forwards that are
-only scored, and :func:`frozen` holds chosen leaves out of the tape.
+a second pass through the same tape raises ``RuntimeError``. An op
+records a tape node only if one of its inputs needs a gradient, so
+:func:`frozen` is the one way to keep tensors off the tape: it holds
+chosen leaves out, and with every leaf frozen a forward that is only
+scored records no tape at all.
 
 Segment reductions sort nothing. Row ``i``, column ``c`` goes to slot
 ``ids[i] * width + c`` of one flat output: sums are one ``bincount``
@@ -72,22 +74,6 @@ class Tensor:
         return tslice(self, key)
 
 
-_recording = True  # False inside no_grad()
-
-
-@contextmanager
-def no_grad():
-    """Within the block, ops record no tape: their outputs need no
-    gradient and hold no parents, whatever their inputs. The values are
-    the same as with recording on."""
-    global _recording
-    previous, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = previous
-
-
 @contextmanager
 def frozen(tensors):
     """Within the block, ``tensors`` need no gradient: ops record no tape
@@ -106,9 +92,9 @@ def frozen(tensors):
 
 
 def _make(data: np.ndarray, parents: tuple, vjps: tuple) -> Tensor:
-    """The op's output; it keeps the tape link only while recording and
-    only if a parent needs a gradient."""
-    if _recording and any(p.requires_grad for p in parents):
+    """The op's output; it keeps the tape link only if a parent needs a
+    gradient."""
+    if any(p.requires_grad for p in parents):
         return Tensor(data, True, parents, vjps)
     return Tensor(data)
 

@@ -171,10 +171,10 @@ def _report_payload(reports: dict, metric: str, best_epoch: int) -> dict:
 
 
 def cmd_synth_data(args) -> int:
-    spec = SyntheticSpec(task=args.task, num_graphs=args.num_graphs,
-                         min_nodes=args.min_nodes, max_nodes=args.max_nodes,
-                         edge_prob=args.edge_prob,
-                         triangle_threshold=args.threshold)
+    spec = _build_section(SyntheticSpec, "synthetic", {}, task=args.task,
+                          num_graphs=args.num_graphs, min_nodes=args.min_nodes,
+                          max_nodes=args.max_nodes, edge_prob=args.edge_prob,
+                          triangle_threshold=args.threshold)
     dataset = generate_synthetic(spec, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -348,11 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth-data", help="generate a synthetic dataset")
     p.add_argument("--task", default="triangle-threshold",
                    choices=("triangle-threshold", "degree-parity"))
-    p.add_argument("--num-graphs", type=int, default=500)
-    p.add_argument("--min-nodes", type=int, default=8)
-    p.add_argument("--max-nodes", type=int, default=16)
-    p.add_argument("--edge-prob", type=float, default=0.25)
-    p.add_argument("--threshold", type=int, default=3,
+    # the generator's own defaults (SyntheticSpec) fill the flags left out
+    p.add_argument("--num-graphs", type=int)
+    p.add_argument("--min-nodes", type=int)
+    p.add_argument("--max-nodes", type=int)
+    p.add_argument("--edge-prob", type=float)
+    p.add_argument("--threshold", type=int,
                    help="triangle count at which the label turns positive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")

@@ -140,7 +140,7 @@ def _operator_checks():
     prng = np.random.default_rng([9, 201])
     fus_params = {name: ops.init_fusion_params(name, d, 3, prng)
                   for name in ops.FUSION_OPS}
-    agg_params = {name: ops.init_aggregation_params(name, d, prng, max_degree=3)
+    agg_params = {name: ops.init_aggregation_params(name, d, prng)
                   for name in ops.AGGREGATION_OPS}
 
     for name in ops.SELECTION_OPS:
@@ -194,7 +194,7 @@ def _supernet_check():
     def run():
         batch = _toy_batch(2, d_edge=2)
         dims = SupernetDims(d_in=2, out_dim=2, num_blocks=2, hidden=4, d_edge=2)
-        params = init_relaxed(dims, seed=7, max_degree=3)
+        params = init_relaxed(dims, seed=7)
         params.lam = 1.0
         rng = np.random.default_rng([9, 300])
         w_out = Tensor(rng.standard_normal((batch.num_graphs, 2)))

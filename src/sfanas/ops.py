@@ -18,8 +18,8 @@ FUSION_OPS = ("SUM", "MEAN", "MAX", "CONCAT", "LSTM")
 AGGREGATION_OPS = ("GCN", "GAT", "GAT_SYM", "GAT_COS", "GIN", "GEN", "MF", "EXPC")
 READOUT_OPS = ("GLOBAL_MEAN", "GLOBAL_MAX", "GLOBAL_SUM")
 
-DEFAULT_MAX_DEGREE = 5
-DEFAULT_EXPANSION = 2
+MAX_DEGREE = 5  # MF's last weight serves every degree from here up
+EXPANSION = 2   # EXPC's hidden width, as a multiple of the block width
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +36,7 @@ def _param(arr) -> Tensor:
     return Tensor(arr, requires_grad=True)
 
 
-def init_aggregation_params(name: str, d: int, rng: np.random.Generator,
-                            max_degree: int = DEFAULT_MAX_DEGREE,
-                            expansion: int = DEFAULT_EXPANSION) -> dict:
+def init_aggregation_params(name: str, d: int, rng: np.random.Generator) -> dict:
     if name == "GCN":
         return {"W": _param(glorot(rng, d, d))}
     if name in ("GAT", "GAT_SYM", "GAT_COS"):
@@ -56,10 +54,10 @@ def init_aggregation_params(name: str, d: int, rng: np.random.Generator,
                 "W1": _param(glorot(rng, d, d)), "b1": _param(np.zeros((1, d))),
                 "W2": _param(glorot(rng, d, d)), "b2": _param(np.zeros((1, d)))}
     if name == "MF":
-        return {f"W{k}": _param(glorot(rng, d, d)) for k in range(max_degree + 1)}
+        return {f"W{k}": _param(glorot(rng, d, d)) for k in range(MAX_DEGREE + 1)}
     if name == "EXPC":
-        return {"We": _param(glorot(rng, d, expansion * d)),
-                "Wc": _param(glorot(rng, expansion * d, d))}
+        return {"We": _param(glorot(rng, d, EXPANSION * d)),
+                "Wc": _param(glorot(rng, EXPANSION * d, d))}
     raise ValueError(f"unknown aggregation op {name!r}")
 
 

@@ -116,14 +116,11 @@ class SupernetParams:
     """
 
     def __init__(self, dims: SupernetDims, agg_candidates, fusion_candidates,
-                 readout_candidates, seed: int, max_degree: int = ops.DEFAULT_MAX_DEGREE,
-                 expansion: int = ops.DEFAULT_EXPANSION, with_alphas: bool = True):
+                 readout_candidates, seed: int, with_alphas: bool = True):
         self.dims = dims
         self.agg_candidates = [tuple(c) for c in agg_candidates]
         self.fusion_candidates = [tuple(c) for c in fusion_candidates]
         self.readout_candidates = tuple(readout_candidates)
-        self.max_degree = max_degree
-        self.expansion = expansion
         self.lam = 1.0
 
         rng = np.random.default_rng([int(seed), 0xA7C4])
@@ -147,8 +144,7 @@ class SupernetParams:
             for name in self.fusion_candidates[b]:
                 add_op("fus", b, name, ops.init_fusion_params(name, d, b + 1, rng))
             for name in self.agg_candidates[b]:
-                add_op("agg", b, name, ops.init_aggregation_params(
-                    name, d, rng, max_degree=max_degree, expansion=expansion))
+                add_op("agg", b, name, ops.init_aggregation_params(name, d, rng))
         w["head/W"] = Tensor(ops.glorot(rng, d, dims.out_dim), requires_grad=True)
         w["head/b"] = Tensor(np.zeros((1, dims.out_dim)), requires_grad=True)
         self.weights = w
@@ -180,20 +176,16 @@ class SupernetParams:
 
 
 def init_relaxed(dims: SupernetDims, agg_candidates=DEFAULT_AGG_CANDIDATES,
-                 seed: int = 0, max_degree: int = ops.DEFAULT_MAX_DEGREE,
-                 expansion: int = ops.DEFAULT_EXPANSION) -> SupernetParams:
+                 seed: int = 0) -> SupernetParams:
     """Full supernet: every candidate at every site, logits at zero."""
     L = dims.num_blocks
     return SupernetParams(dims,
                           agg_candidates=[tuple(agg_candidates)] * L,
                           fusion_candidates=[ops.FUSION_OPS] * L,
-                          readout_candidates=ops.READOUT_OPS,
-                          seed=seed, max_degree=max_degree, expansion=expansion)
+                          readout_candidates=ops.READOUT_OPS, seed=seed)
 
 
-def init_discrete(dims: SupernetDims, arch: ArchEncoding, seed: int = 0,
-                  max_degree: int = ops.DEFAULT_MAX_DEGREE,
-                  expansion: int = ops.DEFAULT_EXPANSION) -> SupernetParams:
+def init_discrete(dims: SupernetDims, arch: ArchEncoding, seed: int = 0) -> SupernetParams:
     """Fresh parameters for one discrete architecture (no logits)."""
     if arch.num_blocks != dims.num_blocks:
         raise ValueError(f"architecture has {arch.num_blocks} blocks, dims say {dims.num_blocks}")
@@ -201,8 +193,7 @@ def init_discrete(dims: SupernetDims, arch: ArchEncoding, seed: int = 0,
                           agg_candidates=[(a,) for a in arch.aggregation],
                           fusion_candidates=[(f,) for f in arch.fusion],
                           readout_candidates=(arch.readout,),
-                          seed=seed, max_degree=max_degree, expansion=expansion,
-                          with_alphas=False)
+                          seed=seed, with_alphas=False)
 
 
 # ---------------------------------------------------------------------------
@@ -218,23 +209,21 @@ def arch_weights(alpha: Tensor, lam: float) -> Tensor:
     return ad.div(e, ad.tsum(e))
 
 
-def site_weights(params: SupernetParams, key: str, mode: str, arch: ArchEncoding | None):
+def site_weights(params: SupernetParams, key: str, arch: ArchEncoding | None):
     """Weights over the candidates of the decision site ``key``.
 
-    Relaxed mode needs no architecture: it returns the temperature
-    softmax of the site's logits. Discrete mode returns 0/1 floats with
+    With no architecture (relaxed) they are the temperature softmax of
+    the site's logits. With ``arch`` (discrete) they are 0/1 floats with
     the 1 on the op ``arch`` chose at this site; mixed_op skips the
     zeros, so a one-hot relaxation and the discrete network agree exactly.
     """
-    if mode == "discrete":
-        if arch is None:
-            raise ValueError("discrete mode needs an ArchEncoding")
-        names, pick = params.sites[key]
-        chosen = pick(arch)
-        if chosen not in names:
-            raise ValueError(f"op {chosen!r} not among candidates {tuple(names)}")
-        return [1.0 if n == chosen else 0.0 for n in names]
-    return arch_weights(params.alphas[key], params.lam)
+    if arch is None:
+        return arch_weights(params.alphas[key], params.lam)
+    names, pick = params.sites[key]
+    chosen = pick(arch)
+    if chosen not in names:
+        raise ValueError(f"op {chosen!r} not among candidates {tuple(names)}")
+    return [1.0 if n == chosen else 0.0 for n in names]
 
 
 def _per_candidate(weights, n: int) -> list:
@@ -277,13 +266,13 @@ def _edge_features(batch: GraphBatch, params: SupernetParams, b: int) -> Tensor 
 
 
 def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
-                      params: SupernetParams, mode: str = "relaxed",
-                      arch: ArchEncoding | None = None) -> Tensor:
+                      params: SupernetParams, arch: ArchEncoding | None = None) -> Tensor:
     """One selection-fusion-aggregation block over the feature history.
 
     ``block_index`` is 1-based: block i consumes history H0..H(i-1).
     Every site is a weighted mixture whose weights come from
-    :func:`site_weights`, soft when relaxed and 0/1 when discrete.
+    :func:`site_weights`, soft when ``arch`` is None (relaxed) and 0/1
+    for the choices of ``arch`` (discrete).
     """
     if block_index < 1 or len(history) != block_index:
         raise ValueError(f"block {block_index} expects a history of length {block_index}")
@@ -291,18 +280,18 @@ def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
 
     scaled = []
     for j, Hj in enumerate(history):
-        w = site_weights(params, f"sel/b{b}/i{j}", mode, arch)
+        w = site_weights(params, f"sel/b{b}/i{j}", arch)
         scaled.append(ops.select(_per_candidate(w, 2)[1], Hj))  # the IDENTITY weight
 
     fus_cands = [lambda xs, n=name: ops.fuse(n, xs, params.fusion_params(b, n))
                  for name in params.fusion_candidates[b]]
-    fused = mixed_op(fus_cands, site_weights(params, f"fus/b{b}", mode, arch), scaled)
+    fused = mixed_op(fus_cands, site_weights(params, f"fus/b{b}", arch), scaled)
 
     agg_cands = [lambda x, n=name: ops.aggregate(
                      n, batch, x, params.agg_params(b, n),
                      _edge_features(batch, params, b) if n == "GEN" else None)
                  for name in params.agg_candidates[b]]
-    return mixed_op(agg_cands, site_weights(params, f"agg/b{b}", mode, arch), fused)
+    return mixed_op(agg_cands, site_weights(params, f"agg/b{b}", arch), fused)
 
 
 def supernet_forward(batch: GraphBatch, params: SupernetParams,
@@ -311,15 +300,21 @@ def supernet_forward(batch: GraphBatch, params: SupernetParams,
                      rng: np.random.Generator | None = None) -> Tensor:
     """Encode, run all blocks, read out, classify; returns logits B x C.
 
-    After each block the features pass through relu, a per-node
-    normalization, and (in training mode) dropout; deep stacks do not
-    train without the normalization.
+    ``mode`` is "relaxed" (every candidate, softmax weights) or
+    "discrete" (the ops ``arch`` chose). After each block the features
+    pass through relu, a per-node normalization, and (in training mode)
+    dropout; deep stacks do not train without the normalization.
     """
+    if mode not in ("relaxed", "discrete"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'relaxed' or 'discrete'")
+    if mode == "discrete" and arch is None:
+        raise ValueError("discrete mode needs an ArchEncoding")
+    arch = arch if mode == "discrete" else None
     H0 = ad.add(ad.matmul(Tensor(batch.node_features), params.weights["encoder/W"]),
                 params.weights["encoder/b"])
     history = [H0]
     for i in range(1, params.dims.num_blocks + 1):
-        H = sfa_block_forward(batch, i, history, params, mode=mode, arch=arch)
+        H = sfa_block_forward(batch, i, history, params, arch)
         H = ops.layer_norm(ad.relu(H))
         if training and dropout_rate > 0.0:
             H = ops.dropout(H, dropout_rate, rng)
@@ -327,7 +322,7 @@ def supernet_forward(batch: GraphBatch, params: SupernetParams,
 
     ro_cands = [lambda x, n=name: ops.readout(n, x, batch.graph_ids, batch.num_graphs)
                 for name in params.readout_candidates]
-    pooled = mixed_op(ro_cands, site_weights(params, "readout", mode, arch), history[-1])
+    pooled = mixed_op(ro_cands, site_weights(params, "readout", arch), history[-1])
     return ad.add(ad.matmul(pooled, params.weights["head/W"]), params.weights["head/b"])
 
 

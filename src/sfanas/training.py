@@ -2,7 +2,8 @@
 architecture.
 
 Losses are built from autodiff primitives in numerically stable forms.
-Metrics operate on plain arrays; the two ranking metrics match exhaustive
+Metrics operate on plain arrays, and the two ranking metrics reject
+non-finite scores. They match exhaustive
 pair/precision oracles exactly, including the documented tie rules
 (roc_auc counts ties as half; average_precision sorts by descending score
 with ties broken by original index). A search and a retrain share their
@@ -12,11 +13,13 @@ set-up (``prepare_run``) and their optimizer step (``descend``).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from . import ops
 from .autodiff import Tensor
 from .graphs import Dataset, TaskSchema, add_virtual_node, batch_graphs
 from .supernet import ArchEncoding, SupernetDims, SupernetParams, init_discrete, supernet_forward
@@ -83,6 +86,8 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels, dtype=np.float64).ravel()
     if scores.shape != labels.shape:
         raise ValueError("roc_auc: scores and labels differ in length")
+    if not np.isfinite(scores).all():
+        raise ValueError("roc_auc: scores are not all finite")
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = int(labels.size - n_pos)
@@ -115,6 +120,8 @@ def average_precision(scores: np.ndarray, labels: np.ndarray):
         labels = labels[:, None]
     if scores.shape != labels.shape:
         raise ValueError("average_precision: scores and labels differ in shape")
+    if not np.isfinite(scores).all():
+        raise ValueError("average_precision: scores are not all finite")
     per_task = []
     valid = []
     for k in range(scores.shape[1]):
@@ -275,16 +282,17 @@ def split_logits(params: SupernetParams, graphs: list,
                  arch: ArchEncoding | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Logits and labels over ``graphs``, in chunks of 256: of the relaxed
     supernet when ``arch`` is None, else of the discrete network ``arch``.
-    The forwards are only scored, so they record no tape."""
+    The forwards are only scored: every tensor of the model is frozen, so
+    they record no tape."""
     parts = []
     labels = []
-    for chunk in minibatches(graphs, 256):
-        batch = batch_graphs(chunk)
-        with ad.no_grad():
+    with ad.frozen([*params.weights.values(), *params.alphas.values()]):
+        for chunk in minibatches(graphs, 256):
+            batch = batch_graphs(chunk)
             logits = supernet_forward(batch, params,
                                       mode="relaxed" if arch is None else "discrete", arch=arch)
-        parts.append(logits.data)
-        labels.append(batch.labels)
+            parts.append(logits.data)
+            labels.append(batch.labels)
     return np.concatenate(parts, axis=0), np.concatenate(labels, axis=0)
 
 
@@ -430,8 +438,8 @@ def save_model(params: SupernetParams, arch: ArchEncoding, bin_path, manifest_pa
         "dims": {"d_in": params.dims.d_in, "out_dim": params.dims.out_dim,
                  "num_blocks": params.dims.num_blocks, "hidden": params.dims.hidden,
                  "d_edge": params.dims.d_edge},
-        "max_degree": params.max_degree,
-        "expansion": params.expansion,
+        "max_degree": ops.MAX_DEGREE,
+        "expansion": ops.EXPANSION,
         "arch": arch.to_dict(),
         "tensors": [{"name": k, "shape": list(params.weights[k].data.shape)}
                     for k in names],
@@ -453,15 +461,21 @@ def load_model(bin_path, manifest_path) -> tuple[SupernetParams, ArchEncoding, d
         raise ValueError(f"unsupported model manifest version {manifest.get('schema_version')!r}")
     dims = SupernetDims(**manifest["dims"])
     arch = ArchEncoding.from_dict(manifest["arch"])
-    params = init_discrete(dims, arch, seed=0, max_degree=manifest["max_degree"],
-                           expansion=manifest["expansion"])
+    params = init_discrete(dims, arch, seed=0)
+    # the manifest must list each tensor of the rebuilt model exactly once
+    listed = Counter(entry["name"] for entry in manifest["tensors"])
+    for name in sorted(listed.keys() | params.weights.keys()):
+        if listed[name] != int(name in params.weights):
+            problem = ("is not in the rebuilt architecture" if name not in params.weights
+                       else "is missing" if not listed[name] else "is listed more than once")
+            raise ValueError(f"manifest tensor {name} {problem}")
     with open(bin_path, "rb") as fh:
         flat = np.frombuffer(fh.read(), dtype="<f8")
     offset = 0
     for entry in manifest["tensors"]:
         name, shape = entry["name"], tuple(entry["shape"])
-        t = params.weights.get(name)
-        if t is None or t.data.shape != shape:
+        t = params.weights[name]
+        if t.data.shape != shape:
             raise ValueError(f"manifest tensor {name} {shape} does not match the "
                              f"rebuilt architecture")
         size = int(np.prod(shape)) if shape else 1

@@ -12,7 +12,7 @@ import pytest
 
 from sfanas import cli, ops
 from sfanas.cli import main
-from sfanas.graphs import TaskSchema, load_dataset
+from sfanas.graphs import SyntheticSpec, TaskSchema, load_dataset
 from sfanas.search import SearchConfig
 from sfanas.supernet import ArchEncoding
 
@@ -95,6 +95,20 @@ class TestSynthData:
         assert main(["synth-data", "--num-graphs", "5",
                      "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_flags_left_out_take_the_spec_defaults(self, tmp_path, monkeypatch):
+        specs = []
+
+        def capture(spec, seed):
+            specs.append(spec)
+            raise cli.CliError("captured; nothing is generated")
+
+        monkeypatch.setattr(cli, "generate_synthetic", capture)
+        assert main(["synth-data", "--out", str(tmp_path)]) == 1
+        assert main(["synth-data", "--task", "degree-parity", "--edge-prob", "0.5",
+                     "--out", str(tmp_path)]) == 1
+        assert specs == [SyntheticSpec(task="triangle-threshold"),
+                         SyntheticSpec(task="degree-parity", edge_prob=0.5)]
 
 
 # ---------------------------------------------------------------------------

@@ -200,8 +200,7 @@ class TestSfaBlock:
         gin["b1"].data[:] = 0.0
         gin["W2"].data[:] = np.eye(1)
         gin["b2"].data[:] = 0.0
-        out = sfa_block_forward(self.batch, 1, [T([[1.0], [2.0]])], params,
-                                mode="discrete", arch=arch)
+        out = sfa_block_forward(self.batch, 1, [T([[1.0], [2.0]])], params, arch)
         np.testing.assert_allclose(out.data, [[3.0], [3.0]], atol=1e-12)
 
     def test_relaxed_all_zero_selection_feeds_zero_matrix(self):
@@ -209,8 +208,7 @@ class TestSfaBlock:
         params = init_relaxed(dims, seed=3)
         force_one_hot_alphas(params, simple_arch(agg="GIN"))
         params.alphas["sel/b0/i0"].data[:] = (1e6, -1e6)
-        out = sfa_block_forward(self.batch, 1, [T([[1.0], [2.0]])], params,
-                                mode="relaxed")
+        out = sfa_block_forward(self.batch, 1, [T([[1.0], [2.0]])], params)
         zero_in = ops.gin(self.batch, T(np.zeros((2, 1))), params.agg_params(0, "GIN"))
         np.testing.assert_array_equal(out.data, zero_in.data)
 
@@ -224,8 +222,14 @@ class TestSfaBlock:
         dims = SupernetDims(d_in=1, out_dim=1, num_blocks=1, hidden=1)
         params = init_discrete(dims, simple_arch())
         with pytest.raises(ValueError, match="needs an ArchEncoding"):
-            sfa_block_forward(self.batch, 1, [T([[1.0], [2.0]])], params,
-                              mode="discrete", arch=None)
+            supernet_forward(self.batch, params, mode="discrete", arch=None)
+
+    @pytest.mark.parametrize("mode", ["Discrete", "RELAXED", "", None])
+    def test_unknown_mode_rejected(self, mode):
+        # a relaxed supernet with an architecture could run either way
+        params = init_relaxed(SupernetDims(d_in=1, out_dim=1, num_blocks=1, hidden=1))
+        with pytest.raises(ValueError, match="unknown mode"):
+            supernet_forward(self.batch, params, mode=mode, arch=simple_arch())
 
 
 # ---------------------------------------------------------------------------

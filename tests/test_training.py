@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -151,6 +152,11 @@ class TestRocAuc:
         with pytest.raises(ValueError, match="differ in length"):
             roc_auc([0.1, 0.2], [1, 0, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="not all finite"):
+            roc_auc([bad, 0.1, 0.3], [1, 0, 1])
+
     def test_matches_pair_oracle(self):
         rng = np.random.default_rng(75)
         for _ in range(100):
@@ -209,6 +215,13 @@ class TestAveragePrecision:
     def test_no_valid_task_rejected(self):
         with pytest.raises(ValueError, match="no task has both classes"):
             average_precision([0.9, 0.1], [1, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="not all finite"):
+            average_precision([bad, 0.1, 0.3], [1, 0, 1])
+        with pytest.raises(ValueError, match="not all finite"):
+            average_precision([[0.9, 0.3], [0.1, bad]], [[1.0, 1.0], [0.0, 0.0]])
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(77)
@@ -411,6 +424,9 @@ class TestTape:
         assert taped.requires_grad
         assert logits.tobytes() == taped.data.tobytes()
         assert labels.tobytes() == batch_graphs(graphs_).labels.tobytes()
+        # scoring froze the model only while it ran
+        assert all(t.requires_grad for t in [*params.weights.values(),
+                                             *params.alphas.values()])
 
     def test_descend_consumes_the_logits_tape(self):
         ds, params = self.build()
@@ -487,10 +503,10 @@ class TestFailsEarly:
 
 
 class TestSaveLoad:
-    def train_and_save(self, tmp_path, hp=None):
+    def train_and_save(self, tmp_path, hp=None, arch=None):
         ds = small_dataset()
         hp = hp or HParams(epochs=2, hidden_size=8, metric="accuracy")
-        arch = one_block_arch(agg="EXPC")
+        arch = arch or one_block_arch(agg="EXPC")
         params, reports, _ = train_discrete(ds, arch, hp)
         save_model(params, arch, tmp_path / "model.bin",
                    tmp_path / "model.manifest.json", extra={"best_epoch": 1})
@@ -525,8 +541,51 @@ class TestSaveLoad:
         with pytest.raises(ValueError):
             load_model(tmp_path / "model.bin", tmp_path / "model.manifest.json")
 
+    @staticmethod
+    def relist_tensors(tmp_path, edit):
+        """Rewrite the saved model to list the tensors ``edit(names)`` returns,
+        each with its saved values, so the blob length matches the manifest."""
+        path = tmp_path / "model.manifest.json"
+        manifest = json.loads(path.read_text())
+        blob = np.frombuffer((tmp_path / "model.bin").read_bytes(), dtype="<f8")
+        entries, values, offset = {}, {}, 0
+        for entry in manifest["tensors"]:
+            size = int(np.prod(entry["shape"]))
+            entries[entry["name"]] = entry
+            values[entry["name"]] = blob[offset: offset + size]
+            offset += size
+        names = edit(list(entries))
+        manifest["tensors"] = [entries[k] for k in names]
+        path.write_text(json.dumps(manifest))
+        (tmp_path / "model.bin").write_bytes(
+            np.concatenate([values[k] for k in names]).astype("<f8").tobytes())
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda names: [k for k in names if k != "b0/agg/MF/W5"], "W5 is missing"),
+        (lambda names: names + ["b0/agg/MF/W4"], "W4 is listed more than once"),
+    ], ids=["missing", "repeated"])
+    def test_tensor_list_must_match_the_rebuilt_model(self, tmp_path, edit, message):
+        self.train_and_save(tmp_path, arch=one_block_arch(agg="MF"))
+        self.relist_tensors(tmp_path, edit)
+        with pytest.raises(ValueError, match=f"manifest tensor b0/agg/MF/{message}"):
+            load_model(tmp_path / "model.bin", tmp_path / "model.manifest.json")
+
+    def test_unknown_tensor_rejected(self, tmp_path):
+        self.train_and_save(tmp_path)
+        path = tmp_path / "model.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["tensors"][0]["name"] = "b9/agg/EXPC/We"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="b9/agg/EXPC/We is not in the rebuilt"):
+            load_model(tmp_path / "model.bin", path)
+
+    def test_manifest_records_the_constants(self, tmp_path):
+        self.train_and_save(tmp_path)
+        manifest = json.loads((tmp_path / "model.manifest.json").read_text())
+        # the values every earlier manifest recorded, so saved files stay byte-identical
+        assert (manifest["max_degree"], manifest["expansion"]) == (5, 2)
+
     def test_wrong_manifest_version(self, tmp_path):
-        import json
         self.train_and_save(tmp_path)
         path = tmp_path / "model.manifest.json"
         manifest = json.loads(path.read_text())
