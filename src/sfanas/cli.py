@@ -63,8 +63,11 @@ def _load_config(path: str) -> dict:
         raise CliError("config must be a JSON object")
     if cfg.get("schema_version") != 1:
         raise CliError("config must declare \"schema_version\": 1")
+    for name in ("search", "train"):
+        if not isinstance(cfg.get(name, {}), dict):
+            raise CliError(f"bad {name} section: not a JSON object")
     for section in (cfg, cfg.get("search", {}), cfg.get("train", {})):
-        if isinstance(section, dict) and "gamma" in section:
+        if "gamma" in section:
             raise CliError(GAMMA_MESSAGE)
     return cfg
 
@@ -94,6 +97,13 @@ def _build_section(cls, name: str, section, **overrides):
         raise CliError(f"bad {name} section: {e}")
 
 
+def _check_file(what: str, path) -> None:
+    if not isinstance(path, str):
+        raise CliError(f"{what} path must be a string, got {path!r}")
+    if not Path(path).is_file():
+        raise CliError(f"{what} file not found: {path}")
+
+
 def _build_dataset(cfg: dict):
     section = cfg.get("dataset")
     if not isinstance(section, dict):
@@ -111,16 +121,15 @@ def _build_dataset(cfg: dict):
     path = section.get("path")
     if not path:
         raise CliError("dataset section needs \"path\" or \"synthetic\"")
-    if not Path(path).exists():
-        raise CliError(f"dataset file not found: {path}")
+    _check_file("dataset", path)
     task = section.get("task")
     if not isinstance(task, dict) or "type" not in task:
         raise CliError("dataset section needs \"task\": {\"type\": ...}")
     schema = _build_section(TaskSchema, "task",
                             {"task_type" if k == "type" else k: v for k, v in task.items()})
     splits_path = section.get("splits_path")
-    if splits_path and not Path(splits_path).exists():
-        raise CliError(f"splits file not found: {splits_path}")
+    if splits_path is not None:
+        _check_file("splits", splits_path)
     return load_dataset(path, schema, splits_path=splits_path,
                         symmetrize=section.get("symmetrize", True))
 
@@ -129,7 +138,7 @@ def _check_grid(cfg: dict, values: dict, strict: bool) -> None:
     if not strict:
         return
     name = cfg.get("grid")
-    if name not in GRIDS:
+    if not isinstance(name, str) or name not in GRIDS:
         raise CliError(f"--strict-grid needs config \"grid\" set to one of "
                        f"{sorted(GRIDS)}, got {name!r}")
     grid = GRIDS[name]

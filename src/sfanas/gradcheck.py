@@ -147,8 +147,7 @@ def _operator_checks():
         def sel_run(name=name):
             rng = np.random.default_rng([9, 210])
             x = rng.standard_normal(batch.node_features.shape)
-            weight = 0.0 if name == "ZERO" else 1.0
-            return _checked(lambda t: ops.select(weight, t), x, rng)
+            return _checked(lambda t: ops.select(name, t), x, rng)
         checks.append((f"op/selection/{name}", sel_run))
 
     for name in ops.FUSION_OPS:

@@ -398,11 +398,23 @@ def load_dataset(path, schema: TaskSchema, splits_path=None,
 
     if splits_path is not None:
         with open(splits_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        splits = {k: np.asarray(v, dtype=np.int64) for k, v in raw.items()}
+            splits = _parse_splits(json.load(fh), len(graphs))
     else:
         splits = contiguous_split(len(graphs))
     return Dataset(graphs=graphs, schema=schema, splits=splits)
+
+
+def _parse_splits(raw, n: int) -> dict:
+    """Split name -> index array; each list must hold whole numbers in
+    [0, n), which rules out the bools and fractions numpy would cast."""
+    if not isinstance(raw, dict):
+        raise ValidationError("splits file must hold a JSON object of index lists")
+    for name, idx in raw.items():
+        if not isinstance(idx, list) or \
+                not all(is_number(i) and float(i).is_integer() and 0 <= i < n for i in idx):
+            raise ValidationError(f"split {name!r} must be a list of whole-number "
+                                  f"graph indices in [0, {n})")
+    return {name: np.asarray(idx, dtype=np.int64) for name, idx in raw.items()}
 
 
 def _set_empty_widths(g: Graph, d_node: int, d_edge: int) -> Graph:

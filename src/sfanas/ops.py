@@ -119,15 +119,14 @@ def gat_attention(batch: GraphBatch, H: Tensor, params: dict,
     HW = ad.matmul(H, params["W"])
     hs = ad.gather_rows(HW, src)
     hd = ad.gather_rows(HW, dst)
+
+    def score(u, v):
+        return ad.leaky_relu(ad.add(ad.matmul(u, params["a_src"]), ad.matmul(v, params["a_dst"])))
+
     if variant == "plain":
-        logits = ad.leaky_relu(ad.add(ad.matmul(hs, params["a_src"]),
-                                      ad.matmul(hd, params["a_dst"])))
+        logits = score(hs, hd)
     elif variant == "sym":
-        fwd = ad.leaky_relu(ad.add(ad.matmul(hs, params["a_src"]),
-                                   ad.matmul(hd, params["a_dst"])))
-        rev = ad.leaky_relu(ad.add(ad.matmul(hd, params["a_src"]),
-                                   ad.matmul(hs, params["a_dst"])))
-        logits = ad.add(fwd, rev)
+        logits = ad.add(score(hs, hd), score(hd, hs))
     elif variant == "cos":
         dot = ad.tsum(ad.mul(hs, hd), axis=1, keepdims=True)
         ns = ad.sqrt(ad.add(ad.tsum(ad.mul(hs, hs), axis=1, keepdims=True), Tensor(1e-24)))
@@ -256,11 +255,15 @@ def fuse(name: str, inputs: list, params: dict) -> Tensor:
 # selection and readout
 
 
-def select(weight, x: Tensor) -> Tensor:
-    """Scale an input by one mixture weight: a length-1 Tensor or a float."""
-    if isinstance(weight, Tensor):
-        return ad.mul(weight, x)
-    return ad.scalar_mul(x, float(weight))
+def select(name: str, x: Tensor) -> Tensor:
+    """ZERO scales ``x`` by 0.0 and IDENTITY by 1.0. IDENTITY still makes a
+    node: H_j feeds several blocks, and returning ``x`` itself would reorder
+    the gradient sums into it and move the last bits upstream of it."""
+    if name == "ZERO":
+        return ad.scalar_mul(x, 0.0)
+    if name == "IDENTITY":
+        return ad.scalar_mul(x, 1.0)
+    raise ValueError(f"unknown selection op {name!r}")
 
 
 _READOUT_MODES = {"GLOBAL_MEAN": "mean", "GLOBAL_MAX": "max", "GLOBAL_SUM": "sum"}

@@ -4,9 +4,10 @@ The supernet runs every candidate operation at every decision site and
 combines the results by a weighted sum whose weights come from a
 temperature-scaled softmax over per-site logits. Driving the temperature
 down pushes the weights toward one-hot, and per-site argmax then yields a
-discrete architecture. Discrete mode runs the same forward with 0/1
-weights, so a hard one-hot relaxation and the discrete network agree
-exactly. ``SupernetParams.sites`` lists the decision sites once.
+discrete architecture. Discrete mode runs only the op chosen at each
+fusion, aggregation and readout site, unweighted; a hard one-hot
+relaxation adds exact zeros to it, so the two agree to the last bit.
+:func:`site_forward` evaluates the sites ``SupernetParams.sites`` lists.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class SupernetParams:
     Candidate lists are per block so the same container serves the full
     relaxed supernet and an architecture-restricted discrete model.
     ``sites`` lists every decision site once, in logit order; the logits,
-    site weights, derivation and one-hot pinning all read it.
+    site_forward, derivation and one-hot pinning all read it.
     """
 
     def __init__(self, dims: SupernetDims, agg_candidates, fusion_candidates,
@@ -209,51 +210,29 @@ def arch_weights(alpha: Tensor, lam: float) -> Tensor:
     return ad.div(e, ad.tsum(e))
 
 
-def site_weights(params: SupernetParams, key: str, arch: ArchEncoding | None):
-    """Weights over the candidates of the decision site ``key``.
+def site_forward(params: SupernetParams, key: str, arch: ArchEncoding | None, run):
+    """Output of the decision site ``key``; ``run(name)`` computes a candidate.
 
-    With no architecture (relaxed) they are the temperature softmax of
-    the site's logits. With ``arch`` (discrete) they are 0/1 floats with
-    the 1 on the op ``arch`` chose at this site; mixed_op skips the
-    zeros, so a one-hot relaxation and the discrete network agree exactly.
+    Discrete (``arch`` given): the op ``arch`` chose, run alone. Relaxed:
+    every candidate in site order, scaled by its softmax weight, summed.
     """
-    if arch is None:
-        return arch_weights(params.alphas[key], params.lam)
     names, pick = params.sites[key]
-    chosen = pick(arch)
-    if chosen not in names:
-        raise ValueError(f"op {chosen!r} not among candidates {tuple(names)}")
-    return [1.0 if n == chosen else 0.0 for n in names]
-
-
-def _per_candidate(weights, n: int) -> list:
-    """One weight per candidate: length-1 slices of a Tensor, or floats."""
-    if isinstance(weights, Tensor):
-        if weights.data.shape != (n,):
-            raise ShapeError(f"mixed_op: {n} candidates but weight shape {weights.data.shape}")
-        return [weights[i: i + 1] for i in range(n)]
-    if len(weights) != n:
-        raise ShapeError(f"mixed_op: {n} candidates but {len(weights)} weights")
-    return [float(w) for w in weights]
-
-
-def mixed_op(candidates, weights, x):
-    """Weighted sum of candidate outputs; zero float weights are skipped."""
+    if arch is not None:
+        chosen = pick(arch)
+        if chosen not in names:
+            raise ValueError(f"op {chosen!r} not among candidates {tuple(names)}")
+        return run(chosen)
+    w = arch_weights(params.alphas[key], params.lam)
+    if w.data.shape != (len(names),):
+        raise ShapeError(f"site {key}: {len(names)} candidates but weight shape {w.data.shape}")
     out = None
-    out_shape = None
-    for w, op in zip(_per_candidate(weights, len(candidates)), candidates):
-        if isinstance(w, float) and w == 0.0:
-            continue
-        y = op(x)
-        if out_shape is None:
-            out_shape = y.data.shape
-        elif y.data.shape != out_shape:
-            raise ShapeError(f"mixed_op: candidate output shape {y.data.shape} "
-                             f"differs from {out_shape}")
-        term = ops.select(w, y)
+    for k, name in enumerate(names):
+        y = run(name)
+        if out is not None and y.data.shape != out.data.shape:
+            raise ShapeError(f"site {key}: {name} output shape {y.data.shape} "
+                             f"differs from {out.data.shape}")
+        term = ad.mul(w[k:k + 1], y)
         out = term if out is None else ad.add(out, term)
-    if out is None:
-        raise ValueError("mixed_op: all weights are zero")
     return out
 
 
@@ -270,9 +249,9 @@ def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
     """One selection-fusion-aggregation block over the feature history.
 
     ``block_index`` is 1-based: block i consumes history H0..H(i-1).
-    Every site is a weighted mixture whose weights come from
-    :func:`site_weights`, soft when ``arch`` is None (relaxed) and 0/1
-    for the choices of ``arch`` (discrete).
+    Fusion and aggregation are :func:`site_forward` sites. A selection
+    site scales H_j by its IDENTITY weight when relaxed (ZERO contributes
+    nothing) and runs :func:`ops.select` on ``arch``'s bit when discrete.
     """
     if block_index < 1 or len(history) != block_index:
         raise ValueError(f"block {block_index} expects a history of length {block_index}")
@@ -280,18 +259,18 @@ def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
 
     scaled = []
     for j, Hj in enumerate(history):
-        w = site_weights(params, f"sel/b{b}/i{j}", arch)
-        scaled.append(ops.select(_per_candidate(w, 2)[1], Hj))  # the IDENTITY weight
+        key = f"sel/b{b}/i{j}"
+        if arch is None:
+            w = arch_weights(params.alphas[key], params.lam)
+            scaled.append(ad.mul(w[1:2], Hj))  # the IDENTITY weight
+        else:
+            scaled.append(ops.select(params.sites[key][1](arch), Hj))
 
-    fus_cands = [lambda xs, n=name: ops.fuse(n, xs, params.fusion_params(b, n))
-                 for name in params.fusion_candidates[b]]
-    fused = mixed_op(fus_cands, site_weights(params, f"fus/b{b}", arch), scaled)
-
-    agg_cands = [lambda x, n=name: ops.aggregate(
-                     n, batch, x, params.agg_params(b, n),
-                     _edge_features(batch, params, b) if n == "GEN" else None)
-                 for name in params.agg_candidates[b]]
-    return mixed_op(agg_cands, site_weights(params, f"agg/b{b}", arch), fused)
+    fused = site_forward(params, f"fus/b{b}", arch,
+                         lambda name: ops.fuse(name, scaled, params.fusion_params(b, name)))
+    return site_forward(params, f"agg/b{b}", arch, lambda name: ops.aggregate(
+        name, batch, fused, params.agg_params(b, name),
+        _edge_features(batch, params, b) if name == "GEN" else None))
 
 
 def supernet_forward(batch: GraphBatch, params: SupernetParams,
@@ -320,9 +299,8 @@ def supernet_forward(batch: GraphBatch, params: SupernetParams,
             H = ops.dropout(H, dropout_rate, rng)
         history.append(H)
 
-    ro_cands = [lambda x, n=name: ops.readout(n, x, batch.graph_ids, batch.num_graphs)
-                for name in params.readout_candidates]
-    pooled = mixed_op(ro_cands, site_weights(params, "readout", arch), history[-1])
+    pooled = site_forward(params, "readout", arch, lambda name: ops.readout(
+        name, history[-1], batch.graph_ids, batch.num_graphs))
     return ad.add(ad.matmul(pooled, params.weights["head/W"]), params.weights["head/b"])
 
 

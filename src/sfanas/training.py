@@ -457,8 +457,13 @@ def save_model(params: SupernetParams, arch: ArchEncoding, bin_path, manifest_pa
 def load_model(bin_path, manifest_path) -> tuple[SupernetParams, ArchEncoding, dict]:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError("model manifest must be a JSON object")
     if manifest.get("schema_version") != 1:
         raise ValueError(f"unsupported model manifest version {manifest.get('schema_version')!r}")
+    for key in ("dims", "arch", "tensors"):
+        if key not in manifest:
+            raise ValueError(f"model manifest lacks {key!r}")
     dims = SupernetDims(**manifest["dims"])
     arch = ArchEncoding.from_dict(manifest["arch"])
     params = init_discrete(dims, arch, seed=0)

@@ -97,11 +97,11 @@ def test_2_relaxation_correctness(capsys):
         discrete = supernet_forward(batch, params, mode="discrete", arch=arch).data
         fwd_err = max(fwd_err, np.abs(relaxed - discrete).max())
 
-    ok = sum_err < 1e-9 and shift_err < 1e-9 and peak > 0.99 and fwd_err < 1e-5
+    ok = sum_err < 1e-9 and shift_err < 1e-9 and peak > 0.99 and fwd_err == 0.0
     announce(capsys, "criterion 2", ok,
              f"weights sum err {sum_err:.1e} (<1e-9), shift err {shift_err:.1e} "
              f"(<1e-9), peak at lambda=0.05 {peak:.4f} (>0.99), one-hot vs "
-             f"discrete forward err {fwd_err:.1e} over 50 encodings (<1e-5)")
+             f"discrete forward err {fwd_err:.1e} over 50 encodings (== 0)")
 
 
 def test_3_permutation_invariance(capsys):

@@ -345,6 +345,16 @@ class TestTrainEval:
                      "--model-dir", str(tmp_path), "--out", str(tmp_path)]) == 1
         assert "model.bin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifest", [[], {"schema_version": 1}], ids=["list", "no-dims"])
+    def test_eval_malformed_manifest(self, pipeline, tmp_path, manifest, capsys):
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "model.bin").write_bytes((pipeline["train"] / "model.bin").read_bytes())
+        (model / "model.manifest.json").write_text(json.dumps(manifest))
+        assert main(["eval", "--config", pipeline["config"],
+                     "--model-dir", str(model), "--out", str(tmp_path)]) == 1
+        assert "error: model manifest" in capsys.readouterr().err
+
     def test_metric_must_fit_task(self, tmp_path, capsys):
         # multi-class data with an auc request has no defined positive class
         records = []
@@ -418,6 +428,71 @@ class TestConfigPolicy:
         for grid in cli.GRIDS.values():
             assert set(grid) == {"learning_rate", "batch_size", "hidden_size",
                                  "dropout", "virtual_node"}
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing
+
+
+def _slots(d: dict) -> list:
+    """(dict, key) for every key of ``d`` and of the dicts nested in it."""
+    out = []
+    for k, v in d.items():
+        out.append((d, k))
+        if isinstance(v, dict):
+            out += _slots(v)
+    return out
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("key, value", [
+        ("path", 5), ("path", ["a"]), ("path", "DIR"), ("splits_path", 5),
+        ("splits_path", ["a"]), ("splits_path", "DIR"), ("splits_path", "")])
+    def test_dataset_paths_must_name_files(self, pipeline, tmp_path, key, value, capsys):
+        dataset = dict(synth_section(pipeline["data"]), **{key: value})
+        if value == "DIR":
+            dataset[key] = str(tmp_path)
+        config = write_config(tmp_path / "c.json", dataset=dataset, search=SEARCH_SECTION)
+        assert main(["search", "--config", config, "--out", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_mutated_configs_exit_0_or_1(self, pipeline, tmp_path):
+        """Seeded mutations of a small valid config, run through every
+        config-reading command: each exits 0 or 1 and none raises."""
+        rng = np.random.default_rng(1301)
+        values = [0, 1, 2, -1, 0.5, 1.5, "", "x", "GIN", [], ["a"], [1, 2], {}, {"a": 1},
+                  None, True, False, str(tmp_path), str(tmp_path / "missing.json")]
+        base = {"schema_version": 1, "dataset": synth_section(pipeline["data"]),
+                "search": {"num_blocks": 1, "hidden": 2, "epochs": 1, "batch_size": 64},
+                "train": {"hidden_size": 2, "epochs": 1, "batch_size": 64,
+                          "metric": "accuracy"}}
+        commands = {"search": [],
+                    "train": ["--arch", str(pipeline["derive"] / "arch.json")],
+                    "eval": ["--model-dir", str(pipeline["train"])]}
+        for trial in range(60):
+            cfg = json.loads(json.dumps(base))
+            for _ in range(int(rng.integers(1, 3))):
+                slots = _slots(cfg)
+                d, k = slots[rng.integers(len(slots))]
+                action = rng.integers(3)
+                if action == 0:
+                    del d[k]
+                elif action == 1:
+                    d[k] = values[rng.integers(len(values))]
+                else:
+                    d["grid" if rng.integers(2) else "extra"] = \
+                        values[rng.integers(len(values))]
+            path = tmp_path / f"c{trial}.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            for name, extra in commands.items():
+                argv = [name, "--config", str(path), "--out", str(tmp_path / "out"), *extra]
+                if name != "eval" and rng.integers(4) == 0:
+                    argv.append("--strict-grid")
+                try:
+                    code = main(argv)
+                except Exception as exc:
+                    pytest.fail(f"{argv} on {cfg} raised {exc!r}")
+                assert code in (0, 1), (argv, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -532,3 +532,25 @@ def test_splits_must_partition():
         Dataset(graphs=graphs, schema=schema,
                 splits={"train": np.array([0]), "valid": np.array([1]),
                         "test": np.array([2])})
+
+
+@pytest.mark.parametrize("splits, message", [
+    ([[0, 1], [2], [3]], "JSON object of index lists"),
+    ({"train": [0, 1], "valid": [2], "test": 3}, "split 'test' must be a list"),
+    ({"train": [0.5, 1], "valid": [2], "test": [3]}, "split 'train' must be a list"),
+    ({"train": [0, True], "valid": [2], "test": [3]}, "split 'train' must be a list"),
+    ({"train": [0, 1], "valid": ["2"], "test": [3]}, "split 'valid' must be a list"),
+    ({"train": [0, 1], "valid": [2], "test": [4]}, r"split 'test' .* in \[0, 4\)"),
+    ({"train": [0, 1], "valid": [2], "test": [-1]}, "split 'test' must be a list"),
+    ({"train": [0, 1], "valid": [2], "test": [2 ** 70]}, "split 'test' must be a list"),
+])
+def test_splits_file_must_list_whole_indices(tmp_path, splits, message):
+    ds = Dataset(graphs=[_graph(2, [], label=np.array([float(i % 2)])) for i in range(4)],
+                 schema=TaskSchema("binary"), splits={"all": np.arange(4)})
+    write_dataset(ds, tmp_path / "d.jsonl", tmp_path / "s.json")
+    (tmp_path / "s.json").write_text(json.dumps(splits), encoding="utf-8")
+    with pytest.raises(ValidationError, match=message):
+        load_dataset(tmp_path / "d.jsonl", ds.schema, tmp_path / "s.json")
+    (tmp_path / "s.json").write_text(json.dumps({"train": [0, 1.0], "valid": [2], "test": [3]}))
+    back = load_dataset(tmp_path / "d.jsonl", ds.schema, tmp_path / "s.json")
+    assert back.splits["train"].tolist() == [0, 1]

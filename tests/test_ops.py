@@ -367,21 +367,22 @@ class TestFusion:
 
 
 class TestSelect:
-    def test_half_weight(self):
-        out = ops.select(0.5, T([[1.0, 2.0]]))
-        np.testing.assert_allclose(out.data, [[0.5, 1.0]], atol=1e-12)
-
     def test_zero_and_one(self):
         x = T([[3.0, -4.0]])
-        np.testing.assert_array_equal(ops.select(0.0, x).data, [[0.0, 0.0]])
-        np.testing.assert_array_equal(ops.select(1.0, x).data, x.data)
+        np.testing.assert_array_equal(ops.select("ZERO", x).data, [[0.0, 0.0]])
+        same = ops.select("IDENTITY", x)
+        np.testing.assert_array_equal(same.data, x.data)
+        assert same is not x  # a node of its own, see ops.select
 
-    def test_tensor_weight_receives_gradient(self):
-        w = Tensor(np.array([0.5]), requires_grad=True)
-        x = T([[1.0, 2.0]])
-        ad.backward(ad.tsum(ops.select(w, x)))
-        assert w.grad is not None
-        np.testing.assert_allclose(w.grad, [3.0], atol=1e-12)
+    def test_gradients(self):
+        x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        ad.backward(ad.tsum(ad.add(ops.select("IDENTITY", x),
+                                   ad.scalar_mul(ops.select("ZERO", x), 5.0))))
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0]])
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown selection op"):
+            ops.select("HALF", T([[1.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from sfanas.autodiff import ShapeError, Tensor
 from sfanas.search import SearchConfig, random_architecture
 from sfanas.supernet import (ArchEncoding, SupernetDims, arch_weights,
                              derive_architecture, force_one_hot_alphas,
-                             init_discrete, init_relaxed, mixed_op,
-                             sfa_block_forward, supernet_forward)
+                             init_discrete, init_relaxed, sfa_block_forward,
+                             site_forward, supernet_forward)
 
 
 def T(x):
@@ -138,47 +138,58 @@ class TestArchWeights:
 
 
 # ---------------------------------------------------------------------------
-# mixing
+# decision sites
 
 
-class TestMixedOp:
+class TestSiteForward:
+    def setup_method(self):
+        self.params = init_relaxed(SupernetDims(d_in=1, out_dim=1, num_blocks=1, hidden=1))
+        self.calls = []
+
+    def run(self, name):
+        """Candidate k of the fusion site returns [[k + 1]]."""
+        self.calls.append(name)
+        return T([[ops.FUSION_OPS.index(name) + 1.0]])
+
+    def test_discrete_runs_the_chosen_op_alone(self):
+        out = site_forward(self.params, "fus/b0", simple_arch(fusion="MAX"), self.run)
+        assert self.calls == ["MAX"]
+        assert out.data[0, 0] == 3.0
+
+    def set_weights(self):
+        """Site weights 1/20, 2/20, 3/20, 4/20, 10/20."""
+        self.params.alphas["fus/b0"].data[:] = np.log([1.0, 2.0, 3.0, 4.0, 10.0])
+        return np.array([1.0, 2.0, 3.0, 4.0, 10.0]) / 20.0
+
     def test_weighted_sum(self):
-        cands = [lambda x: ad.scalar_mul(x, 2.0), lambda x: ad.scalar_mul(x, 3.0)]
-        out = mixed_op(cands, [0.25, 0.75], T([[4.0]]))
-        assert out.data[0, 0] == pytest.approx(0.25 * 8.0 + 0.75 * 12.0, abs=1e-12)
-
-    def test_zero_float_weight_skips_candidate(self):
-        calls = []
-
-        def tracked(x):
-            calls.append(1)
-            return x
-
-        out = mixed_op([tracked, lambda x: ad.scalar_mul(x, 5.0)],
-                       [0.0, 1.0], T([[2.0]]))
-        assert not calls
-        assert out.data[0, 0] == pytest.approx(10.0, abs=1e-12)
-
-    def test_all_zero_weights_rejected(self):
-        with pytest.raises(ValueError, match="all weights are zero"):
-            mixed_op([lambda x: x, lambda x: x], [0.0, 0.0], T([[1.0]]))
-
-    def test_weight_count_mismatch(self):
-        with pytest.raises(ShapeError, match="mixed_op"):
-            mixed_op([lambda x: x], [0.5, 0.5], T([[1.0]]))
-        with pytest.raises(ShapeError, match="mixed_op"):
-            mixed_op([lambda x: x], Tensor(np.ones(2)), T([[1.0]]))
-
-    def test_candidate_shape_mismatch(self):
-        cands = [lambda x: x, lambda x: ad.concat([x, x], axis=1)]
-        with pytest.raises(ShapeError, match="differs from"):
-            mixed_op(cands, [0.5, 0.5], T([[1.0]]))
+        w = self.set_weights()
+        out = site_forward(self.params, "fus/b0", None, self.run)
+        assert self.calls == list(ops.FUSION_OPS)  # each candidate once, in site order
+        assert out.data[0, 0] == pytest.approx(w @ np.arange(1.0, 6.0), abs=1e-12)
 
     def test_tensor_weights_receive_gradient(self):
-        w = Tensor(np.array([0.3, 0.7]), requires_grad=True)
-        cands = [lambda x: ad.scalar_mul(x, 2.0), lambda x: ad.scalar_mul(x, 3.0)]
-        ad.backward(ad.tsum(mixed_op(cands, w, T([[1.0]]))))
-        np.testing.assert_allclose(w.grad, [2.0, 3.0], atol=1e-12)
+        w = self.set_weights()
+        out = site_forward(self.params, "fus/b0", None, self.run)
+        ad.backward(ad.tsum(out))
+        # d out / d alpha_k = w_k * (y_k - out)
+        np.testing.assert_allclose(self.params.alphas["fus/b0"].grad,
+                                   w * (np.arange(1.0, 6.0) - out.data[0, 0]), atol=1e-12)
+
+    def test_choice_outside_the_candidates_rejected(self):
+        params = init_discrete(self.params.dims, simple_arch(fusion="SUM"))
+        with pytest.raises(ValueError, match="not among candidates"):
+            site_forward(params, "fus/b0", simple_arch(fusion="MAX"), self.run)
+
+    def test_weight_count_mismatch(self):
+        self.params.alphas["fus/b0"] = Tensor(np.zeros(3), requires_grad=True)
+        with pytest.raises(ShapeError, match="site fus/b0: 5 candidates"):
+            site_forward(self.params, "fus/b0", None, self.run)
+
+    def test_candidate_shape_mismatch(self):
+        def run(name):
+            return T(np.ones((1, 2 if name == "MAX" else 1)))
+        with pytest.raises(ShapeError, match="site fus/b0: MAX output shape .* differs from"):
+            site_forward(self.params, "fus/b0", None, run)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +269,19 @@ class TestSupernetForward:
         assert out.data.shape == (2, 2)
 
     def test_one_hot_relaxed_matches_discrete(self):
-        arch = ArchEncoding(num_blocks=2, selection=((1,), (0, 1)),
-                            fusion=("MAX", "CONCAT"),
-                            aggregation=("GEN", "EXPC"), readout="GLOBAL_MAX")
-        params = init_relaxed(self.dims, seed=5)
-        force_one_hot_alphas(params, arch)
-        relaxed = supernet_forward(self.batch, params, mode="relaxed")
-        discrete = supernet_forward(self.batch, params, mode="discrete", arch=arch)
-        np.testing.assert_allclose(relaxed.data, discrete.data, atol=1e-12)
+        params = init_relaxed(self.dims, ops.AGGREGATION_OPS, seed=5)
+        # between them these use every fusion, aggregation and readout op
+        for selection, fusion, aggregation, readout in [
+                (((1,), (0, 1)), ("MAX", "CONCAT"), ("GEN", "EXPC"), "GLOBAL_MAX"),
+                (((1,), (1, 1)), ("SUM", "LSTM"), ("GCN", "GAT"), "GLOBAL_MEAN"),
+                (((1,), (1, 0)), ("MEAN", "LSTM"), ("GAT_SYM", "GAT_COS"), "GLOBAL_SUM"),
+                (((1,), (1, 1)), ("CONCAT", "MEAN"), ("GIN", "MF"), "GLOBAL_MEAN")]:
+            arch = ArchEncoding(num_blocks=2, selection=selection, fusion=fusion,
+                                aggregation=aggregation, readout=readout)
+            force_one_hot_alphas(params, arch)
+            relaxed = supernet_forward(self.batch, params, mode="relaxed")
+            discrete = supernet_forward(self.batch, params, mode="discrete", arch=arch)
+            np.testing.assert_array_equal(relaxed.data, discrete.data, err_msg=str(arch))
 
     def test_single_block_composition(self):
         dims = SupernetDims(d_in=3, out_dim=2, num_blocks=1, hidden=4)

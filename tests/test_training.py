@@ -594,6 +594,19 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="manifest version"):
             load_model(tmp_path / "model.bin", path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: [m], "must be a JSON object"),
+        (lambda m: {k: v for k, v in m.items() if k != "dims"}, "lacks 'dims'"),
+        (lambda m: {k: v for k, v in m.items() if k != "arch"}, "lacks 'arch'"),
+        (lambda m: {k: v for k, v in m.items() if k != "tensors"}, "lacks 'tensors'"),
+    ], ids=["list", "no-dims", "no-arch", "no-tensors"])
+    def test_manifest_shape_checked(self, tmp_path, edit, message):
+        self.train_and_save(tmp_path)
+        path = tmp_path / "model.manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=message):
+            load_model(tmp_path / "model.bin", path)
+
     def test_extra_key_collision_rejected(self, tmp_path):
         ds = small_dataset()
         arch = one_block_arch()
