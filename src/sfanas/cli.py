@@ -43,6 +43,9 @@ GRIDS = {
             "virtual_node": [True, False]},
 }
 
+CONFIG_KEYS = ("schema_version", "dataset", "search", "train", "grid")
+DATASET_KEYS = ("path", "task", "splits_path", "symmetrize", "synthetic")
+
 GAMMA_MESSAGE = ("'gamma' belongs to the AUC-margin training objective, which is "
                  "out of scope for this package; remove it from the config")
 
@@ -69,7 +72,14 @@ def _load_config(path: str) -> dict:
     for section in (cfg, cfg.get("search", {}), cfg.get("train", {})):
         if "gamma" in section:
             raise CliError(GAMMA_MESSAGE)
+    _check_keys("config", cfg, CONFIG_KEYS)
     return cfg
+
+
+def _check_keys(where: str, section: dict, allowed: tuple) -> None:
+    unknown = [key for key in section if key not in allowed]
+    if unknown:
+        raise CliError(f"unknown {where} key {unknown[0]!r}; expected one of {list(allowed)}")
 
 
 # What each annotated field type accepts from JSON. Without these,
@@ -108,6 +118,7 @@ def _build_dataset(cfg: dict):
     section = cfg.get("dataset")
     if not isinstance(section, dict):
         raise CliError("config needs a \"dataset\" section")
+    _check_keys("dataset", section, DATASET_KEYS)
     if "synthetic" in section:
         syn = section["synthetic"]
         if not isinstance(syn, dict):
@@ -130,8 +141,10 @@ def _build_dataset(cfg: dict):
     splits_path = section.get("splits_path")
     if splits_path is not None:
         _check_file("splits", splits_path)
-    return load_dataset(path, schema, splits_path=splits_path,
-                        symmetrize=section.get("symmetrize", True))
+    symmetrize = section.get("symmetrize", True)
+    if not _FIELD_CHECKS["bool"](symmetrize):
+        raise CliError(f"bad dataset section: symmetrize must be bool, got {symmetrize!r}")
+    return load_dataset(path, schema, splits_path=splits_path, symmetrize=symmetrize)
 
 
 def _check_grid(cfg: dict, values: dict, strict: bool) -> None:
@@ -229,12 +242,33 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _history_record(lineno: int, line: str) -> dict:
+    """One search history record: an object with an int ``epoch``, a
+    finite ``valid_metric`` and an ``arch``, which is decoded."""
+    try:
+        rec = json.loads(line)
+        if not isinstance(rec, dict):
+            raise ValueError("not a JSON object")
+        for key in ("epoch", "valid_metric", "arch"):
+            if key not in rec:
+                raise ValueError(f"lacks {key!r}")
+        if not _FIELD_CHECKS["int"](rec["epoch"]):
+            raise ValueError(f"epoch must be int, got {rec['epoch']!r}")
+        if not (is_number(rec["valid_metric"]) and np.isfinite(rec["valid_metric"])):
+            raise ValueError(f"valid_metric must be a finite number, "
+                             f"got {rec['valid_metric']!r}")
+        rec["arch"] = ArchEncoding.from_dict(rec["arch"])
+    except ValueError as e:  # JSONDecodeError is a ValueError
+        raise CliError(f"history line {lineno}: {e}")
+    return rec
+
+
 def cmd_derive(args) -> int:
     try:
         lines = Path(args.history).read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
         raise CliError(f"history file not found: {args.history}")
-    records = [json.loads(line) for line in lines if line.strip()]
+    records = [_history_record(n, line) for n, line in enumerate(lines, 1) if line.strip()]
     if not records:
         raise CliError("history file is empty")
     if args.epoch is not None:
@@ -244,7 +278,7 @@ def cmd_derive(args) -> int:
         chosen = matches[0]
     else:
         chosen = best_record(records)
-    arch = ArchEncoding.from_dict(chosen["arch"])
+    arch = chosen["arch"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "arch.json").write_text(arch.to_json() + "\n", encoding="utf-8")
@@ -261,7 +295,7 @@ def _load_arch(path: str) -> ArchEncoding:
         raise CliError(f"architecture file not found: {path}")
     try:
         return ArchEncoding.from_json(text)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except ValueError as e:  # JSONDecodeError is a ValueError
         raise CliError(f"invalid architecture file {path}: {e}")
 
 

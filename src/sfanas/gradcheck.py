@@ -4,7 +4,10 @@ The registry covers three layers: each autodiff primitive, each graph
 operator (every selection/fusion/aggregation/readout candidate exactly
 once), and the full relaxed network checked against both its operation
 weights and its architecture logits. Each check returns the max relative
-error between analytic and central-difference gradients.
+error between analytic and central-difference gradients. The network
+check backpropagates once, then moves each entry of every weight and
+logit in place (:func:`autodiff.difference_error`), so the forward reads
+the very tensors it trains with.
 
 Check functions must be pure: every random constant is drawn before the
 function is handed to grad_check, which re-evaluates it many times.
@@ -198,23 +201,14 @@ def _supernet_check():
         rng = np.random.default_rng([9, 300])
         w_out = Tensor(rng.standard_normal((batch.num_graphs, 2)))
 
-        def probe_in(store, key):
-            def f(probe):
-                prev = store[key]
-                store[key] = probe
-                try:
-                    logits = supernet_forward(batch, params, mode="relaxed")
-                    return ad.tsum(ad.mul(logits, w_out))
-                finally:
-                    store[key] = prev
-            return f
+        def objective():
+            return ad.tsum(ad.mul(supernet_forward(batch, params, mode="relaxed"), w_out))
 
-        worst = 0.0
-        for store in (params.weights, params.alphas):
-            for key in store:
-                err = ad.grad_check(probe_in(store, key), Tensor(store[key].data))
-                worst = max(worst, err)
-        return worst
+        ad.backward(objective())
+        leaves = [*params.weights.values(), *params.alphas.values()]
+        with ad.frozen(leaves):
+            return max(ad.difference_error(t.grad, lambda: float(objective().data), t.data)
+                       for t in leaves)
     return [("supernet/relaxed", run)]
 
 

@@ -7,7 +7,9 @@ down pushes the weights toward one-hot, and per-site argmax then yields a
 discrete architecture. Discrete mode runs only the op chosen at each
 fusion, aggregation and readout site, unweighted; a hard one-hot
 relaxation adds exact zeros to it, so the two agree to the last bit.
-:func:`site_forward` evaluates the sites ``SupernetParams.sites`` lists.
+:func:`site_forward` evaluates the sites ``SupernetParams.sites`` lists,
+and each candidate reads its tensors from ``SupernetParams.ops`` by site
+and name; tensor names exist only for the model file.
 """
 
 from __future__ import annotations
@@ -79,12 +81,19 @@ class ArchEncoding:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ArchEncoding":
-        blocks = obj["blocks"]
-        return cls(num_blocks=int(obj["num_blocks"]),
-                   selection=tuple(tuple(b["select"]) for b in blocks),
-                   fusion=tuple(b["fusion"] for b in blocks),
-                   aggregation=tuple(b["agg"] for b in blocks),
-                   readout=obj["readout"])
+        """Inverse of :meth:`to_dict`; a missing key or a value of the wrong
+        type is a ValueError that names it."""
+        try:
+            blocks = obj["blocks"]
+            return cls(num_blocks=int(obj["num_blocks"]),
+                       selection=tuple(tuple(b["select"]) for b in blocks),
+                       fusion=tuple(b["fusion"] for b in blocks),
+                       aggregation=tuple(b["agg"] for b in blocks),
+                       readout=obj["readout"])
+        except KeyError as e:
+            raise ValueError(f"architecture lacks {e}") from None
+        except TypeError as e:
+            raise ValueError(f"bad architecture: {e}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -113,61 +122,51 @@ class SupernetParams:
     Candidate lists are per block so the same container serves the full
     relaxed supernet and an architecture-restricted discrete model.
     ``sites`` lists every decision site once, in logit order; the logits,
-    site_forward, derivation and one-hot pinning all read it.
+    site_forward, derivation and one-hot pinning all read it. ``ops``
+    maps (site key, candidate) to that op's parameter dict, e.g.
+    ``ops["agg/b1", "GEN"]``, and ``edge_proj`` holds each block's edge
+    feature projection for GEN, or None. ``weights`` is the flat, ordered
+    name -> tensor view of the same tensors, encoder and head included;
+    the names serve only the model file and the optimizer.
     """
 
     def __init__(self, dims: SupernetDims, agg_candidates, fusion_candidates,
                  readout_candidates, seed: int, with_alphas: bool = True):
         self.dims = dims
-        self.agg_candidates = [tuple(c) for c in agg_candidates]
-        self.fusion_candidates = [tuple(c) for c in fusion_candidates]
-        self.readout_candidates = tuple(readout_candidates)
         self.lam = 1.0
 
         rng = np.random.default_rng([int(seed), 0xA7C4])
         d = dims.hidden
-        w: dict[str, Tensor] = {}
-        # (kind, block, op) -> {param name: key in w}; the tensors stay in w
-        self._op_keys: dict[tuple, dict] = {}
-
-        def add_op(kind: str, b: int, name: str, op_params: dict) -> None:
-            keys = self._op_keys[(kind, b, name)] = {}
-            for pname, t in op_params.items():
-                keys[pname] = f"b{b}/{kind}/{name}/{pname}"
-                w[keys[pname]] = t
-
-        w["encoder/W"] = Tensor(ops.glorot(rng, dims.d_in, d), requires_grad=True)
-        w["encoder/b"] = Tensor(np.zeros((1, d)), requires_grad=True)
-        for b in range(dims.num_blocks):
-            if dims.d_edge > 0 and "GEN" in self.agg_candidates[b]:
-                w[f"b{b}/edge_proj"] = Tensor(ops.glorot(rng, dims.d_edge, d),
-                                              requires_grad=True)
-            for name in self.fusion_candidates[b]:
-                add_op("fus", b, name, ops.init_fusion_params(name, d, b + 1, rng))
-            for name in self.agg_candidates[b]:
-                add_op("agg", b, name, ops.init_aggregation_params(name, d, rng))
-        w["head/W"] = Tensor(ops.glorot(rng, d, dims.out_dim), requires_grad=True)
-        w["head/b"] = Tensor(np.zeros((1, dims.out_dim)), requires_grad=True)
-        self.weights = w
-
+        w: dict[str, Tensor] = {
+            "encoder/W": Tensor(ops.glorot(rng, dims.d_in, d), requires_grad=True),
+            "encoder/b": Tensor(np.zeros((1, d)), requires_grad=True)}
         # logit key -> (candidate names, the choice an ArchEncoding makes there)
         self.sites: dict[str, tuple] = {}
+        self.ops: dict[tuple, dict] = {}
+        self.edge_proj: list[Tensor | None] = []
         for b in range(dims.num_blocks):
             for j in range(b + 1):
                 self.sites[f"sel/b{b}/i{j}"] = (
                     ops.SELECTION_OPS, lambda a, b=b, j=j: ops.SELECTION_OPS[a.selection[b][j]])
-            self.sites[f"fus/b{b}"] = (self.fusion_candidates[b], lambda a, b=b: a.fusion[b])
-            self.sites[f"agg/b{b}"] = (self.agg_candidates[b], lambda a, b=b: a.aggregation[b])
-        self.sites["readout"] = (self.readout_candidates, lambda a: a.readout)
+            self.sites[f"fus/b{b}"] = (tuple(fusion_candidates[b]), lambda a, b=b: a.fusion[b])
+            self.sites[f"agg/b{b}"] = (tuple(agg_candidates[b]), lambda a, b=b: a.aggregation[b])
+            proj = None
+            if dims.d_edge > 0 and "GEN" in self.sites[f"agg/b{b}"][0]:
+                proj = w[f"b{b}/edge_proj"] = Tensor(ops.glorot(rng, dims.d_edge, d),
+                                                     requires_grad=True)
+            self.edge_proj.append(proj)
+            for kind, init in (("fus", lambda n: ops.init_fusion_params(n, d, b + 1, rng)),
+                               ("agg", lambda n: ops.init_aggregation_params(n, d, rng))):
+                for name in self.sites[f"{kind}/b{b}"][0]:
+                    op_params = self.ops[f"{kind}/b{b}", name] = init(name)
+                    w.update((f"b{b}/{kind}/{name}/{p}", t) for p, t in op_params.items())
+        w["head/W"] = Tensor(ops.glorot(rng, d, dims.out_dim), requires_grad=True)
+        w["head/b"] = Tensor(np.zeros((1, dims.out_dim)), requires_grad=True)
+        self.weights = w
+        self.sites["readout"] = (tuple(readout_candidates), lambda a: a.readout)
         self.alphas: dict[str, Tensor] = {
             key: Tensor(np.zeros(len(names)), requires_grad=True)
             for key, (names, _) in self.sites.items()} if with_alphas else {}
-
-    def fusion_params(self, b: int, name: str) -> dict:
-        return {p: self.weights[k] for p, k in self._op_keys[("fus", b, name)].items()}
-
-    def agg_params(self, b: int, name: str) -> dict:
-        return {p: self.weights[k] for p, k in self._op_keys[("agg", b, name)].items()}
 
     def zero_grads(self) -> None:
         for t in self.weights.values():
@@ -236,14 +235,6 @@ def site_forward(params: SupernetParams, key: str, arch: ArchEncoding | None, ru
     return out
 
 
-def _edge_features(batch: GraphBatch, params: SupernetParams, b: int) -> Tensor | None:
-    """Block ``b``'s projection of the edge features for GEN, if it has one."""
-    proj = params.weights.get(f"b{b}/edge_proj")
-    if proj is None or batch.edge_features is None:
-        return None
-    return ad.matmul(Tensor(batch.edge_features), proj)
-
-
 def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
                       params: SupernetParams, arch: ArchEncoding | None = None) -> Tensor:
     """One selection-fusion-aggregation block over the feature history.
@@ -266,11 +257,13 @@ def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
         else:
             scaled.append(ops.select(params.sites[key][1](arch), Hj))
 
-    fused = site_forward(params, f"fus/b{b}", arch,
-                         lambda name: ops.fuse(name, scaled, params.fusion_params(b, name)))
-    return site_forward(params, f"agg/b{b}", arch, lambda name: ops.aggregate(
-        name, batch, fused, params.agg_params(b, name),
-        _edge_features(batch, params, b) if name == "GEN" else None))
+    fus, agg, proj = f"fus/b{b}", f"agg/b{b}", params.edge_proj[b]
+    fused = site_forward(params, fus, arch,
+                         lambda name: ops.fuse(name, scaled, params.ops[fus, name]))
+    return site_forward(params, agg, arch, lambda name: ops.aggregate(
+        name, batch, fused, params.ops[agg, name],
+        ad.matmul(Tensor(batch.edge_features), proj)
+        if name == "GEN" and proj is not None and batch.edge_features is not None else None))
 
 
 def supernet_forward(batch: GraphBatch, params: SupernetParams,

@@ -464,8 +464,22 @@ def load_model(bin_path, manifest_path) -> tuple[SupernetParams, ArchEncoding, d
     for key in ("dims", "arch", "tensors"):
         if key not in manifest:
             raise ValueError(f"model manifest lacks {key!r}")
-    dims = SupernetDims(**manifest["dims"])
-    arch = ArchEncoding.from_dict(manifest["arch"])
+    try:
+        if not isinstance(manifest["dims"], dict) or \
+                not all(type(v) is int for v in manifest["dims"].values()):
+            raise TypeError("must be an object of ints")
+        dims = SupernetDims(**manifest["dims"])
+    except TypeError as e:
+        raise ValueError(f"model manifest 'dims': {e}") from None
+    try:
+        arch = ArchEncoding.from_dict(manifest["arch"])
+    except ValueError as e:
+        raise ValueError(f"model manifest 'arch': {e}") from None
+    if not isinstance(manifest["tensors"], list) or not all(
+            isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list) for entry in manifest["tensors"]):
+        raise ValueError("model manifest 'tensors' must list objects with a string "
+                         "'name' and a list 'shape'")
     params = init_discrete(dims, arch, seed=0)
     # the manifest must list each tensor of the rebuilt model exactly once
     listed = Counter(entry["name"] for entry in manifest["tensors"])

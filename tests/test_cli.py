@@ -261,6 +261,26 @@ class TestDerive:
                      "--out", str(tmp_path)]) == 1
         assert "history file not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"epoch": 0}', "lacks 'valid_metric'"),
+        ('{"valid_metric": 0.5, "arch": {}}', "lacks 'epoch'"),
+        ('[1]', "not a JSON object"),
+        ('not json', "Expecting value"),
+        ('{"epoch": "0", "valid_metric": 0.5, "arch": {}}', "epoch must be int"),
+        ('{"epoch": 1, "valid_metric": "0.5", "arch": {}}', "valid_metric must be a finite"),
+        ('{"epoch": 1, "valid_metric": NaN, "arch": {}}', "valid_metric must be a finite"),
+        ('{"epoch": 1, "valid_metric": 0.5, "arch": {"num_blocks": 1}}',
+         "architecture lacks 'blocks'"),
+        ('{"epoch": 1, "valid_metric": 0.5, "arch": 5}', "bad architecture"),
+    ], ids=["no-valid-metric", "no-epoch", "list", "not-json", "string-epoch",
+            "string-metric", "nan-metric", "arch-without-blocks", "arch-number"])
+    def test_malformed_history(self, pipeline, tmp_path, line, message, capsys):
+        good = (pipeline["search"] / "history.jsonl").read_text().splitlines()[0]
+        path = tmp_path / "h.jsonl"
+        path.write_text(f"{good}\n\n{line}\n")  # the blank line still counts
+        assert main(["derive", "--history", str(path), "--out", str(tmp_path)]) == 1
+        assert f"error: history line 3: {message}" in capsys.readouterr().err
+
     def test_empty_history(self, tmp_path, capsys):
         path = tmp_path / "h.jsonl"
         path.write_text("\n")
@@ -345,12 +365,19 @@ class TestTrainEval:
                      "--model-dir", str(tmp_path), "--out", str(tmp_path)]) == 1
         assert "model.bin" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("manifest", [[], {"schema_version": 1}], ids=["list", "no-dims"])
-    def test_eval_malformed_manifest(self, pipeline, tmp_path, manifest, capsys):
+    @pytest.mark.parametrize("edit", [
+        lambda m: [],
+        lambda m: {"schema_version": 1},
+        lambda m: dict(m, dims=[1, 2]),
+        lambda m: dict(m, tensors=[{"shape": [1]}] + m["tensors"][1:]),
+        lambda m: dict(m, arch={"num_blocks": 1}),
+    ], ids=["list", "no-dims", "dims-list", "tensor-without-name", "arch-without-blocks"])
+    def test_eval_malformed_manifest(self, pipeline, tmp_path, edit, capsys):
         model = tmp_path / "model"
         model.mkdir()
         (model / "model.bin").write_bytes((pipeline["train"] / "model.bin").read_bytes())
-        (model / "model.manifest.json").write_text(json.dumps(manifest))
+        manifest = json.loads((pipeline["train"] / "model.manifest.json").read_text())
+        (model / "model.manifest.json").write_text(json.dumps(edit(manifest)))
         assert main(["eval", "--config", pipeline["config"],
                      "--model-dir", str(model), "--out", str(tmp_path)]) == 1
         assert "error: model manifest" in capsys.readouterr().err
@@ -396,6 +423,25 @@ class TestConfigPolicy:
         config = write_config(tmp_path / "c.json", **extras)
         assert main(["search", "--config", config, "--out", str(tmp_path)]) == 1
         assert "AUC-margin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, key", [("config", "serach"), ("dataset", "splitspath")])
+    def test_unknown_key_rejected(self, pipeline, tmp_path, where, key, capsys):
+        dataset = synth_section(pipeline["data"])
+        extras = {"dataset": dataset, "search": SEARCH_SECTION}
+        if where == "config":
+            extras[key] = {"epochs": 99}
+        else:
+            dataset[key] = dataset.pop("splits_path")
+        config = write_config(tmp_path / "c.json", **extras)
+        assert main(["search", "--config", config, "--out", str(tmp_path)]) == 1
+        assert f"error: unknown {where} key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_symmetrize_must_be_bool(self, pipeline, tmp_path, value, capsys):
+        dataset = dict(synth_section(pipeline["data"]), symmetrize=value)
+        config = write_config(tmp_path / "c.json", dataset=dataset, search=SEARCH_SECTION)
+        assert main(["search", "--config", config, "--out", str(tmp_path)]) == 1
+        assert "error: bad dataset section: symmetrize must be bool" in capsys.readouterr().err
 
     def test_strict_grid_needs_grid_name(self, pipeline, tmp_path, capsys):
         assert main(["train", "--config", pipeline["config"],

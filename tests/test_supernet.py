@@ -205,7 +205,7 @@ class TestSfaBlock:
         dims = SupernetDims(d_in=1, out_dim=1, num_blocks=1, hidden=1)
         arch = simple_arch(agg="GIN")
         params = init_discrete(dims, arch)
-        gin = params.agg_params(0, "GIN")
+        gin = params.ops["agg/b0", "GIN"]
         gin["eps"].data[:] = 0.0
         gin["W1"].data[:] = np.eye(1)
         gin["b1"].data[:] = 0.0
@@ -220,7 +220,7 @@ class TestSfaBlock:
         force_one_hot_alphas(params, simple_arch(agg="GIN"))
         params.alphas["sel/b0/i0"].data[:] = (1e6, -1e6)
         out = sfa_block_forward(self.batch, 1, [T([[1.0], [2.0]])], params)
-        zero_in = ops.gin(self.batch, T(np.zeros((2, 1))), params.agg_params(0, "GIN"))
+        zero_in = ops.gin(self.batch, T(np.zeros((2, 1))), params.ops["agg/b0", "GIN"])
         np.testing.assert_array_equal(out.data, zero_in.data)
 
     def test_history_length_checked(self):
@@ -291,7 +291,7 @@ class TestSupernetForward:
 
         H0 = ad.add(ad.matmul(T(self.batch.node_features), params.weights["encoder/W"]),
                     params.weights["encoder/b"])
-        H1 = ops.layer_norm(ad.relu(ops.gcn(self.batch, H0, params.agg_params(0, "GCN"))))
+        H1 = ops.layer_norm(ad.relu(ops.gcn(self.batch, H0, params.ops["agg/b0", "GCN"])))
         pooled = ops.readout("GLOBAL_MEAN", H1, self.batch.graph_ids, 2)
         expected = ad.add(ad.matmul(pooled, params.weights["head/W"]),
                           params.weights["head/b"])
@@ -365,9 +365,43 @@ class TestParams:
         arch = simple_arch(agg="MF", fusion="MAX", readout="GLOBAL_SUM")
         params = init_discrete(dims, arch)
         assert params.alphas == {}
-        assert params.agg_candidates == [("MF",)]
-        assert params.fusion_candidates == [("MAX",)]
-        assert params.readout_candidates == ("GLOBAL_SUM",)
+        assert params.sites["agg/b0"][0] == ("MF",)
+        assert params.sites["fus/b0"][0] == ("MAX",)
+        assert params.sites["readout"][0] == ("GLOBAL_SUM",)
+
+    @pytest.mark.parametrize("kind", ["relaxed-default", "relaxed-all-aggs-edges", "discrete"])
+    def test_structure_is_the_flat_view(self, kind):
+        d_edge = 0 if kind == "relaxed-default" else 2
+        dims = SupernetDims(d_in=2, out_dim=1, num_blocks=2, hidden=3, d_edge=d_edge)
+        if kind == "discrete":
+            params = init_discrete(dims, ArchEncoding(2, ((1,), (0, 1)), ("LSTM", "CONCAT"),
+                                                      ("GEN", "GAT"), "GLOBAL_MAX"), seed=4)
+        else:
+            params = init_relaxed(dims, supernet.DEFAULT_AGG_CANDIDATES if d_edge == 0
+                                  else ops.AGGREGATION_OPS, seed=4)
+        w = params.weights
+        expected = [w["encoder/W"], w["encoder/b"]]
+        for b in range(dims.num_blocks):
+            if params.edge_proj[b] is not None:
+                expected.append(params.edge_proj[b])
+            for key in (f"fus/b{b}", f"agg/b{b}"):
+                for name in params.sites[key][0]:
+                    expected.extend(params.ops[key, name].values())
+        expected += [w["head/W"], w["head/b"]]
+        assert [id(t) for t in expected] == [id(t) for t in w.values()]
+        assert {key for key, _ in params.ops} == {k for k in params.sites
+                                                  if k.startswith(("fus/", "agg/"))}
+        assert (params.edge_proj[0] is not None) == (d_edge > 0)
+        if kind == "discrete":
+            return
+        # complete graphs on 1..6 nodes: every degree MF has a weight for
+        rng = np.random.default_rng(2)
+        sizes = range(1, ops.MAX_DEGREE + 2)
+        batch = make_batch([rng.normal(size=(n, 2)) for n in sizes],
+                           [[(i, j) for i in range(n) for j in range(n) if i != j]
+                            for n in sizes], d_edge=d_edge, rng=rng)
+        ad.backward(ad.tsum(supernet_forward(batch, params)))
+        assert [k for k, t in w.items() if t.grad is None] == []
 
     def test_discrete_block_count_mismatch(self):
         dims = SupernetDims(d_in=3, out_dim=2, num_blocks=1, hidden=4)
@@ -398,11 +432,11 @@ class TestDerive:
         params.alphas["sel/b1/i0"].data[:] = (0.1, 0.9)
         params.alphas["sel/b1/i1"].data[:] = (0.9, 0.1)
         fus = params.alphas["fus/b0"]
-        fus.data[params.fusion_candidates[0].index("MAX")] = 1.0
+        fus.data[params.sites["fus/b0"][0].index("MAX")] = 1.0
         agg = params.alphas["agg/b1"]
-        agg.data[params.agg_candidates[1].index("EXPC")] = 1.0
+        agg.data[params.sites["agg/b1"][0].index("EXPC")] = 1.0
         ro = params.alphas["readout"]
-        ro.data[params.readout_candidates.index("GLOBAL_SUM")] = 1.0
+        ro.data[params.sites["readout"][0].index("GLOBAL_SUM")] = 1.0
 
         arch = derive_architecture(params)
         assert arch.selection == ((1,), (1, 0))

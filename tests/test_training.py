@@ -599,7 +599,17 @@ class TestSaveLoad:
         (lambda m: {k: v for k, v in m.items() if k != "dims"}, "lacks 'dims'"),
         (lambda m: {k: v for k, v in m.items() if k != "arch"}, "lacks 'arch'"),
         (lambda m: {k: v for k, v in m.items() if k != "tensors"}, "lacks 'tensors'"),
-    ], ids=["list", "no-dims", "no-arch", "no-tensors"])
+        (lambda m: dict(m, dims=[1, 2]), "'dims': must be an object of ints"),
+        (lambda m: dict(m, dims=dict(m["dims"], hidden="8")), "'dims': must be an object"),
+        (lambda m: dict(m, dims=dict(m["dims"], width=8)), "'dims': .*'width'"),
+        (lambda m: dict(m, tensors=[{"shape": [1]}] + m["tensors"][1:]),
+         "'tensors' must list objects with a string 'name'"),
+        (lambda m: dict(m, tensors={"encoder/W": [1]}), "'tensors' must list objects"),
+        (lambda m: dict(m, arch={"num_blocks": 1}), "'arch': architecture lacks 'blocks'"),
+        (lambda m: dict(m, arch=[1]), "'arch': bad architecture"),
+    ], ids=["list", "no-dims", "no-arch", "no-tensors", "dims-list", "dims-str-value",
+            "dims-unknown-key", "tensor-without-name", "tensors-object", "arch-without-blocks",
+            "arch-list"])
     def test_manifest_shape_checked(self, tmp_path, edit, message):
         self.train_and_save(tmp_path)
         path = tmp_path / "model.manifest.json"
