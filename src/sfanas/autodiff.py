@@ -25,6 +25,17 @@ the output's gradient to that parent's gradient at the output's
 broadcast shape. :func:`backward` alone skips parents that need no
 gradient, sums a broadcast gradient back to the parent's shape, and
 accumulates the parents' gradients in the order the op listed them.
+
+Five fused composites are one tape node each, with a closed-form VJP:
+:func:`softmax` (the architecture weights), :func:`weighted_sum` (the
+relaxed mixture), :func:`layer_norm`, :func:`masked_bce` and :func:`lstm`
+(the whole scan; its VJP runs backpropagation through time). Each forward
+evaluates the numpy expressions of the composed version it replaced, in
+the same order, so outputs keep their bits; gradients may differ in the
+last bits. A fused VJP may keep forward buffers in its closure (the LSTM
+keeps every step's gates, cell state and hidden state); they live until
+:func:`backward` frees the node, and a tape size that counts node outputs
+only, as the benchmark's ``autodiff.tape_bytes`` does, leaves them out.
 """
 
 from __future__ import annotations
@@ -189,16 +200,21 @@ def leaky_relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # stable in both tails
-    x = a.data
-    e = np.exp(-np.abs(x))
-    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out_data = _sigmoid(a.data)
     return _make(out_data, (a,), (lambda g: g * out_data * (1.0 - out_data),))
 
 
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-    return _make(out_data, (a,), (lambda g: g * (1.0 - out_data * out_data),))
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(min(x, 0)) / (1 + exp(-|x|)): stable in both tails, and the same
+    bits as 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, for
+    e = exp(-|x|), without a mask."""
+    denom = np.abs(x, out=np.empty_like(x))
+    np.negative(denom, out=denom)
+    np.exp(denom, out=denom)
+    denom += 1.0
+    num = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(num, out=num)
+    return np.divide(num, denom, out=out)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -345,6 +361,131 @@ def segment_softmax(logits: Tensor, ids: np.ndarray, num_segments: int) -> Tenso
     z = exp(sub(logits, Tensor(shift)))
     denom = segment_reduce(z, ids, num_segments, "sum")
     return div(z, gather_rows(denom, ids))
+
+
+# ---------------------------------------------------------------------------
+# fused composites: one tape node each, with a closed-form VJP
+
+
+def softmax(a: Tensor, temperature: float) -> Tensor:
+    """Softmax of the 1-d ``a`` at ``temperature``, shifted by its max."""
+    if a.data.ndim != 1:
+        raise ShapeError(f"softmax: expected a 1-d tensor, got shape {a.data.shape}")
+    scale = 1.0 / temperature
+    e = np.exp((a.data - a.data.max()) * scale)
+    out = e / e.sum()
+    return _make(out, (a,), (lambda g: out * (g - (g * out).sum()) * scale,))
+
+
+def weighted_sum(w: Tensor, ys: Sequence[Tensor]) -> Tensor:
+    """``w[0] * ys[0] + w[1] * ys[1] + ...``, added in list order, for a
+    1-d ``w`` with one entry per same-shape tensor of ``ys``."""
+    if not ys or w.data.shape != (len(ys),) or \
+            any(y.data.shape != ys[0].data.shape for y in ys):
+        raise ShapeError(f"weighted_sum: weight shape {w.data.shape} for tensors of shapes "
+                         f"{[y.data.shape for y in ys]}")
+    out = w.data[0] * ys[0].data
+    for k in range(1, len(ys)):
+        out += w.data[k] * ys[k].data
+    return _make(out, (w, *ys), (
+        lambda g: np.array([np.vdot(g, y.data) for y in ys]),
+        *(lambda g, k=k: g * w.data[k] for k in range(len(ys)))))
+
+
+def layer_norm(a: Tensor) -> Tensor:
+    """Each row of the 2-d ``a`` minus its mean, over its standard
+    deviation with the variance floored by 1e-5 (Ba et al., 2016)."""
+    x = a.data
+    inv_width = 1.0 / x.shape[1]
+    xc = x - x.sum(axis=1, keepdims=True) * inv_width
+    std = np.sqrt((xc * xc).sum(axis=1, keepdims=True) * inv_width + 1e-5)
+    out = xc / std
+    return _make(out, (a,), (lambda g: (g - g.mean(axis=1, keepdims=True)
+                                        - out * (g * out).mean(axis=1, keepdims=True)) / std,))
+
+
+def masked_bce(logits: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy of ``logits`` against 0/1 targets ``y``
+    over the entries where the boolean ``mask`` holds, in the stable form
+    max(z, 0) - z*y + log(1 + exp(-|z|)); at least one entry must hold."""
+    z = logits.data
+    e = np.exp(-np.abs(z))
+    keep = mask.astype(np.float64)
+    scale = 1.0 / int(mask.sum())
+    elem = (z * (z > 0.0) - z * y) + np.log(1.0 + e)
+    return _make((elem * keep).sum() * scale, (logits,),
+                 (lambda g: (g * scale) * keep * (_sigmoid(z) - y),))
+
+
+def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Tensor:
+    """Final hidden state of an LSTM run over ``inputs`` in list order from
+    a zero state. Each step computes ``z = x @ W_ih + h @ W_hh + b``, whose
+    four d-wide column blocks give the gates i, f, g, o; then
+    ``c = f * c + i * g`` and ``h = o * tanh(c)`` (sigmoid gates, tanh g).
+
+    The VJP runs backpropagation through time once for every parent
+    (Appleyard et al., 2016): each step writes its four gate gradients into
+    one (n, 4d) buffer, from which that step's input gradient, its share of
+    the weight gradients and the recurrent gradient are one matmul each.
+    """
+    n, d = inputs[0].data.shape
+    for x in inputs:
+        if x.data.shape != (n, d):
+            raise ShapeError(f"lstm: input shapes {[t.data.shape for t in inputs]} differ")
+    if W_ih.data.shape != (d, 4 * d) or W_hh.data.shape != (d, 4 * d) \
+            or b.data.shape != (1, 4 * d):
+        raise ShapeError(f"lstm: weights {W_ih.data.shape}, {W_hh.data.shape}, "
+                         f"{b.data.shape} do not fit width {d}")
+    h, c = np.zeros((n, d)), np.zeros((n, d))
+    # per step: h and c before it, the gates i, f, g, o (each contiguous), tanh(c)
+    hs, cs, gates, tanh_cs = [], [], [], []
+    for x in inputs:
+        hs.append(h)
+        cs.append(c)
+        z = x.data @ W_ih.data
+        z += h @ W_hh.data
+        z += b.data
+        i, f, g, o = act = np.empty((4, n, d))
+        for k in range(4):
+            (np.tanh if k == 2 else _sigmoid)(z[:, k * d:(k + 1) * d], out=act[k])
+        c = f * c
+        c += i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        gates.append(act)
+        tanh_cs.append(tanh_c)
+
+    cache = []
+
+    def bptt(gh: np.ndarray) -> list:
+        grads = [None] * len(inputs) + [np.zeros_like(W_ih.data), np.zeros_like(W_hh.data),
+                                        np.zeros_like(b.data)]
+        dz = np.empty((n, 4 * d))
+        di, df, dg, do = (dz[:, k * d:(k + 1) * d] for k in range(4))
+        dh, dc = gh, np.zeros((n, d))
+        for t in reversed(range(len(inputs))):
+            (i, f, g, o), tanh_c = gates[t], tanh_cs[t]
+            dc += dh * o * (1.0 - tanh_c * tanh_c)
+            np.multiply(dc * g, i * (1.0 - i), out=di)
+            np.multiply(dc * cs[t], f * (1.0 - f), out=df)
+            np.multiply(dc * i, 1.0 - g * g, out=dg)
+            np.multiply(dh * tanh_c, o * (1.0 - o), out=do)
+            grads[t] = dz @ W_ih.data.T
+            grads[-3] += inputs[t].data.T @ dz
+            grads[-2] += hs[t].T @ dz
+            grads[-1] += dz.sum(axis=0, keepdims=True)
+            dh = dz @ W_hh.data.T
+            dc *= f
+        return grads
+
+    def part(k):
+        def vjp(g):
+            if not cache:
+                cache.extend(bptt(g))
+            return cache[k]
+        return vjp
+
+    return _make(h, (*inputs, W_ih, W_hh, b), tuple(part(k) for k in range(len(inputs) + 3)))
 
 
 # ---------------------------------------------------------------------------

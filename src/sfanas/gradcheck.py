@@ -74,7 +74,6 @@ def _primitive_checks():
     simple("relu", lambda rng: ad.relu, data_fn=_away_from)
     simple("leaky_relu", lambda rng: ad.leaky_relu, data_fn=_away_from)
     simple("sigmoid", lambda rng: ad.sigmoid)
-    simple("tanh", lambda rng: ad.tanh)
     simple("exp", lambda rng: ad.exp)
     simple("log", lambda rng: ad.log, data_fn=lambda x: np.abs(x) + 0.5)
     simple("sqrt", lambda rng: ad.sqrt, data_fn=lambda x: np.abs(x) + 0.5)
@@ -82,6 +81,31 @@ def _primitive_checks():
     simple("tslice", lambda rng: (lambda t: t[1:3, 0:2]))
     simple("tsum", lambda rng: (lambda t: ad.tsum(t, axis=0, keepdims=True)))
     simple("tmean", lambda rng: (lambda t: ad.tmean(t, axis=1, keepdims=True)))
+    simple("softmax", lambda rng: (lambda t: ad.softmax(t[1], 0.7)))
+    simple("weighted_sum", lambda rng: (
+        lambda t, c=const(rng, (2, 4)): ad.weighted_sum(t[0, 0:3], [t[1:3], c, t[1:3]])))
+    simple("layer_norm", lambda rng: ad.layer_norm)
+
+    def masked_bce_run():
+        rng = np.random.default_rng([9, 132])
+        z = rng.standard_normal((4, 3))
+        y = rng.integers(0, 2, size=(4, 3)).astype(float)
+        mask = np.ones((4, 3), dtype=bool)
+        mask[0, 1] = False
+        return ad.grad_check(lambda t: ad.masked_bce(t, y, mask), Tensor(z))
+    checks.append(("primitive/masked_bce", masked_bce_run))
+
+    def lstm_run():
+        rng = np.random.default_rng([9, 140])
+        args = [rng.standard_normal(shape) for shape in [(3, 2)] * 3 + [(2, 8), (2, 8), (1, 8)]]
+
+        def of_arg(k):  # the LSTM as a function of argument k, the rest fixed
+            def f(t):
+                ts = [t if j == k else Tensor(a) for j, a in enumerate(args)]
+                return ad.lstm(ts[:3], *ts[3:])
+            return f
+        return max(_checked(of_arg(k), args[k], rng) for k in range(len(args)))
+    checks.append(("primitive/lstm", lstm_run))
 
     def gather_run():
         rng = np.random.default_rng([9, 101])

@@ -428,7 +428,11 @@ def _set_empty_widths(g: Graph, d_node: int, d_edge: int) -> Graph:
 def _symmetrize(g: Graph) -> Graph:
     src, dst = g.edges[:, 0], g.edges[:, 1]
     n = np.int64(g.num_nodes)
-    missing = np.flatnonzero((src != dst) & ~np.isin(dst * n + src, src * n + dst))
+    present = np.sort(src * n + dst)
+    reverse = dst * n + src
+    # the clipped lookup also serves the empty edge list: no rows to index
+    found = present[np.minimum(np.searchsorted(present, reverse), present.size - 1)] == reverse
+    missing = np.flatnonzero((src != dst) & ~found)
     if not missing.size:
         return g
     extra = g.edges[missing][:, ::-1]

@@ -210,22 +210,6 @@ def aggregate(name: str, batch: GraphBatch, H: Tensor, params: dict,
 # fusion operators
 
 
-def _lstm(inputs: list, params: dict) -> Tensor:
-    n, d = inputs[0].data.shape
-    h = Tensor(np.zeros((n, d)))
-    c = Tensor(np.zeros((n, d)))
-    for x in inputs:  # ascending block index
-        z = ad.add(ad.add(ad.matmul(x, params["W_ih"]),
-                          ad.matmul(h, params["W_hh"])), params["b"])
-        i = ad.sigmoid(z[:, 0 * d:1 * d])
-        f = ad.sigmoid(z[:, 1 * d:2 * d])
-        g = ad.tanh(z[:, 2 * d:3 * d])
-        o = ad.sigmoid(z[:, 3 * d:4 * d])
-        c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
-    return h
-
-
 def fuse(name: str, inputs: list, params: dict) -> Tensor:
     """Combine a list of same-shape feature matrices into one.
 
@@ -247,7 +231,7 @@ def fuse(name: str, inputs: list, params: dict) -> Tensor:
     if name == "CONCAT":
         return ad.matmul(ad.concat(inputs, axis=1), params["P"])
     if name == "LSTM":
-        return _lstm(inputs, params)
+        return ad.lstm(inputs, params["W_ih"], params["W_hh"], params["b"])
     raise ValueError(f"unknown fusion op {name!r}")
 
 
@@ -277,16 +261,7 @@ def readout(name: str, H: Tensor, graph_ids: np.ndarray, num_graphs: int) -> Ten
 
 
 # ---------------------------------------------------------------------------
-# shared post-block transforms
-
-
-def layer_norm(H: Tensor) -> Tensor:
-    """Per-node normalization over features (variance floor 1e-5);
-    batch-independent."""
-    mu = ad.tmean(H, axis=1, keepdims=True)
-    xc = ad.sub(H, mu)
-    var = ad.tmean(ad.mul(xc, xc), axis=1, keepdims=True)
-    return ad.div(xc, ad.sqrt(ad.add(var, Tensor(1e-5))))
+# shared post-block transform
 
 
 def dropout(H: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -82,11 +82,14 @@ class ArchEncoding:
     @classmethod
     def from_dict(cls, obj: dict) -> "ArchEncoding":
         """Inverse of :meth:`to_dict`; a missing key or a value of the wrong
-        type is a ValueError that names it."""
+        type is a ValueError that names it. ``num_blocks`` and the
+        selection bits must be JSON integers: 1.9, "1" and true are refused,
+        not truncated."""
         try:
             blocks = obj["blocks"]
-            return cls(num_blocks=int(obj["num_blocks"]),
-                       selection=tuple(tuple(b["select"]) for b in blocks),
+            return cls(num_blocks=_json_int(obj["num_blocks"], "num_blocks"),
+                       selection=tuple(tuple(_json_int(v, "select") for v in b["select"])
+                                       for b in blocks),
                        fusion=tuple(b["fusion"] for b in blocks),
                        aggregation=tuple(b["agg"] for b in blocks),
                        readout=obj["readout"])
@@ -101,6 +104,12 @@ class ArchEncoding:
     @classmethod
     def from_json(cls, text: str) -> "ArchEncoding":
         return cls.from_dict(json.loads(text))
+
+
+def _json_int(value, key: str) -> int:
+    if type(value) is not int:  # bool is a subclass of int, and is refused too
+        raise ValueError(f"architecture {key!r} must hold JSON integers, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +213,15 @@ def arch_weights(alpha: Tensor, lam: float) -> Tensor:
     """Temperature-scaled softmax of per-site logits; sums to 1."""
     if lam <= 0.0:
         raise ValueError(f"temperature must be positive, got {lam}")
-    shifted = ad.scalar_mul(ad.sub(alpha, Tensor(alpha.data.max())), 1.0 / lam)
-    e = ad.exp(shifted)
-    return ad.div(e, ad.tsum(e))
+    return ad.softmax(alpha, lam)
 
 
 def site_forward(params: SupernetParams, key: str, arch: ArchEncoding | None, run):
     """Output of the decision site ``key``; ``run(name)`` computes a candidate.
 
     Discrete (``arch`` given): the op ``arch`` chose, run alone. Relaxed:
-    every candidate in site order, scaled by its softmax weight, summed.
+    every candidate in site order, mixed by :func:`autodiff.weighted_sum`
+    with its softmax weight.
     """
     names, pick = params.sites[key]
     if arch is not None:
@@ -224,15 +232,14 @@ def site_forward(params: SupernetParams, key: str, arch: ArchEncoding | None, ru
     w = arch_weights(params.alphas[key], params.lam)
     if w.data.shape != (len(names),):
         raise ShapeError(f"site {key}: {len(names)} candidates but weight shape {w.data.shape}")
-    out = None
-    for k, name in enumerate(names):
+    ys = []
+    for name in names:
         y = run(name)
-        if out is not None and y.data.shape != out.data.shape:
+        if ys and y.data.shape != ys[0].data.shape:
             raise ShapeError(f"site {key}: {name} output shape {y.data.shape} "
-                             f"differs from {out.data.shape}")
-        term = ad.mul(w[k:k + 1], y)
-        out = term if out is None else ad.add(out, term)
-    return out
+                             f"differs from {ys[0].data.shape}")
+        ys.append(y)
+    return ad.weighted_sum(w, ys)
 
 
 def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
@@ -287,7 +294,7 @@ def supernet_forward(batch: GraphBatch, params: SupernetParams,
     history = [H0]
     for i in range(1, params.dims.num_blocks + 1):
         H = sfa_block_forward(batch, i, history, params, arch)
-        H = ops.layer_norm(ad.relu(H))
+        H = ad.layer_norm(ad.relu(H))
         if training and dropout_rate > 0.0:
             H = ops.dropout(H, dropout_rate, rng)
         history.append(H)

@@ -13,6 +13,7 @@ set-up (``prepare_run``) and their optimizer step (``descend``).
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -29,25 +30,17 @@ from .supernet import ArchEncoding, SupernetDims, SupernetParams, init_discrete,
 
 
 def bce_masked(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy over non-missing (non-NaN) label entries.
-
-    Uses the stable form max(z,0) - z*y + log(1+exp(-|z|)) so large
-    logits neither overflow nor lose the labelled term.
+    """Mean binary cross-entropy over non-missing (non-NaN) label entries
+    (:func:`autodiff.masked_bce`). Its stable form keeps large logits from
+    overflowing or losing the labelled term.
     """
     labels = np.asarray(labels, dtype=np.float64)
     if logits.data.shape != labels.shape:
         raise ad.ShapeError(f"bce_masked: logits {logits.data.shape} vs labels {labels.shape}")
     mask = ~np.isnan(labels)
-    count = int(mask.sum())
-    if count == 0:
+    if not mask.any():
         raise ValueError("bce_masked: all labels missing")
-    y = np.where(mask, labels, 0.0)
-    z = logits
-    neg_abs = ad.scalar_mul(ad.add(ad.relu(z), ad.relu(ad.scalar_mul(z, -1.0))), -1.0)
-    elem = ad.add(ad.sub(ad.relu(z), ad.mul(z, Tensor(y))),
-                  ad.log(ad.add(Tensor(1.0), ad.exp(neg_abs))))
-    masked = ad.mul(elem, Tensor(mask.astype(np.float64)))
-    return ad.scalar_mul(ad.tsum(masked), 1.0 / count)
+    return ad.masked_bce(logits, np.where(mask, labels, 0.0), mask)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -488,18 +481,20 @@ def load_model(bin_path, manifest_path) -> tuple[SupernetParams, ArchEncoding, d
             problem = ("is not in the rebuilt architecture" if name not in params.weights
                        else "is missing" if not listed[name] else "is listed more than once")
             raise ValueError(f"manifest tensor {name} {problem}")
+    tensors = [params.weights[entry["name"]] for entry in manifest["tensors"]]
+    for entry, t in zip(manifest["tensors"], tensors):
+        if t.data.shape != tuple(entry["shape"]):
+            raise ValueError(f"manifest tensor {entry['name']} {tuple(entry['shape'])} does "
+                             f"not match the rebuilt architecture")
     with open(bin_path, "rb") as fh:
-        flat = np.frombuffer(fh.read(), dtype="<f8")
+        blob = fh.read()
+    expected = 8 * sum(t.data.size for t in tensors)
+    if len(blob) != expected:
+        raise ValueError(f"model binary {os.path.basename(bin_path)} holds {len(blob)} bytes; "
+                         f"the manifest's tensors take {expected}")
+    flat = np.frombuffer(blob, dtype="<f8")
     offset = 0
-    for entry in manifest["tensors"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        t = params.weights[name]
-        if t.data.shape != shape:
-            raise ValueError(f"manifest tensor {name} {shape} does not match the "
-                             f"rebuilt architecture")
-        size = int(np.prod(shape)) if shape else 1
-        t.data[:] = flat[offset: offset + size].reshape(shape)
-        offset += size
-    if offset != flat.size:
-        raise ValueError("model binary length does not match manifest shapes")
+    for t in tensors:
+        t.data[:] = flat[offset: offset + t.data.size].reshape(t.data.shape)
+        offset += t.data.size
     return params, arch, manifest

@@ -200,7 +200,7 @@ def test_primitives_at_random_points():
         ("mul", lambda t, c: ad.mul(t, c), None),
         ("div", lambda t, c: ad.div(c, t), lambda x: np.abs(x) + 0.5),
         ("sigmoid", lambda t, c: ad.sigmoid(t), None),
-        ("tanh", lambda t, c: ad.tanh(t), None),
+        ("tanh", lambda t, c: composed_tanh(t), None),
         ("exp", lambda t, c: ad.exp(t), None),
         ("log", lambda t, c: ad.log(t), lambda x: np.abs(x) + 0.5),
     ]
@@ -382,3 +382,151 @@ def test_gather_rows_accumulates_duplicates():
     out = ad.gather_rows(x, np.array([0, 0, 1]))
     ad.backward(ad.tsum(out))
     np.testing.assert_array_equal(x.grad, [[2.0], [1.0]])
+
+
+# ---------------------------------------------------------------------------
+# fused composites against the composed versions they replace
+
+
+def composed_tanh(a):
+    out = np.tanh(a.data)
+    return ad._make(out, (a,), (lambda g: g * (1.0 - out * out),))
+
+
+def composed_softmax(a, temperature):
+    shifted = ad.scalar_mul(ad.sub(a, Tensor(a.data.max())), 1.0 / temperature)
+    e = ad.exp(shifted)
+    return ad.div(e, ad.tsum(e))
+
+
+def composed_weighted_sum(w, ys):
+    out = None
+    for k, y in enumerate(ys):
+        term = ad.mul(w[k:k + 1], y)
+        out = term if out is None else ad.add(out, term)
+    return out
+
+
+def composed_layer_norm(H):
+    mu = ad.tmean(H, axis=1, keepdims=True)
+    xc = ad.sub(H, mu)
+    var = ad.tmean(ad.mul(xc, xc), axis=1, keepdims=True)
+    return ad.div(xc, ad.sqrt(ad.add(var, Tensor(1e-5))))
+
+
+def composed_masked_bce(z, y, mask):
+    neg_abs = ad.scalar_mul(ad.add(ad.relu(z), ad.relu(ad.scalar_mul(z, -1.0))), -1.0)
+    elem = ad.add(ad.sub(ad.relu(z), ad.mul(z, Tensor(y))),
+                  ad.log(ad.add(Tensor(1.0), ad.exp(neg_abs))))
+    masked = ad.mul(elem, Tensor(mask.astype(np.float64)))
+    return ad.scalar_mul(ad.tsum(masked), 1.0 / int(mask.sum()))
+
+
+def composed_lstm(inputs, W_ih, W_hh, b):
+    n, d = inputs[0].data.shape
+    h = Tensor(np.zeros((n, d)))
+    c = Tensor(np.zeros((n, d)))
+    for x in inputs:
+        z = ad.add(ad.add(ad.matmul(x, W_ih), ad.matmul(h, W_hh)), b)
+        i = ad.sigmoid(z[:, 0 * d:1 * d])
+        f = ad.sigmoid(z[:, 1 * d:2 * d])
+        g = composed_tanh(z[:, 2 * d:3 * d])
+        o = ad.sigmoid(z[:, 3 * d:4 * d])
+        c = ad.add(ad.mul(f, c), ad.mul(i, g))
+        h = ad.mul(o, composed_tanh(c))
+    return h
+
+
+def _softmax_case(rng):
+    a = Tensor(rng.normal(size=int(rng.integers(1, 9))) * 4.0, requires_grad=True)
+    temperature = float(rng.uniform(0.05, 3.0))
+    return [a], lambda op: op(a, temperature)
+
+
+def _weighted_sum_case(rng):
+    k, shape = int(rng.integers(1, 6)), tuple(rng.integers(1, 6, size=2))
+    w = Tensor(rng.uniform(0.0, 1.0, size=k), requires_grad=True)
+    ys = [Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(k)]
+    # one tensor listed twice, as when two fusion candidates return their only input
+    ys = ys[:1] + ys[:k - 1] if k > 2 else ys
+    return [w, *ys], lambda op: op(w, ys)
+
+
+def _layer_norm_case(rng):
+    shape = (int(rng.integers(1, 7)), int(rng.integers(1, 9)))
+    H = Tensor(rng.normal(size=shape) * rng.uniform(0.1, 5.0) + rng.normal(), requires_grad=True)
+    return [H], lambda op: op(H)
+
+
+def _masked_bce_case(rng):
+    shape = (int(rng.integers(1, 7)), int(rng.integers(1, 4)))
+    z = Tensor(rng.normal(size=shape) * 3.0, requires_grad=True)
+    y = rng.integers(0, 2, size=shape).astype(np.float64)
+    mask = rng.random(shape) < 0.7
+    mask.flat[int(rng.integers(mask.size))] = True
+    return [z], lambda op: op(z, y, mask)
+
+
+def _lstm_case(rng):
+    n, d, steps = (int(v) for v in rng.integers(1, 6, size=3))
+    xs = [Tensor(rng.normal(size=(n, d)), requires_grad=True) for _ in range(steps)]
+    weights = [Tensor(rng.normal(size=shape) * 0.7, requires_grad=True)
+               for shape in ((d, 4 * d), (d, 4 * d), (1, 4 * d))]
+    return [*xs, *weights], lambda op: op(xs, *weights)
+
+
+@pytest.mark.parametrize("fused,composed,case", [
+    (ad.softmax, composed_softmax, _softmax_case),
+    (ad.weighted_sum, composed_weighted_sum, _weighted_sum_case),
+    (ad.layer_norm, composed_layer_norm, _layer_norm_case),
+    (ad.masked_bce, composed_masked_bce, _masked_bce_case),
+    (ad.lstm, composed_lstm, _lstm_case),
+], ids=["softmax", "weighted_sum", "layer_norm", "masked_bce", "lstm"])
+def test_fused_matches_composed(fused, composed, case):
+    """The fused op records one tape node, over the leaves, and its output
+    equals the composed version's bit for bit; the gradients agree within
+    1e-12 in grad_check's relative error, |a - b| / max(1, |b|)."""
+    for trial in range(30):
+        rng = np.random.default_rng([trial, len(fused.__name__)])
+        leaves, call = case(rng)
+        outs, grads = [], []
+        for op in (fused, composed):
+            out = call(op)
+            if op is fused:
+                assert all(p in leaves for p in out._parents)
+                w = Tensor(rng.normal(size=out.data.shape))
+            for t in leaves:
+                t.zero_grad()
+            ad.backward(ad.tsum(ad.mul(out, w)))
+            outs.append(out.data.tobytes())
+            grads.append([t.grad.copy() for t in leaves])
+        assert outs[0] == outs[1], trial
+        for mine, ref in zip(*grads):
+            assert np.all(np.abs(mine - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), trial
+
+
+def test_fused_shape_checks():
+    ones = Tensor(np.ones((2, 3)))
+    with pytest.raises(ShapeError, match="softmax"):
+        ad.softmax(ones, 1.0)
+    for w, ys in ((np.ones(3), [ones, ones]), (np.ones(2), [ones, Tensor(np.ones((3, 2)))]),
+                  (np.ones(0), [])):
+        with pytest.raises(ShapeError, match="weighted_sum"):
+            ad.weighted_sum(Tensor(w), ys)
+    W, b = Tensor(np.ones((3, 12))), Tensor(np.ones((1, 12)))
+    with pytest.raises(ShapeError, match="lstm: input shapes"):
+        ad.lstm([ones, Tensor(np.ones((3, 3)))], W, W, b)
+    with pytest.raises(ShapeError, match="lstm: weights"):
+        ad.lstm([ones], W, Tensor(np.ones((3, 8))), b)
+
+
+def test_sigmoid_keeps_the_masked_form_bits():
+    """ad.sigmoid, which the fused LSTM shares, gives the bits of the
+    two-branch form it replaced, tails and signed zeros included."""
+    x = np.concatenate([np.random.default_rng(3).normal(size=2000) * 20.0,
+                        [0.0, -0.0, 1e-320, -1e-320, 36.0, -36.0, 709.0, -709.0, 746.0, -746.0,
+                         np.inf, -np.inf]])
+    e = np.exp(-np.abs(x))
+    with np.errstate(over="ignore"):
+        want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    assert ad.sigmoid(Tensor(x)).data.tobytes() == want.tobytes()

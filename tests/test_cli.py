@@ -365,6 +365,18 @@ class TestTrainEval:
                      "--model-dir", str(tmp_path), "--out", str(tmp_path)]) == 1
         assert "model.bin" in capsys.readouterr().err
 
+    def test_eval_short_model_binary(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "model"
+        model.mkdir()
+        blob = (pipeline["train"] / "model.bin").read_bytes()
+        (model / "model.bin").write_bytes(blob[:100])
+        (model / "model.manifest.json").write_bytes(
+            (pipeline["train"] / "model.manifest.json").read_bytes())
+        assert main(["eval", "--config", pipeline["config"],
+                     "--model-dir", str(model), "--out", str(tmp_path)]) == 1
+        assert f"error: model binary model.bin holds 100 bytes; the manifest's tensors " \
+               f"take {len(blob)}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit", [
         lambda m: [],
         lambda m: {"schema_version": 1},

@@ -11,6 +11,7 @@ from sfanas.graphs import (Dataset, Graph, ParseError, SyntheticSpec, TaskSchema
                            ValidationError, add_virtual_node, batch_graphs,
                            count_triangles, generate_synthetic, load_dataset,
                            write_dataset)
+from sfanas.graphs import _symmetrize
 
 
 def _graph(n, edges, d=2, label=None):
@@ -279,6 +280,22 @@ def test_load_dataset_symmetrizes(tmp_path):
     np.testing.assert_array_equal(g.edge_features, [[7.0], [7.0]])
     raw = load_dataset(p, TaskSchema("binary"), symmetrize=False).graphs[0]
     assert raw.edges.shape[0] == 1
+
+
+def test_symmetrize_matches_isin_reference():
+    """The sorted lookup adds the same reversed edges, in the same order,
+    as the np.isin test it replaced; edgeless graphs and self-loops too."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(0, 15))
+        edges = rng.integers(0, n, size=(m, 2)).astype(np.int64).reshape(-1, 2)
+        feats = rng.normal(size=(m, 2))
+        src, dst = edges[:, 0], edges[:, 1]
+        missing = np.flatnonzero((src != dst) & ~np.isin(dst * n + src, src * n + dst))
+        g = _symmetrize(Graph(node_features=np.zeros((n, 1)), edges=edges,
+                              edge_features=feats, label=np.array([0.0])))
+        np.testing.assert_array_equal(g.edges, np.concatenate([edges, edges[missing][:, ::-1]]))
+        np.testing.assert_array_equal(g.edge_features, np.concatenate([feats, feats[missing]]))
 
 
 @pytest.mark.parametrize("edgeless_first", [False, True])

@@ -11,6 +11,7 @@ from sfanas.supernet import (ArchEncoding, SupernetDims, arch_weights,
                              derive_architecture, force_one_hot_alphas,
                              init_discrete, init_relaxed, sfa_block_forward,
                              site_forward, supernet_forward)
+from sfanas.training import task_loss
 
 
 def T(x):
@@ -85,6 +86,20 @@ class TestArchEncoding:
         with pytest.raises(ValueError, match="must be 0 or 1"):
             ArchEncoding(num_blocks=1, selection=((2,),), fusion=("SUM",),
                          aggregation=("GIN",), readout="GLOBAL_MEAN")
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_blocks", 1.9), ("num_blocks", "1"), ("num_blocks", True),
+        ("select", 1.7), ("select", "1"), ("select", True),
+    ], ids=["blocks-float", "blocks-string", "blocks-bool",
+            "bit-float", "bit-string", "bit-bool"])
+    def test_from_dict_wants_json_integers(self, field, value):
+        obj = simple_arch().to_dict()
+        if field == "num_blocks":
+            obj["num_blocks"] = value
+        else:
+            obj["blocks"][0]["select"] = [value]
+        with pytest.raises(ValueError, match=f"'{field}' must hold JSON integers"):
+            ArchEncoding.from_dict(obj)
 
     def test_bad_op_names_rejected(self):
         with pytest.raises(ValueError, match="unknown fusion op"):
@@ -291,7 +306,7 @@ class TestSupernetForward:
 
         H0 = ad.add(ad.matmul(T(self.batch.node_features), params.weights["encoder/W"]),
                     params.weights["encoder/b"])
-        H1 = ops.layer_norm(ad.relu(ops.gcn(self.batch, H0, params.ops["agg/b0", "GCN"])))
+        H1 = ad.layer_norm(ad.relu(ops.gcn(self.batch, H0, params.ops["agg/b0", "GCN"])))
         pooled = ops.readout("GLOBAL_MEAN", H1, self.batch.graph_ids, 2)
         expected = ad.add(ad.matmul(pooled, params.weights["head/W"]),
                           params.weights["head/b"])
@@ -505,3 +520,43 @@ class TestForceOneHot:
         expected = np.zeros(len(supernet.DEFAULT_AGG_CANDIDATES))
         expected[supernet.DEFAULT_AGG_CANDIDATES.index("GEN")] = 1.0
         np.testing.assert_array_equal(w, expected)
+
+
+# ---------------------------------------------------------------------------
+# tape size
+
+
+class TestTapeSize:
+    """Taped nodes of one forward plus loss on a fixed 32-graph
+    triangle-threshold batch (4 blocks, hidden 32). The ceilings are the
+    counts with the fused primitives (805 relaxed and 253 discrete before
+    them), so a change that splits a fused op back up fails here."""
+
+    ARCH = ArchEncoding(num_blocks=4, selection=((1,), (1, 1), (0, 1, 1), (1, 0, 1, 1)),
+                        fusion=("LSTM", "LSTM", "SUM", "LSTM"),
+                        aggregation=("GAT", "GEN", "GAT", "GEN"), readout="GLOBAL_MAX")
+
+    @staticmethod
+    def taped_nodes(loss):
+        """Tensors reachable from ``loss`` that have a VJP to run."""
+        seen, stack, count = {id(loss)}, [loss], 0
+        while stack:
+            t = stack.pop()
+            count += bool(t._parents)
+            for p in t._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        return count
+
+    @pytest.mark.parametrize("mode, ceiling", [("relaxed", 394), ("discrete", 91)])
+    def test_ceiling(self, mode, ceiling):
+        spec = graphs.SyntheticSpec(task="triangle-threshold", num_graphs=500,
+                                    min_nodes=8, max_nodes=16, edge_prob=0.25)
+        ds = graphs.generate_synthetic(spec, seed=0)
+        batch = graphs.batch_graphs(ds.split_graphs("train")[:32])
+        dims = SupernetDims(d_in=ds.num_node_features, out_dim=1, num_blocks=4, hidden=32)
+        arch = self.ARCH if mode == "discrete" else None
+        params = init_relaxed(dims) if arch is None else init_discrete(dims, arch)
+        logits = supernet_forward(batch, params, mode=mode, arch=arch, training=True)
+        assert self.taped_nodes(task_loss(ds.schema, logits, batch.labels)) <= ceiling

@@ -541,6 +541,16 @@ class TestSaveLoad:
         with pytest.raises(ValueError):
             load_model(tmp_path / "model.bin", tmp_path / "model.manifest.json")
 
+    @pytest.mark.parametrize("cut", [-100, -3, 8], ids=["short", "odd-length", "long"])
+    def test_blob_length_checked_before_copying(self, tmp_path, cut):
+        self.train_and_save(tmp_path)
+        blob = (tmp_path / "model.bin").read_bytes()
+        (tmp_path / "model.bin").write_bytes(blob[:cut] if cut < 0 else blob + bytes(cut))
+        with pytest.raises(ValueError, match=f"model binary model.bin holds "
+                                             f"{len(blob) + cut} bytes; the manifest's "
+                                             f"tensors take {len(blob)}"):
+            load_model(tmp_path / "model.bin", tmp_path / "model.manifest.json")
+
     @staticmethod
     def relist_tensors(tmp_path, edit):
         """Rewrite the saved model to list the tensors ``edit(names)`` returns,
