@@ -17,7 +17,11 @@ scored records no tape at all.
 Segment reductions sort nothing. Row ``i``, column ``c`` goes to slot
 ``ids[i] * width + c`` of one flat output: sums are one ``bincount``
 over that index, which adds each segment's rows in row order onto
-zeros, and maxima are one ``maximum.at``.
+zeros, and maxima are one ``maximum.at``. The ids come as a
+:class:`SegmentIndex`, which checks them once and builds each flat index
+once. A graph batch hands out one per index array it owns, and the tape
+nodes that read it keep it, with its memos, until the tape is consumed;
+a plain array passed to a segment kernel becomes a throwaway one.
 
 The tape contract: an op computes its output and hands :func:`_make` its
 parents plus one vector-Jacobian product (VJP) per parent, each mapping
@@ -25,6 +29,14 @@ the output's gradient to that parent's gradient at the output's
 broadcast shape. :func:`backward` alone skips parents that need no
 gradient, sums a broadcast gradient back to the parent's shape, and
 accumulates the parents' gradients in the order the op listed them.
+A parent's first gradient is the VJP's own array when that array owns
+its memory (no view, writeable, float64 at the parent's shape) and is
+not the output's gradient; any other array is copied. So a VJP never
+hands one array to two parents (the identity VJPs, such as ``add``'s,
+return the output's gradient, which is copied), never returns a forward
+value or a tensor's ``data``, and never writes an array after returning
+it. A leaf's first gradient stores -0.0 as 0.0 either way, so leaf
+gradients keep the bits they had when every first gradient was copied.
 
 Five fused composites are one tape node each, with a closed-form VJP:
 :func:`softmax` (the architecture weights), :func:`weighted_sum` (the
@@ -67,11 +79,18 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def accumulate(self, g: np.ndarray) -> None:
+    def accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` to the gradient. The first ``g`` becomes the gradient
+        itself when ``owned`` says nothing else holds it."""
         if self.grad is None:
             # g + 0.0 rather than a copy: it stores -0.0 as 0.0, as adding
-            # onto zeros does, and turns a read-only view into an own array
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+            # onto zeros does, and turns a read-only view into an own array.
+            # An owned g keeps its -0.0 on the tape, where it can move only
+            # the signs of other zeros; a leaf's gradient drops it in place.
+            if not owned:
+                self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+            else:
+                self.grad = g if self._parents else np.add(g, 0.0, out=g)
         else:
             self.grad += g
 
@@ -262,11 +281,11 @@ def tslice(a: Tensor, key) -> Tensor:
     return _make(a.data[key], (a,), (lambda g: _scatter(a.data.shape, key, g),))
 
 
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Row lookup by integer index vector; rows may repeat."""
-    idx = np.asarray(idx, dtype=np.int64)
-    return _make(a.data[idx], (a,), (
-        lambda g: _segment_sum(g, idx, a.data.shape[0]),))
+def gather_rows(a: Tensor, idx) -> Tensor:
+    """Row lookup by an integer index vector or a :class:`SegmentIndex`
+    over ``a``'s rows; rows may repeat."""
+    index = _segment_index(idx, a.data.shape[0])
+    return _make(a.data[index.ids], (a,), (lambda g: _segment_sum(g, index),))
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +307,68 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 # segment reduction (the message-passing/readout workhorse)
 
 
-def _flat_index(ids: np.ndarray, width: int) -> np.ndarray:
-    """Row ``i``, column ``c`` of a ``width``-column array goes to slot
-    ``ids[i] * width + c`` of the flattened per-segment output."""
-    return (ids[:, None] * width + np.arange(width)).ravel()
+class SegmentIndex:
+    """Segment ids in ``[0, num_segments)``, checked once, with memos of
+    what the segment kernels derive from them: the flat index per width
+    and the row count per segment, each built on first use. The memos
+    live as long as the index, which the tape nodes that read it hold."""
+
+    __slots__ = ("ids", "num_segments", "_flat", "_counts", "__weakref__")
+
+    def __init__(self, ids, num_segments: int):
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        if ids.ndim != 1:
+            raise ShapeError(f"segment ids must be 1-d, got shape {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
+            raise ValueError(f"segment id out of range [0, {num_segments})")
+        self.ids = ids
+        self.num_segments = num_segments
+        self._flat: dict[int, np.ndarray] = {}
+        self._counts: np.ndarray | None = None
+
+    def copy(self) -> "SegmentIndex":
+        """The same ids, not checked again, with empty memos."""
+        twin = SegmentIndex.__new__(SegmentIndex)
+        twin.ids, twin.num_segments, twin._flat, twin._counts = \
+            self.ids, self.num_segments, {}, None
+        return twin
+
+    def flat(self, width: int) -> np.ndarray:
+        """Row ``i``, column ``c`` of a ``width``-column array goes to slot
+        ``ids[i] * width + c`` of the flattened per-segment output."""
+        flat = self._flat.get(width)
+        if flat is None:
+            flat = self._flat[width] = (self.ids[:, None] * width + np.arange(width)).ravel()
+        return flat
+
+    def counts(self) -> np.ndarray:
+        """Rows per segment, at least 1, as a column: a mean's divisor."""
+        if self._counts is None:
+            self._counts = np.maximum(
+                np.bincount(self.ids, minlength=self.num_segments), 1.0)[:, None]
+        return self._counts
 
 
-def _segment_sum(values: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:
+def _segment_index(ids, num_segments: int) -> SegmentIndex:
+    """``ids`` itself if it is a :class:`SegmentIndex` over ``num_segments``
+    segments; a plain array becomes a throwaway one."""
+    if not isinstance(ids, SegmentIndex):
+        return SegmentIndex(ids, num_segments)
+    if ids.num_segments != num_segments:
+        raise ValueError(f"segment index over {ids.num_segments} segments "
+                         f"used for {num_segments}")
+    return ids
+
+
+def _segment_sum(values: np.ndarray, index: SegmentIndex) -> np.ndarray:
     """Per-segment sums of the rows of ``values``: each segment's rows are
-    added one by one, in row order, onto zeros, so empty segments give zero."""
+    added one by one, in row order, onto zeros, so empty segments give zero.
+    The result owns its memory, so :func:`backward` can keep it."""
     width = int(np.prod(values.shape[1:], dtype=np.int64))
-    sums = np.bincount(_flat_index(ids, width), weights=values.ravel(),
-                       minlength=num_segments * width)
-    return sums.reshape((num_segments,) + values.shape[1:])
+    sums = np.bincount(index.flat(width), weights=values.ravel(),
+                       minlength=index.num_segments * width)
+    sums.shape = (index.num_segments,) + values.shape[1:]  # in place, not a view
+    return sums
 
 
 def _segment_max(values: np.ndarray, flat: np.ndarray, num_segments: int) -> np.ndarray:
@@ -312,9 +380,10 @@ def _segment_max(values: np.ndarray, flat: np.ndarray, num_segments: int) -> np.
     return out
 
 
-def segment_reduce(values: Tensor, ids: np.ndarray, num_segments: int,
+def segment_reduce(values: Tensor, ids, num_segments: int,
                    mode: str = "sum") -> Tensor:
-    """Reduce rows of ``values`` into ``num_segments`` buckets given by ``ids``.
+    """Reduce rows of ``values`` into ``num_segments`` buckets given by
+    ``ids``, an integer array or a :class:`SegmentIndex`.
 
     Empty segments produce zero rows in every mode, and zero-row input
     gives ``num_segments`` zero rows. A sum adds each segment's rows one
@@ -323,44 +392,48 @@ def segment_reduce(values: Tensor, ids: np.ndarray, num_segments: int,
     is read from, and the gradient flows only to, the first max row per
     column; a NaN row counts as a max.
     """
-    ids = np.asarray(ids, dtype=np.int64)
     if values.data.ndim != 2:
         raise ShapeError(f"segment_reduce: expected 2-d values, got shape {values.data.shape}")
-    if ids.shape != (values.data.shape[0],):
-        raise ShapeError(
-            f"segment_reduce: ids shape {ids.shape} does not match values rows {values.data.shape[0]}")
-    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
-        raise ValueError(f"segment_reduce: segment id out of range [0, {num_segments})")
+    index = _segment_index(ids, num_segments)
+    if index.ids.shape != (values.data.shape[0],):
+        raise ShapeError(f"segment_reduce: ids shape {index.ids.shape} does not match "
+                         f"values rows {values.data.shape[0]}")
     if mode not in ("sum", "mean", "max"):
         raise ValueError(f"segment_reduce: unknown mode {mode!r}")
 
-    if mode != "max":
-        n = np.maximum(np.bincount(ids, minlength=num_segments), 1.0)[:, None] \
-            if mode == "mean" else 1.0
-        return _make(_segment_sum(values.data, ids, num_segments) / n, (values,),
-                     (lambda g: (g / n)[ids],))
+    if mode == "sum":
+        return _make(_segment_sum(values.data, index), (values,), (lambda g: g[index.ids],))
+    if mode == "mean":
+        n = index.counts()
+        return _make(_segment_sum(values.data, index) / n, (values,),
+                     (lambda g: (g / n)[index.ids],))
 
     rows, width = values.data.shape
-    flat, v = _flat_index(ids, width), values.data.ravel()
+    flat, v = index.flat(width), values.data.ravel()
     is_max = (v == _segment_max(values.data, flat, num_segments)[flat]) | np.isnan(v)
     # the first max row per column, as a position in the flattened values
     first = np.full(num_segments * width, v.size)
     np.minimum.at(first, flat[is_max], np.flatnonzero(is_max))
     hit = np.flatnonzero(first < v.size)
+    source = first[hit]
     out = np.zeros(num_segments * width)
-    out[hit] = v[first[hit]]
-    return _make(out.reshape(num_segments, width), (values,), (
-        lambda g: _scatter(values.data.size, first[hit], g.ravel()[hit]).reshape(rows, width),))
+    out[hit] = v[source]
+
+    def vjp(g):
+        grad = _scatter(v.size, source, g.ravel()[hit])
+        grad.shape = (rows, width)  # in place, not a view
+        return grad
+    return _make(out.reshape(num_segments, width), (values,), (vjp,))
 
 
-def segment_softmax(logits: Tensor, ids: np.ndarray, num_segments: int) -> Tensor:
+def segment_softmax(logits: Tensor, ids, num_segments: int) -> Tensor:
     """Softmax over each segment, per column. Max-shifted for stability."""
-    ids = np.asarray(ids, dtype=np.int64)
-    flat = _flat_index(ids, logits.data.shape[1])
+    index = _segment_index(ids, num_segments)
+    flat = index.flat(logits.data.shape[1])
     shift = _segment_max(logits.data, flat, num_segments)[flat].reshape(logits.data.shape)
     z = exp(sub(logits, Tensor(shift)))
-    denom = segment_reduce(z, ids, num_segments, "sum")
-    return div(z, gather_rows(denom, ids))
+    denom = segment_reduce(z, index, num_segments, "sum")
+    return div(z, gather_rows(denom, index))
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +599,7 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
-    loss.accumulate(np.ones_like(loss.data))
+    loss.accumulate(np.ones_like(loss.data), owned=True)
     while topo:
         node = topo.pop()  # reverse topological order; the list lets go of each node
         if not node._parents:
@@ -534,7 +607,12 @@ def backward(loss: Tensor) -> None:
         for p, vjp in zip(node._parents, node._vjps):
             if p.requires_grad:
                 g = vjp(node.grad)
-                p.accumulate(g if g.shape == p.data.shape else _unbroadcast(g, p.data.shape))
+                if g.shape != p.data.shape:
+                    g = _unbroadcast(g, p.data.shape)
+                # the tape contract makes an array that owns its memory the VJP's alone
+                p.accumulate(g, owned=g is not node.grad and isinstance(g, np.ndarray)
+                             and g.base is None and g.flags.writeable
+                             and g.dtype == np.float64 and g.shape == p.data.shape)
         node.grad, node._parents, node._vjps = None, (), None
 
 

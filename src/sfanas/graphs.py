@@ -10,10 +10,13 @@ coerce or a feature width unlike the file's, naming its line.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+from .autodiff import SegmentIndex
 
 TASK_TYPES = ("binary", "multi-binary", "multi-class")
 
@@ -103,7 +106,16 @@ class Graph:
 
 @dataclass(frozen=True)
 class GraphBatch:
-    """Block-diagonal concatenation of graphs with a node-to-graph map."""
+    """Block-diagonal concatenation of graphs with a node-to-graph map.
+
+    The batch builds its index plan once: ``src`` and ``dst`` (the edge
+    endpoints), ``loop_src`` and ``loop_dst`` (the same plus one self-loop
+    per node, as GAT attends) and ``graph_index`` (``graph_ids``), each a
+    read-only int64 array checked once and handed out as an
+    :class:`autodiff.SegmentIndex`. While a tape or a call holds an index,
+    every op of the batch gets that one and shares its memos; once none
+    does, it goes with them, so no memo outlives the step that filled it.
+    """
     node_features: np.ndarray          # (sum N_i) x d_in
     edges: np.ndarray                  # (sum E_i) x 2, offset-adjusted
     graph_ids: np.ndarray              # (sum N_i,) int64, non-decreasing
@@ -117,13 +129,37 @@ class GraphBatch:
         if self.edge_features is not None:
             object.__setattr__(self, "edge_features",
                                _freeze(np.asarray(self.edge_features, dtype=np.float64)))
-        # cached degree vectors shared by the aggregation operators
         n = self.node_features.shape[0]
-        dst = self.edges[:, 1] if self.edges.size else np.zeros(0, dtype=np.int64)
-        in_deg = np.bincount(dst, minlength=n).astype(np.float64)
+        edges = self.edges if self.edges.size else np.zeros((0, 2), dtype=np.int64)
+        loop = np.arange(n, dtype=np.int64)
+        e = edges.shape[0]
+        plan = {"graph_index": SegmentIndex(self.graph_ids, self.num_graphs)}
+        for name, col in (("src", 0), ("dst", 1)):
+            with_loops = _freeze(np.concatenate([edges[:, col], loop]))
+            # the plain version is the first e ids of the self-loop one
+            plan[name] = SegmentIndex(with_loops[:e], n)
+            plan[f"loop_{name}"] = SegmentIndex(with_loops, n)
+        object.__setattr__(self, "_plan", plan)
+        object.__setattr__(self, "_in_use", {})  # name -> weak reference to its index
+        # cached degree vectors shared by the aggregation operators
+        in_deg = np.bincount(plan["dst"].ids, minlength=n).astype(np.float64)
         object.__setattr__(self, "in_degrees", _freeze(in_deg))
         object.__setattr__(self, "degrees",
                            _freeze(_undirected_degrees(self.edges, n).astype(np.float64)))
+
+    def _index(self, name: str) -> SegmentIndex:
+        ref = self._in_use.get(name)
+        index = None if ref is None else ref()
+        if index is None:
+            index = self._plan[name].copy()
+            self._in_use[name] = weakref.ref(index)
+        return index
+
+    src = property(lambda self: self._index("src"))
+    dst = property(lambda self: self._index("dst"))
+    loop_src = property(lambda self: self._index("loop_src"))
+    loop_dst = property(lambda self: self._index("loop_dst"))
+    graph_index = property(lambda self: self._index("graph_index"))
 
     @property
     def num_nodes(self) -> int:

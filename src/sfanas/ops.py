@@ -80,8 +80,7 @@ def init_fusion_params(name: str, d: int, num_inputs: int,
 
 
 def _neighbor_sum(batch: GraphBatch, H: Tensor) -> Tensor:
-    src, dst = batch.edges[:, 0], batch.edges[:, 1]
-    return ad.segment_reduce(ad.gather_rows(H, src), dst, batch.num_nodes, "sum")
+    return ad.segment_reduce(ad.gather_rows(H, batch.src), batch.dst, batch.num_nodes, "sum")
 
 
 def _mlp(x: Tensor, params: dict) -> Tensor:
@@ -95,17 +94,9 @@ def gcn(batch: GraphBatch, H: Tensor, params: dict) -> Tensor:
     dhat = batch.in_degrees + 1.0
     HW = ad.matmul(H, params["W"])
     self_term = ad.mul(HW, Tensor((1.0 / dhat)[:, None]))
-    src, dst = batch.edges[:, 0], batch.edges[:, 1]
-    coef = 1.0 / np.sqrt(dhat[src] * dhat[dst])
-    msg = ad.mul(ad.gather_rows(HW, src), Tensor(coef[:, None]))
-    return ad.add(ad.segment_reduce(msg, dst, n, "sum"), self_term)
-
-
-def _with_self_loops(batch: GraphBatch):
-    n = batch.num_nodes
-    loop = np.arange(n, dtype=np.int64)
-    return (np.concatenate([batch.edges[:, 0], loop]),
-            np.concatenate([batch.edges[:, 1], loop]))
+    coef = 1.0 / np.sqrt(dhat[batch.src.ids] * dhat[batch.dst.ids])
+    msg = ad.mul(ad.gather_rows(HW, batch.src), Tensor(coef[:, None]))
+    return ad.add(ad.segment_reduce(msg, batch.dst, n, "sum"), self_term)
 
 
 def gat_attention(batch: GraphBatch, H: Tensor, params: dict,
@@ -115,10 +106,9 @@ def gat_attention(batch: GraphBatch, H: Tensor, params: dict,
     Returns (attention E'x1, transformed sources E'xd, dst index vector).
     """
     n = batch.num_nodes
-    src, dst = _with_self_loops(batch)
     HW = ad.matmul(H, params["W"])
-    hs = ad.gather_rows(HW, src)
-    hd = ad.gather_rows(HW, dst)
+    hs = ad.gather_rows(HW, batch.loop_src)
+    hd = ad.gather_rows(HW, batch.loop_dst)
 
     def score(u, v):
         return ad.leaky_relu(ad.add(ad.matmul(u, params["a_src"]), ad.matmul(v, params["a_dst"])))
@@ -134,14 +124,14 @@ def gat_attention(batch: GraphBatch, H: Tensor, params: dict,
         logits = ad.div(dot, ad.mul(ns, nd))
     else:
         raise ValueError(f"unknown attention variant {variant!r}")
-    attn = ad.segment_softmax(logits, dst, n)
-    return attn, hs, dst
+    attn = ad.segment_softmax(logits, batch.loop_dst, n)
+    return attn, hs, batch.loop_dst.ids
 
 
 def gat(batch: GraphBatch, H: Tensor, params: dict,
         variant: str = "plain") -> Tensor:
-    attn, hs, dst = gat_attention(batch, H, params, variant)
-    return ad.segment_reduce(ad.mul(hs, attn), dst, batch.num_nodes, "sum")
+    attn, hs, _ = gat_attention(batch, H, params, variant)
+    return ad.segment_reduce(ad.mul(hs, attn), batch.loop_dst, batch.num_nodes, "sum")
 
 
 def gin(batch: GraphBatch, H: Tensor, params: dict) -> Tensor:
@@ -153,13 +143,12 @@ def gen(batch: GraphBatch, H: Tensor, params: dict,
         edge_feats: Tensor | None = None) -> Tensor:
     """Softmax-weighted (per channel) message aggregation with learnable sharpness."""
     n = batch.num_nodes
-    src, dst = batch.edges[:, 0], batch.edges[:, 1]
-    msg_in = ad.gather_rows(H, src)
+    msg_in = ad.gather_rows(H, batch.src)
     if edge_feats is not None:
         msg_in = ad.add(msg_in, edge_feats)
     m = ad.add(ad.relu(msg_in), Tensor(1e-7))
-    weights = ad.segment_softmax(ad.mul(params["beta"], m), dst, n)
-    agg = ad.segment_reduce(ad.mul(weights, m), dst, n, "sum")
+    weights = ad.segment_softmax(ad.mul(params["beta"], m), batch.dst, n)
+    agg = ad.segment_reduce(ad.mul(weights, m), batch.dst, n, "sum")
     return _mlp(ad.add(H, agg), params)
 
 
@@ -253,7 +242,9 @@ def select(name: str, x: Tensor) -> Tensor:
 _READOUT_MODES = {"GLOBAL_MEAN": "mean", "GLOBAL_MAX": "max", "GLOBAL_SUM": "sum"}
 
 
-def readout(name: str, H: Tensor, graph_ids: np.ndarray, num_graphs: int) -> Tensor:
+def readout(name: str, H: Tensor, graph_ids, num_graphs: int) -> Tensor:
+    """Pool each graph's rows; ``graph_ids`` is an id array or a batch's
+    ``graph_index``."""
     mode = _READOUT_MODES.get(name)
     if mode is None:
         raise ValueError(f"unknown readout op {name!r}")

@@ -300,7 +300,7 @@ def supernet_forward(batch: GraphBatch, params: SupernetParams,
         history.append(H)
 
     pooled = site_forward(params, "readout", arch, lambda name: ops.readout(
-        name, history[-1], batch.graph_ids, batch.num_graphs))
+        name, history[-1], batch.graph_index, batch.num_graphs))
     return ad.add(ad.matmul(pooled, params.weights["head/W"]), params.weights["head/b"])
 
 

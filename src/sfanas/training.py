@@ -457,6 +457,13 @@ def load_model(bin_path, manifest_path) -> tuple[SupernetParams, ArchEncoding, d
     for key in ("dims", "arch", "tensors"):
         if key not in manifest:
             raise ValueError(f"model manifest lacks {key!r}")
+    # eval writes best_epoch into its report and scores with virtual_node and metric
+    for key, fits, wanted in (("best_epoch", lambda v: type(v) is int and v >= -1,
+                               "an integer >= -1"),
+                              ("virtual_node", lambda v: type(v) is bool, "true or false"),
+                              ("metric", lambda v: isinstance(v, str), "a string")):
+        if key in manifest and not fits(manifest[key]):
+            raise ValueError(f"model manifest {key!r} must be {wanted}, got {manifest[key]!r}")
     try:
         if not isinstance(manifest["dims"], dict) or \
                 not all(type(v) is int for v in manifest["dims"].values()):

@@ -394,6 +394,22 @@ class TestTrainEval:
                      "--model-dir", str(model), "--out", str(tmp_path)]) == 1
         assert "error: model manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("best_epoch", "x"), ("best_epoch", 1.5), ("best_epoch", True), ("best_epoch", -2),
+        ("virtual_node", "yes"), ("virtual_node", 1), ("metric", 3),
+    ])
+    def test_eval_checks_the_manifest_fields_it_trusts(self, pipeline, tmp_path, key, value,
+                                                       capsys):
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "model.bin").write_bytes((pipeline["train"] / "model.bin").read_bytes())
+        manifest = json.loads((pipeline["train"] / "model.manifest.json").read_text())
+        (model / "model.manifest.json").write_text(json.dumps(dict(manifest, **{key: value})))
+        assert main(["eval", "--config", pipeline["config"],
+                     "--model-dir", str(model), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: model manifest {key!r} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_metric_must_fit_task(self, tmp_path, capsys):
         # multi-class data with an auc request has no defined positive class
         records = []

@@ -1,12 +1,19 @@
 import collections
 import copy
+import gc
 import itertools
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
 
+from sfanas import autodiff as ad
+from sfanas.autodiff import Tensor
+from sfanas.ops import AGGREGATION_OPS
+from sfanas.supernet import SupernetDims, init_relaxed, supernet_forward
+from sfanas.training import task_loss
 from sfanas.graphs import (Dataset, Graph, ParseError, SyntheticSpec, TaskSchema,
                            ValidationError, add_virtual_node, batch_graphs,
                            count_triangles, generate_synthetic, load_dataset,
@@ -88,6 +95,115 @@ def test_batch_holds_each_graph_at_its_offsets():
         n_off += g.num_nodes
         e_off += g.num_edges
     assert (n_off, e_off) == (batch.num_nodes, len(batch.edges))
+
+
+# ---------------------------------------------------------------------------
+# index plan
+
+
+def _plan_batches():
+    """Random batches, one without edges, one holding a zero-node graph,
+    all with self-loops where they have edges."""
+    rng = np.random.default_rng(11)
+
+    def graph(n, m):
+        edges = rng.integers(0, max(n, 1), size=(m, 2)) if n else np.zeros((0, 2))
+        if m and n:
+            edges[::3, 1] = edges[::3, 0]  # self-loops
+        return Graph(node_features=rng.standard_normal((n, 2)), edges=edges,
+                     edge_features=rng.standard_normal((len(edges), 2)),
+                     label=np.array([1.0]))
+
+    yield batch_graphs([graph(int(rng.integers(1, 8)), int(rng.integers(1, 15)))
+                        for _ in range(6)])
+    yield batch_graphs([graph(3, 0), graph(1, 0)])
+    yield batch_graphs([graph(4, 7), graph(0, 0), graph(5, 9), graph(0, 0)])
+
+
+_PLAN = (("src", "num_nodes"), ("dst", "num_nodes"), ("loop_src", "num_nodes"),
+         ("loop_dst", "num_nodes"), ("graph_index", "num_graphs"))
+
+
+@pytest.mark.parametrize("batch", list(_plan_batches()), ids=["random", "edgeless", "zero-node"])
+def test_plan_index_gives_the_bits_of_a_plain_copy(batch):
+    """Each kernel gives byte-identical outputs and gradients with the
+    batch's index as with a plain int64 copy of its ids."""
+    rng = np.random.default_rng(5)
+    for name, count in _PLAN:
+        index, segments = getattr(batch, name), getattr(batch, count)
+        plain = np.array(index.ids, dtype=np.int64)
+        assert plain.flags.writeable and not index.ids.flags.writeable
+        rows = len(plain)
+        runs = [(lambda v, ids, mode=mode: ad.segment_reduce(v, ids, segments, mode),
+                 (rows, 3)) for mode in ("sum", "mean", "max")]
+        runs.append((lambda v, ids: ad.segment_softmax(v, ids, segments), (rows, 3)))
+        runs.append((lambda v, ids: ad.gather_rows(v, ids), (segments, 3)))
+        for run, shape in runs:
+            values = rng.integers(-2, 3, size=shape) * rng.choice([1.0, -1.0, 0.5], size=shape)
+            results = []
+            for ids in (index, plain):
+                x = Tensor(values.copy(), requires_grad=True)
+                out = run(x, ids)
+                up = np.arange(out.data.size, dtype=np.float64).reshape(out.data.shape) - 3.0
+                ad.backward(ad.tsum(ad.mul(out, Tensor(up))))
+                grad = np.zeros(shape) if x.grad is None else x.grad
+                results.append((out.data.tobytes(), grad.tobytes()))
+            assert results[0] == results[1], name
+
+
+def test_no_memo_outlives_its_batch(monkeypatch):
+    """Batch B, built after batch A is gone with the same node and edge
+    counts but other edges, gives the logits and gradients of B's
+    plain-array path, in which every kernel builds its own index."""
+    sizes = [5, 7, 4, 6]
+
+    def batch(seed):
+        rng = np.random.default_rng(seed)
+        return batch_graphs([Graph(node_features=rng.standard_normal((n, 2)),
+                                   edges=rng.integers(0, n, size=(2 * n, 2)),
+                                   edge_features=rng.standard_normal((2 * n, 2)),
+                                   label=np.array([1.0])) for n in sizes])
+
+    dims = SupernetDims(d_in=2, out_dim=1, num_blocks=2, hidden=6, d_edge=2)
+
+    def step(b):
+        params = init_relaxed(dims, AGGREGATION_OPS, seed=3)
+        logits = supernet_forward(b, params, mode="relaxed")
+        ad.backward(task_loss(TaskSchema(), logits, b.labels))
+        return [logits.data.tobytes()] + [None if t.grad is None else t.grad.tobytes() for t
+                                          in [*params.weights.values(), *params.alphas.values()]]
+
+    a = batch(0)
+    step(a)
+    del a
+    gc.collect()
+    b = batch(1)
+    assert b.num_nodes == sum(sizes) and len(b.edges) == 2 * sum(sizes)
+    got = step(b)
+    # the plain-array path: each kernel gets a copy of the ids and derives
+    # the flat index and the counts afresh
+    monkeypatch.setattr(ad, "_segment_index",
+                        lambda ids, n: ad.SegmentIndex(np.array(getattr(ids, "ids", ids)), n))
+    monkeypatch.setattr(ad.SegmentIndex, "flat",
+                        lambda self, w: (self.ids[:, None] * w + np.arange(w)).ravel())
+    monkeypatch.setattr(ad.SegmentIndex, "counts", lambda self: np.maximum(
+        np.bincount(self.ids, minlength=self.num_segments), 1.0)[:, None])
+    assert got == step(b)
+
+
+def test_an_index_lives_while_a_tape_reads_it():
+    b = batch_graphs([_graph(4, [[0, 1], [1, 2], [2, 3], [3, 0]]), _graph(3, [[0, 2]])])
+    x = Tensor(np.ones((b.num_nodes, 2)), requires_grad=True)
+    loss = ad.tsum(ad.gather_rows(x, b.src))
+    held = weakref.ref(b.src)  # the index the tape holds
+    assert held() is not None and b.src is held()
+    ad.backward(loss)
+    del loss
+    assert held() is None
+    # a call that no tape records holds its index only while it runs
+    ad.gather_rows(Tensor(np.ones((b.num_nodes, 2))), b.src)
+    held = weakref.ref(b.src)
+    assert held() is None
 
 
 # ---------------------------------------------------------------------------

@@ -560,3 +560,63 @@ class TestTapeSize:
         params = init_relaxed(dims) if arch is None else init_discrete(dims, arch)
         logits = supernet_forward(batch, params, mode=mode, arch=arch, training=True)
         assert self.taped_nodes(task_loss(ds.schema, logits, batch.labels)) <= ceiling
+
+
+# ---------------------------------------------------------------------------
+# gradient ownership
+
+
+class TestGradientOwnership:
+    """``backward`` keeps a VJP's own array as a parent's first gradient, so
+    after a backward no leaf gradient may share memory with another leaf's
+    gradient or with any tensor's data."""
+
+    @staticmethod
+    def tape_data(loss):
+        """The data of every tensor reachable from ``loss``."""
+        seen, stack, datas = {id(loss)}, [loss], []
+        while stack:
+            t = stack.pop()
+            datas.append(t.data)
+            for p in t._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        return datas
+
+    def assert_owned(self, loss, leaves):
+        datas = self.tape_data(loss)
+        ad.backward(loss)
+        grads = [(name, t.grad) for name, t in leaves.items() if t.grad is not None]
+        assert grads
+        for i, (name, g) in enumerate(grads):
+            for other, h in grads[i + 1:]:
+                assert not np.shares_memory(g, h), (name, other)
+            for d in datas:
+                assert not np.shares_memory(g, d), name
+
+    def test_an_identity_vjp_gives_each_parent_its_own_array(self):
+        a = Tensor(np.ones((3, 2)), requires_grad=True)
+        b = Tensor(np.ones((3, 2)), requires_grad=True)
+        self.assert_owned(ad.tsum(ad.add(a, b)), {"a": a, "b": b})
+
+    @pytest.mark.parametrize("model", ["relaxed6", "relaxed8"] + [f"arch{k}" for k in range(6)])
+    def test_supernet_leaves_own_their_gradients(self, model):
+        rng = np.random.default_rng(4)
+        feats = [rng.normal(size=(n, 3)) for n in (5, 4, 6)]
+        edges = [rng.integers(0, len(f), size=(2 * len(f), 2)) for f in feats]
+        batch = make_batch(feats, edges, d_edge=2, rng=rng)
+        dims = SupernetDims(d_in=3, out_dim=1, num_blocks=3, hidden=6, d_edge=2)
+        if model.startswith("relaxed"):
+            arch = None
+            params = init_relaxed(dims, supernet.DEFAULT_AGG_CANDIDATES if model == "relaxed6"
+                                  else ops.AGGREGATION_OPS, seed=1)
+        else:
+            config = SearchConfig(num_blocks=3, hidden=6,
+                                  aggregation_candidates=ops.AGGREGATION_OPS)
+            arch = random_architecture(config, seed=int(model[-1]))
+            params = init_discrete(dims, arch, seed=1)
+        logits = supernet_forward(batch, params, mode="relaxed" if arch is None else "discrete",
+                                  arch=arch, training=True, dropout_rate=0.1, rng=rng)
+        loss = task_loss(graphs.TaskSchema(), logits, np.ones((3, 1)))
+        self.assert_owned(loss, {**params.weights, **params.alphas})
