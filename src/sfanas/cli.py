@@ -2,8 +2,8 @@
 
 Commands: synth-data, search, derive, train, eval, gradcheck. All file
 outputs are deterministic under a fixed seed (sorted JSON keys, no
-timestamps), so repeated runs produce byte-identical artifacts. Each
-config section is built by one helper that checks its fields' types.
+timestamps), so repeated runs produce byte-identical artifacts. Every JSON
+file is read by graphs.read_json and checked against a field table.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcheck as gradcheck_mod
-from .graphs import (SyntheticSpec, TaskSchema, generate_synthetic, is_number, load_dataset,
-                     write_dataset)
+from .graphs import (SyntheticSpec, TaskSchema, fields, generate_synthetic, load_dataset,
+                     read_json, read_text, write_dataset)
 from .search import SearchConfig, best_record, search
 from .supernet import ArchEncoding
 from .training import (HParams, default_metric, evaluate_model, load_model,
@@ -43,8 +43,14 @@ GRIDS = {
             "virtual_node": [True, False]},
 }
 
-CONFIG_KEYS = ("schema_version", "dataset", "search", "train", "grid")
-DATASET_KEYS = ("path", "task", "splits_path", "symmetrize", "synthetic")
+# "gamma" is known only to be refused with GAMMA_MESSAGE
+CONFIG = {"schema_version": "int", "dataset": "object", "search": "object", "train": "object",
+          "grid": "str", "gamma": "float"}
+DATASET = {"path": "str", "task": "object", "splits_path": "str", "symmetrize": "bool",
+           "synthetic": "object"}
+# every key search writes per epoch; derive refuses a record without one
+HISTORY = {"epoch": "int", "valid_metric": "float", "arch": "object", "train_loss": "float",
+           "valid_loss": "float", "metric": "str", "lambda": "float"}
 
 GAMMA_MESSAGE = ("'gamma' belongs to the AUC-margin training objective, which is "
                  "out of scope for this package; remove it from the config")
@@ -55,103 +61,55 @@ class CliError(Exception):
 
 
 def _load_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise CliError(f"config is not valid JSON: {e}")
-    if not isinstance(cfg, dict):
-        raise CliError("config must be a JSON object")
-    if cfg.get("schema_version") != 1:
-        raise CliError("config must declare \"schema_version\": 1")
-    for name in ("search", "train"):
-        if not isinstance(cfg.get(name, {}), dict):
-            raise CliError(f"bad {name} section: not a JSON object")
+    cfg = fields(read_json(path, "config"), CONFIG, f"config {path}",
+                 optional=("search", "train", "grid", "gamma"))
     for section in (cfg, cfg.get("search", {}), cfg.get("train", {})):
         if "gamma" in section:
             raise CliError(GAMMA_MESSAGE)
-    _check_keys("config", cfg, CONFIG_KEYS)
+    if cfg["schema_version"] != 1:
+        raise CliError(f"config {path}: schema_version must be 1, got {cfg['schema_version']}")
     return cfg
-
-
-def _check_keys(where: str, section: dict, allowed: tuple) -> None:
-    unknown = [key for key in section if key not in allowed]
-    if unknown:
-        raise CliError(f"unknown {where} key {unknown[0]!r}; expected one of {list(allowed)}")
-
-
-# What each annotated field type accepts from JSON. Without these,
-# "batch_size": true would run as 1 and "epochs": 1.5 fail deep inside.
-_FIELD_CHECKS = {
-    "int": lambda v: is_number(v) and isinstance(v, int),
-    "float": is_number,
-    "bool": lambda v: isinstance(v, bool),
-}
 
 
 def _build_section(cls, name: str, section, **overrides):
     """``cls`` built from a config section, with the command-line
-    ``overrides`` that are not None on top; each int, float or bool
-    field is checked against its annotation first."""
-    try:
-        values = {**section, **{k: v for k, v in overrides.items() if v is not None}}
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        for key, value in values.items():
-            check = _FIELD_CHECKS.get(types.get(key))
-            if check is not None and not check(value):
-                raise TypeError(f"{key} must be {types[key]}, got {value!r}")
-        return cls(**values)
-    except TypeError as e:
-        raise CliError(f"bad {name} section: {e}")
-
-
-def _check_file(what: str, path) -> None:
-    if not isinstance(path, str):
-        raise CliError(f"{what} path must be a string, got {path!r}")
-    if not Path(path).is_file():
-        raise CliError(f"{what} file not found: {path}")
+    ``overrides`` that are not None on top; the section's table comes from
+    the fields of ``cls`` and their annotations (a tuple is a JSON list)."""
+    if isinstance(section, dict):
+        section = {**section, **{k: v for k, v in overrides.items() if v is not None}}
+    table = {f.name: "list" if f.type == "tuple" else f.type for f in dataclasses.fields(cls)}
+    optional = [f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING]
+    return cls(**fields(section, table, f"bad {name} section", optional))
 
 
 def _build_dataset(cfg: dict):
-    section = cfg.get("dataset")
-    if not isinstance(section, dict):
-        raise CliError("config needs a \"dataset\" section")
-    _check_keys("dataset", section, DATASET_KEYS)
+    section = fields(cfg["dataset"], DATASET, "bad dataset section", optional=DATASET)
     if "synthetic" in section:
-        syn = section["synthetic"]
-        if not isinstance(syn, dict):
-            raise CliError("bad synthetic section: not a JSON object")
-        seed = syn.get("seed", 0)
-        if not _FIELD_CHECKS["int"](seed):
-            raise CliError(f"bad synthetic section: seed must be int, got {seed!r}")
-        spec = _build_section(SyntheticSpec, "synthetic",
-                              {k: v for k, v in syn.items() if k != "seed"})
-        return generate_synthetic(spec, seed=seed)
+        syn = dict(section["synthetic"])
+        seed = syn.pop("seed", 0)
+        fields({"seed": seed}, {"seed": "int"}, "bad synthetic section")
+        return generate_synthetic(_build_section(SyntheticSpec, "synthetic", syn), seed=seed)
     path = section.get("path")
     if not path:
         raise CliError("dataset section needs \"path\" or \"synthetic\"")
-    _check_file("dataset", path)
-    task = section.get("task")
-    if not isinstance(task, dict) or "type" not in task:
+    task = section.get("task", {})
+    if "type" not in task:
         raise CliError("dataset section needs \"task\": {\"type\": ...}")
     schema = _build_section(TaskSchema, "task",
                             {"task_type" if k == "type" else k: v for k, v in task.items()})
     splits_path = section.get("splits_path")
-    if splits_path is not None:
-        _check_file("splits", splits_path)
-    symmetrize = section.get("symmetrize", True)
-    if not _FIELD_CHECKS["bool"](symmetrize):
-        raise CliError(f"bad dataset section: symmetrize must be bool, got {symmetrize!r}")
-    return load_dataset(path, schema, splits_path=splits_path, symmetrize=symmetrize)
+    for what, file in (("dataset", path), ("splits", splits_path)):
+        if file is not None and not Path(file).is_file():
+            raise CliError(f"{what} file not found: {file}")
+    return load_dataset(path, schema, splits_path=splits_path,
+                        symmetrize=section.get("symmetrize", True))
 
 
 def _check_grid(cfg: dict, values: dict, strict: bool) -> None:
     if not strict:
         return
     name = cfg.get("grid")
-    if not isinstance(name, str) or name not in GRIDS:
+    if name not in GRIDS:
         raise CliError(f"--strict-grid needs config \"grid\" set to one of "
                        f"{sorted(GRIDS)}, got {name!r}")
     grid = GRIDS[name]
@@ -243,36 +201,23 @@ def cmd_search(args) -> int:
 
 
 def _history_record(lineno: int, line: str) -> dict:
-    """One search history record: an object with an int ``epoch``, a
-    finite ``valid_metric`` and an ``arch``, which is decoded."""
+    """One search history record, its ``arch`` decoded."""
+    where = f"history line {lineno}"
     try:
-        rec = json.loads(line)
-        if not isinstance(rec, dict):
-            raise ValueError("not a JSON object")
-        for key in ("epoch", "valid_metric", "arch"):
-            if key not in rec:
-                raise ValueError(f"lacks {key!r}")
-        if not _FIELD_CHECKS["int"](rec["epoch"]):
-            raise ValueError(f"epoch must be int, got {rec['epoch']!r}")
-        if not (is_number(rec["valid_metric"]) and np.isfinite(rec["valid_metric"])):
-            raise ValueError(f"valid_metric must be a finite number, "
-                             f"got {rec['valid_metric']!r}")
-        rec["arch"] = ArchEncoding.from_dict(rec["arch"])
-    except ValueError as e:  # JSONDecodeError is a ValueError
-        raise CliError(f"history line {lineno}: {e}")
+        rec = fields(json.loads(line), HISTORY, where)
+    except json.JSONDecodeError as e:
+        raise CliError(f"{where}: {e}")
+    rec["arch"] = ArchEncoding.from_dict(rec["arch"], f"{where}: arch")
     return rec
 
 
 def cmd_derive(args) -> int:
-    try:
-        lines = Path(args.history).read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        raise CliError(f"history file not found: {args.history}")
+    lines = read_text(args.history, "history").splitlines()
     records = [_history_record(n, line) for n, line in enumerate(lines, 1) if line.strip()]
     if not records:
         raise CliError("history file is empty")
     if args.epoch is not None:
-        matches = [r for r in records if r.get("epoch") == args.epoch]
+        matches = [r for r in records if r["epoch"] == args.epoch]
         if not matches:
             raise CliError(f"no epoch {args.epoch} in {args.history}")
         chosen = matches[0]
@@ -283,20 +228,13 @@ def cmd_derive(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "arch.json").write_text(arch.to_json() + "\n", encoding="utf-8")
     print(f"derived from epoch {chosen['epoch']} "
-          f"(valid {chosen.get('metric', 'metric')} = {chosen['valid_metric']:.4f})")
+          f"(valid {chosen['metric']} = {chosen['valid_metric']:.4f})")
     print(f"wrote {out / 'arch.json'}")
     return 0
 
 
 def _load_arch(path: str) -> ArchEncoding:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise CliError(f"architecture file not found: {path}")
-    try:
-        return ArchEncoding.from_json(text)
-    except ValueError as e:  # JSONDecodeError is a ValueError
-        raise CliError(f"invalid architecture file {path}: {e}")
+    return ArchEncoding.from_dict(read_json(path, "architecture"), f"architecture file {path}")
 
 
 def cmd_train(args) -> int:
@@ -328,7 +266,7 @@ def cmd_eval(args) -> int:
     model_dir = Path(args.model_dir)
     bin_path = model_dir / "model.bin"
     manifest_path = model_dir / "model.manifest.json"
-    if not bin_path.exists() or not manifest_path.exists():
+    if not bin_path.is_file() or not manifest_path.is_file():
         raise CliError(f"{model_dir} must contain model.bin and model.manifest.json")
     params, arch, manifest = load_model(bin_path, manifest_path)
     if args.arch is not None:

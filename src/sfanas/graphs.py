@@ -4,12 +4,15 @@ Graphs are stored as explicit directed edge lists; undirected graphs carry
 both directed pairs so every aggregation operator can treat in-edges
 uniformly. All containers are immutable after construction and safe to
 share across workers. Loading rejects a record with a value numpy would
-coerce or a feature width unlike the file's, naming its line.
+coerce or a feature width unlike the file's, naming its line. Every JSON
+file the package reads goes through :func:`read_json` and :func:`fields`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,7 +27,7 @@ MISSING = float("nan")  # sentinel for absent multi-binary targets
 
 
 class ValidationError(ValueError):
-    """A graph or dataset violates a structural invariant."""
+    """A graph, a dataset or a JSON file violates a structural invariant."""
 
 
 class ParseError(ValueError):
@@ -186,7 +189,8 @@ class Dataset:
             raise ValidationError("splits must cover all graph indices exactly once")
 
     def split_graphs(self, name: str) -> list:
-        return [self.graphs[i] for i in self.splits[name]]
+        """The graphs of split ``name``; none if the splits do not name it."""
+        return [self.graphs[i] for i in self.splits.get(name, ())]
 
     @property
     def num_node_features(self) -> int:
@@ -303,7 +307,7 @@ def _parse_record(obj: dict, schema: TaskSchema, lineno: int, may_hold_bool: boo
         for what in ("node_feat", "edges", "edge_feat"):
             if _holds_bool(obj.get(what)):
                 raise ParseError(f"line {lineno}: {what} must hold numbers only")
-    if not is_number(n):
+    if not KINDS["float"](n):
         raise ParseError(f"line {lineno}: num_nodes must be a number, got {n!r}")
     if not float(n).is_integer():
         raise ValidationError(f"line {lineno}: num_nodes must be a whole number, got {n}")
@@ -343,10 +347,63 @@ def _holds_bool(raw) -> bool:
     return isinstance(raw, bool)
 
 
-def is_number(v) -> bool:
-    """True for a JSON number as Python's json reads it: an int or a
-    float, but not a bool, which Python counts as an int."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+# What each kind of JSON value accepts, as Python's json module decodes
+# it. Python counts a bool as an int, so the number kinds refuse bools;
+# a float takes an int too but not NaN or Infinity, which json reads.
+KINDS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: KINDS["int"](v) or isinstance(v, float) and math.isfinite(v),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "list": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+
+def read_text(path, what: str) -> str:
+    """The text of the UTF-8 file at ``path``; a missing or unreadable file
+    or bytes that are not UTF-8 raise a ValueError naming the ``what`` file."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except FileNotFoundError:
+        raise ValueError(f"{what} file not found: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise ValueError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} file {path} is not UTF-8 ({exc.reason} at byte "
+                         f"{exc.start})") from None
+
+
+def read_json(path, what: str):
+    """The JSON value in the file at ``path``: :func:`read_text`, then a
+    ValueError naming the ``what`` file if the text is not valid JSON."""
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
+def fields(obj, table: dict, where: str, optional=()) -> dict:
+    """``obj``, checked against ``table``, which maps each key to the name
+    of its kind in :data:`KINDS` (other kind names, such as ``"str | None"``,
+    are not checked): it must be an object that has every key of ``table``
+    but those in ``optional``, no other key, and each value of its kind.
+    A ValidationError names ``where``, the key and the value."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: not a JSON object, got {reprlib.repr(obj)}")
+    for key, value in obj.items():
+        if key not in table:
+            raise ValidationError(f"{where}: unknown key {key!r}; expected one of {list(table)}")
+        fits = KINDS.get(table[key])
+        if fits is not None and not fits(value):
+            raise ValidationError(f"{where}: {key} must be {table[key]}, "
+                                  f"got {reprlib.repr(value)}")
+    for key in table:
+        if key not in obj and key not in optional:
+            raise ValidationError(f"{where}: lacks {key!r}")
+    return obj
 
 
 def _parse_label(raw, schema: TaskSchema, lineno: int) -> np.ndarray:
@@ -356,10 +413,10 @@ def _parse_label(raw, schema: TaskSchema, lineno: int) -> np.ndarray:
                 f"line {lineno}: expected a {schema.num_tasks}-entry label vector")
         vals = [MISSING if v is None else v for v in raw]
         # a NaN entry (v != v) is missing, like null
-        if not all(is_number(v) and (v != v or v in (0, 1)) for v in vals):
+        if not all(v != v or KINDS["float"](v) and v in (0, 1) for v in vals):
             raise ValidationError(f"line {lineno}: multi-binary entries must be 0, 1 or null")
         return np.array(vals, dtype=np.float64)
-    if not is_number(raw):
+    if not KINDS["float"](raw):
         raise ValidationError(f"line {lineno}: {schema.task_type} label must be a number, "
                               f"got {raw!r}")
     val = float(raw)
@@ -410,20 +467,23 @@ def load_dataset(path, schema: TaskSchema, splits_path=None,
     path = Path(path)
     graphs = []
     seen = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            g = _parse_record(obj, schema, lineno, "true" in line or "false" in line)
-            _check_layout(g, lineno, seen)
-            if symmetrize:
-                g = _symmetrize(g)
-            graphs.append(g)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                g = _parse_record(obj, schema, lineno, "true" in line or "false" in line)
+                _check_layout(g, lineno, seen)
+                if symmetrize:
+                    g = _symmetrize(g)
+                graphs.append(g)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"dataset file {path} is not UTF-8 ({exc.reason})") from None
     if not graphs:
         raise ValidationError(f"{path}: no graph records found")
     # a zero-node record's "node_feat": [] and an edgeless record's
@@ -433,23 +493,25 @@ def load_dataset(path, schema: TaskSchema, splits_path=None,
     graphs = [_set_empty_widths(g, d_node, d_edge) for g in graphs]
 
     if splits_path is not None:
-        with open(splits_path, "r", encoding="utf-8") as fh:
-            splits = _parse_splits(json.load(fh), len(graphs))
+        splits = _parse_splits(read_json(splits_path, "splits"), len(graphs),
+                               f"splits file {splits_path}")
     else:
         splits = contiguous_split(len(graphs))
     return Dataset(graphs=graphs, schema=schema, splits=splits)
 
 
-def _parse_splits(raw, n: int) -> dict:
-    """Split name -> index array; each list must hold whole numbers in
-    [0, n), which rules out the bools and fractions numpy would cast."""
-    if not isinstance(raw, dict):
-        raise ValidationError("splits file must hold a JSON object of index lists")
-    for name, idx in raw.items():
-        if not isinstance(idx, list) or \
-                not all(is_number(i) and float(i).is_integer() and 0 <= i < n for i in idx):
-            raise ValidationError(f"split {name!r} must be a list of whole-number "
-                                  f"graph indices in [0, {n})")
+SPLITS = {"train": "list", "valid": "list", "test": "list"}
+
+
+def _parse_splits(raw, n: int, where: str) -> dict:
+    """Split name -> index array; a split may be left out, and each list
+    must hold whole numbers in [0, n), which rules out the bools and
+    fractions numpy would cast."""
+    for name, idx in fields(raw, SPLITS, where, optional=SPLITS).items():
+        bad = [i for i in idx if not (KINDS["float"](i) and 0 <= i < n and float(i).is_integer())]
+        if bad:
+            raise ValidationError(f"{where}: split {name!r} must be a list of whole-number "
+                                  f"graph indices in [0, {n}), got {bad[0]!r}")
     return {name: np.asarray(idx, dtype=np.int64) for name, idx in raw.items()}
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import ops
-from .graphs import Dataset
+from .graphs import Dataset, batch_graphs
 from .supernet import (ArchEncoding, DEFAULT_AGG_CANDIDATES, derive_architecture,
                        init_relaxed, supernet_forward)
 from .training import (SGD, descend, evaluate_logits, minibatches, prepare_run,
@@ -122,7 +122,6 @@ def search(dataset: Dataset, config: SearchConfig):
     History holds one record per epoch: losses, valid metric, temperature,
     and the architecture that argmax derivation would emit at that epoch.
     """
-    from .graphs import batch_graphs
     schema = dataset.schema
     metric, splits, dims = prepare_run(dataset, config.metric, config.num_blocks,
                                        config.hidden)

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import ops
 from .autodiff import ShapeError, Tensor
-from .graphs import GraphBatch
+from .graphs import KINDS, GraphBatch, ValidationError, fields
 
 DEFAULT_AGG_CANDIDATES = ("GCN", "GAT", "GIN", "GEN", "MF", "EXPC")
 
@@ -80,23 +80,22 @@ class ArchEncoding:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "ArchEncoding":
-        """Inverse of :meth:`to_dict`; a missing key or a value of the wrong
-        type is a ValueError that names it. ``num_blocks`` and the
-        selection bits must be JSON integers: 1.9, "1" and true are refused,
-        not truncated."""
+    def from_dict(cls, obj, where: str = "architecture") -> "ArchEncoding":
+        """Inverse of :meth:`to_dict`; an error names ``where`` and the key.
+        ``num_blocks`` and the selection bits must be JSON integers: 1.9,
+        "1" and true are refused, not truncated."""
+        blocks = fields(obj, ARCH, where)["blocks"]
+        for i, b in enumerate(blocks):
+            bits = fields(b, ARCH_BLOCK, f"{where}: block {i}")["select"]
+            if not all(KINDS["int"](v) for v in bits):
+                raise ValidationError(f"{where}: block {i}: select must hold ints, got {bits}")
         try:
-            blocks = obj["blocks"]
-            return cls(num_blocks=_json_int(obj["num_blocks"], "num_blocks"),
-                       selection=tuple(tuple(_json_int(v, "select") for v in b["select"])
-                                       for b in blocks),
+            return cls(num_blocks=obj["num_blocks"],
+                       selection=tuple(tuple(b["select"]) for b in blocks),
                        fusion=tuple(b["fusion"] for b in blocks),
-                       aggregation=tuple(b["agg"] for b in blocks),
-                       readout=obj["readout"])
-        except KeyError as e:
-            raise ValueError(f"architecture lacks {e}") from None
-        except TypeError as e:
-            raise ValueError(f"bad architecture: {e}") from None
+                       aggregation=tuple(b["agg"] for b in blocks), readout=obj["readout"])
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -106,10 +105,8 @@ class ArchEncoding:
         return cls.from_dict(json.loads(text))
 
 
-def _json_int(value, key: str) -> int:
-    if type(value) is not int:  # bool is a subclass of int, and is refused too
-        raise ValueError(f"architecture {key!r} must hold JSON integers, got {value!r}")
-    return value
+ARCH = {"num_blocks": "int", "blocks": "list", "readout": "str"}
+ARCH_BLOCK = {"select": "list", "fusion": "str", "agg": "str"}
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +120,12 @@ class SupernetDims:
     num_blocks: int
     hidden: int
     d_edge: int = 0
+
+    def __post_init__(self):
+        for key, least in (("d_in", 0), ("out_dim", 1), ("num_blocks", 1), ("hidden", 1),
+                           ("d_edge", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
 
 
 class SupernetParams:

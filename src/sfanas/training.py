@@ -12,6 +12,7 @@ set-up (``prepare_run``) and their optimizer step (``descend``).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from collections import Counter
@@ -22,7 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from . import ops
 from .autodiff import Tensor
-from .graphs import Dataset, TaskSchema, add_virtual_node, batch_graphs
+from .graphs import (KINDS, Dataset, TaskSchema, add_virtual_node, batch_graphs, fields,
+                     read_json)
 from .supernet import ArchEncoding, SupernetDims, SupernetParams, init_discrete, supernet_forward
 
 # ---------------------------------------------------------------------------
@@ -300,10 +302,9 @@ def _split_reports(schema: TaskSchema, metric: str, params: SupernetParams, spli
 def _splits(dataset: Dataset, virtual_node: bool) -> dict:
     """Train, valid and test graphs, each given a virtual node if asked;
     a split the dataset does not name is empty."""
-    splits = {}
-    for split in ("train", "valid", "test"):
-        graphs = [dataset.graphs[i] for i in dataset.splits.get(split, ())]
-        splits[split] = [add_virtual_node(g) for g in graphs] if virtual_node else graphs
+    splits = {split: dataset.split_graphs(split) for split in ("train", "valid", "test")}
+    if virtual_node:
+        splits = {split: [add_virtual_node(g) for g in graphs] for split, graphs in splits.items()}
     return splits
 
 
@@ -416,10 +417,21 @@ def evaluate_model(dataset: Dataset, params: SupernetParams, arch: ArchEncoding,
 # model serialization
 
 
+# What a manifest holds; save_model's ``extra`` may add the optional keys.
+MANIFEST = {"schema_version": "int", "dtype": "str", "max_degree": "int", "expansion": "int",
+            "dims": "object", "arch": "object", "tensors": "list",
+            "best_epoch": "int", "metric": "str", "virtual_node": "bool"}
+MANIFEST_OPTIONAL = ("best_epoch", "metric", "virtual_node")
+DIMS = {f.name: f.type for f in dataclasses.fields(SupernetDims)}
+TENSOR = {"name": "str", "shape": "list"}
+
+
 def save_model(params: SupernetParams, arch: ArchEncoding, bin_path, manifest_path,
                extra: dict | None = None) -> None:
     """Flat little-endian float64 blob plus a JSON manifest that records
     enough to rebuild the container (dims, arch, tensor names and shapes)."""
+    extra = fields(extra or {}, {k: MANIFEST[k] for k in MANIFEST_OPTIONAL},
+                   "extra manifest keys", optional=MANIFEST_OPTIONAL)
     names = list(params.weights)
     flat = np.concatenate([params.weights[k].data.ravel() for k in names]) \
         if names else np.zeros(0)
@@ -436,50 +448,33 @@ def save_model(params: SupernetParams, arch: ArchEncoding, bin_path, manifest_pa
         "arch": arch.to_dict(),
         "tensors": [{"name": k, "shape": list(params.weights[k].data.shape)}
                     for k in names],
+        **extra,
     }
-    if extra:
-        for k, v in extra.items():
-            if k in manifest:
-                raise ValueError(f"extra manifest key {k!r} collides with a built-in")
-            manifest[k] = v
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
 def load_model(bin_path, manifest_path) -> tuple[SupernetParams, ArchEncoding, dict]:
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise ValueError("model manifest must be a JSON object")
-    if manifest.get("schema_version") != 1:
-        raise ValueError(f"unsupported model manifest version {manifest.get('schema_version')!r}")
-    for key in ("dims", "arch", "tensors"):
-        if key not in manifest:
-            raise ValueError(f"model manifest lacks {key!r}")
-    # eval writes best_epoch into its report and scores with virtual_node and metric
-    for key, fits, wanted in (("best_epoch", lambda v: type(v) is int and v >= -1,
-                               "an integer >= -1"),
-                              ("virtual_node", lambda v: type(v) is bool, "true or false"),
-                              ("metric", lambda v: isinstance(v, str), "a string")):
-        if key in manifest and not fits(manifest[key]):
-            raise ValueError(f"model manifest {key!r} must be {wanted}, got {manifest[key]!r}")
+    where = f"model manifest {manifest_path}"
+    manifest = fields(read_json(manifest_path, "model manifest"), MANIFEST, where,
+                      optional=MANIFEST_OPTIONAL)
+    # the blob is read as the format and with the constants this code writes
+    for key, wanted in (("schema_version", 1), ("dtype", "<f8"),
+                        ("max_degree", ops.MAX_DEGREE), ("expansion", ops.EXPANSION)):
+        if manifest[key] != wanted:
+            raise ValueError(f"{where}: {key} must be {wanted!r}, got {manifest[key]!r}")
+    # eval writes best_epoch into its report
+    if manifest.get("best_epoch", -1) < -1:
+        raise ValueError(f"{where}: best_epoch must be >= -1, got {manifest['best_epoch']}")
+    dims = fields(manifest["dims"], DIMS, f"{where}: dims")
     try:
-        if not isinstance(manifest["dims"], dict) or \
-                not all(type(v) is int for v in manifest["dims"].values()):
-            raise TypeError("must be an object of ints")
-        dims = SupernetDims(**manifest["dims"])
-    except TypeError as e:
-        raise ValueError(f"model manifest 'dims': {e}") from None
-    try:
-        arch = ArchEncoding.from_dict(manifest["arch"])
+        dims = SupernetDims(**dims)
     except ValueError as e:
-        raise ValueError(f"model manifest 'arch': {e}") from None
-    if not isinstance(manifest["tensors"], list) or not all(
-            isinstance(entry, dict) and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list) for entry in manifest["tensors"]):
-        raise ValueError("model manifest 'tensors' must list objects with a string "
-                         "'name' and a list 'shape'")
+        raise ValueError(f"{where}: dims: {e}") from None
+    arch = ArchEncoding.from_dict(manifest["arch"], f"{where}: arch")
+    for i, entry in enumerate(manifest["tensors"]):
+        fields(entry, TENSOR, f"{where}: tensors[{i}]")
     params = init_discrete(dims, arch, seed=0)
     # the manifest must list each tensor of the rebuilt model exactly once
     listed = Counter(entry["name"] for entry in manifest["tensors"])
@@ -490,7 +485,7 @@ def load_model(bin_path, manifest_path) -> tuple[SupernetParams, ArchEncoding, d
             raise ValueError(f"manifest tensor {name} {problem}")
     tensors = [params.weights[entry["name"]] for entry in manifest["tensors"]]
     for entry, t in zip(manifest["tensors"], tensors):
-        if t.data.shape != tuple(entry["shape"]):
+        if entry["shape"] != list(t.data.shape) or not all(map(KINDS["int"], entry["shape"])):
             raise ValueError(f"manifest tensor {entry['name']} {tuple(entry['shape'])} does "
                              f"not match the rebuilt architecture")
     with open(bin_path, "rb") as fh:

@@ -5,7 +5,9 @@ fixture runs synth-data -> search -> derive -> train -> eval once and the
 tests assert on its artifacts.
 """
 
+import collections
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from sfanas.cli import main
 from sfanas.graphs import SyntheticSpec, TaskSchema, load_dataset
 from sfanas.search import SearchConfig
 from sfanas.supernet import ArchEncoding
+from sfanas.training import MANIFEST_OPTIONAL, load_model
 
 
 def write_config(path, **overrides):
@@ -180,13 +183,16 @@ class TestSearch:
         assert main(["search", "--config", config, "--out", str(tmp_path)]) == 1
         assert "bad search section" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("synthetic", [
-        {"task": "triangle-threshold", "num_graph": 20}, 5], ids=["unknown-key", "not-an-object"])
-    def test_bad_synthetic_section(self, tmp_path, capsys, synthetic):
+    @pytest.mark.parametrize("synthetic, message", [
+        ({"task": "triangle-threshold", "num_graph": 20},
+         "bad synthetic section: unknown key 'num_graph'"),
+        (5, "bad dataset section: synthetic must be object, got 5"),
+    ], ids=["unknown-key", "not-an-object"])
+    def test_bad_synthetic_section(self, tmp_path, capsys, synthetic, message):
         config = write_config(tmp_path / "c.json", dataset={"synthetic": synthetic},
                               search=SEARCH_SECTION)
         assert main(["search", "--config", config, "--out", str(tmp_path)]) == 1
-        assert "error: bad synthetic section" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,field,value", [
         ("search", "epochs", 1.5),
@@ -267,11 +273,12 @@ class TestDerive:
         ('[1]', "not a JSON object"),
         ('not json', "Expecting value"),
         ('{"epoch": "0", "valid_metric": 0.5, "arch": {}}', "epoch must be int"),
-        ('{"epoch": 1, "valid_metric": "0.5", "arch": {}}', "valid_metric must be a finite"),
-        ('{"epoch": 1, "valid_metric": NaN, "arch": {}}', "valid_metric must be a finite"),
-        ('{"epoch": 1, "valid_metric": 0.5, "arch": {"num_blocks": 1}}',
-         "architecture lacks 'blocks'"),
-        ('{"epoch": 1, "valid_metric": 0.5, "arch": 5}', "bad architecture"),
+        ('{"epoch": 1, "valid_metric": "0.5", "arch": {}}',
+         "valid_metric must be float, got '0.5'"),
+        ('{"epoch": 1, "valid_metric": NaN, "arch": {}}', "valid_metric must be float, got nan"),
+        ('{"epoch": 1, "valid_metric": 0.5, "arch": {"num_blocks": 1}, "train_loss": 0.5, '
+         '"valid_loss": 0.5, "metric": "auc", "lambda": 1.0}', "arch: lacks 'blocks'"),
+        ('{"epoch": 1, "valid_metric": 0.5, "arch": 5}', "arch must be object, got 5"),
     ], ids=["no-valid-metric", "no-epoch", "list", "not-json", "string-epoch",
             "string-metric", "nan-metric", "arch-without-blocks", "arch-number"])
     def test_malformed_history(self, pipeline, tmp_path, line, message, capsys):
@@ -397,6 +404,8 @@ class TestTrainEval:
     @pytest.mark.parametrize("key, value", [
         ("best_epoch", "x"), ("best_epoch", 1.5), ("best_epoch", True), ("best_epoch", -2),
         ("virtual_node", "yes"), ("virtual_node", 1), ("metric", 3),
+        # the blob is read as "<f8" and the model built with the code's constants
+        ("dtype", ">f8"), ("dtype", "<f4"), ("max_degree", 7), ("expansion", 9),
     ])
     def test_eval_checks_the_manifest_fields_it_trusts(self, pipeline, tmp_path, key, value,
                                                        capsys):
@@ -407,8 +416,32 @@ class TestTrainEval:
         (model / "model.manifest.json").write_text(json.dumps(dict(manifest, **{key: value})))
         assert main(["eval", "--config", pipeline["config"],
                      "--model-dir", str(model), "--out", str(tmp_path / "out")]) == 1
-        assert f"error: model manifest {key!r} must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: model manifest {model / 'model.manifest.json'}: {key} must be" in err
+        assert f"got {value!r}" in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("hidden", 0, "hidden must be >= 1, got 0"),
+        ("out_dim", -1, "out_dim must be >= 1, got -1"),
+        ("num_blocks", 0, "num_blocks must be >= 1, got 0"),
+        ("d_in", -1, "d_in must be >= 0, got -1"),
+        ("d_edge", None, "lacks 'd_edge'"),
+    ])
+    def test_eval_checks_the_manifest_dims(self, pipeline, tmp_path, key, value, message,
+                                           capsys):
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "model.bin").write_bytes((pipeline["train"] / "model.bin").read_bytes())
+        manifest = json.loads((pipeline["train"] / "model.manifest.json").read_text())
+        manifest["dims"][key] = value
+        if value is None:
+            del manifest["dims"][key]
+        (model / "model.manifest.json").write_text(json.dumps(manifest))
+        assert main(["eval", "--config", pipeline["config"],
+                     "--model-dir", str(model), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: model manifest {model / 'model.manifest.json'}: dims: {message}" \
+            in capsys.readouterr().err
 
     def test_metric_must_fit_task(self, tmp_path, capsys):
         # multi-class data with an auc request has no defined positive class
@@ -462,7 +495,8 @@ class TestConfigPolicy:
             dataset[key] = dataset.pop("splits_path")
         config = write_config(tmp_path / "c.json", **extras)
         assert main(["search", "--config", config, "--out", str(tmp_path)]) == 1
-        assert f"error: unknown {where} key {key!r}" in capsys.readouterr().err
+        section = f"config {config}" if where == "config" else "bad dataset section"
+        assert f"error: {section}: unknown key {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_symmetrize_must_be_bool(self, pipeline, tmp_path, value, capsys):
@@ -567,6 +601,176 @@ class TestConfigFuzz:
                 except Exception as exc:
                     pytest.fail(f"{argv} on {cfg} raised {exc!r}")
                 assert code in (0, 1), (argv, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the other files the commands read: named errors and fuzzing
+
+
+def _reader(pipeline, tmp_path):
+    """For each file kind, (path, argv): a command that reads a copy of the
+    pipeline's file of that kind at ``path``. The train section runs no
+    epoch, so ``train`` stops soon after reading its architecture."""
+    data, model = tmp_path / "data", tmp_path / "model"
+    shutil.copytree(pipeline["data"], data)
+    shutil.copytree(pipeline["train"], model)
+    config = write_config(tmp_path / "c.json", dataset=synth_section(data),
+                          train={"hidden_size": 8, "epochs": 0, "metric": "accuracy"})
+    shutil.copy(pipeline["derive"] / "arch.json", tmp_path / "arch.json")
+    shutil.copy(pipeline["search"] / "history.jsonl", tmp_path / "history.jsonl")
+    out = ["--out", str(tmp_path / "out")]
+    evaluate = ["eval", "--config", config, "--model-dir", str(model), *out]
+    return {"config": (tmp_path / "c.json", evaluate),
+            "dataset": (data / "dataset.jsonl", evaluate),
+            "splits": (data / "splits.json", evaluate),
+            "manifest": (model / "model.manifest.json", evaluate),
+            "binary": (model / "model.bin", evaluate),
+            "arch": (tmp_path / "arch.json",
+                     ["train", "--config", config, "--arch", str(tmp_path / "arch.json"), *out]),
+            "history": (tmp_path / "history.jsonl",
+                        ["derive", "--history", str(tmp_path / "history.jsonl"), *out])}
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("kind", ["config", "arch", "history", "manifest", "splits",
+                                      "dataset"])
+    def test_bytes_that_are_not_utf8_name_the_file(self, pipeline, tmp_path, kind, capsys):
+        path, argv = _reader(pipeline, tmp_path)[kind]
+        path.write_bytes(b"\xff" + path.read_bytes())
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"file {path} is not UTF-8 (invalid start byte" in err
+
+    @pytest.mark.parametrize("kind", ["config", "arch", "history", "manifest", "binary",
+                                      "splits", "dataset"])
+    def test_a_directory_in_place_of_a_file_exits_1(self, pipeline, tmp_path, kind, capsys):
+        path, argv = _reader(pipeline, tmp_path)[kind]
+        path.unlink()
+        path.mkdir()
+        assert main(argv) == 1
+        assert path.name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["config", "arch", "manifest", "splits"])
+    def test_invalid_json_names_the_file(self, pipeline, tmp_path, kind, capsys):
+        path, argv = _reader(pipeline, tmp_path)[kind]
+        path.write_text("{x" + path.read_text())
+        assert main(argv) == 1
+        assert f"file {path} is not valid JSON: Expecting property name" in \
+            capsys.readouterr().err
+
+
+_SWAPS = [None, True, False, "", "x", [], [1], {}, {"a": 1}, 0.5, 7]
+_SUFFIXES = ["x", "}", "{}", " ", "\n", "0", "[]", "\n{}"]
+_PREFIXES = [b"\xff", b"\xfe\xff", b"\x80", b"\xc3(", b"\xef\xbb\xbf"]  # the last is a BOM
+
+
+def _json_kind(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def _nodes(obj) -> list:
+    """(container, key) for every value inside ``obj``: object keys and list indices."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    out = []
+    for k, v in items:
+        out += [(obj, k)] + _nodes(v)
+    return out
+
+
+def _mutate(text: str, kind: str, rng, lines: bool, keep=()) -> bytes:
+    """``text`` (one JSON value, or one per line if ``lines``) with one
+    mutation of ``kind``; a deletion spares the top-level keys in ``keep``.
+    Values are written back as the package writes them, so only the
+    mutated part differs. A cut never falls at a line's end, where it would
+    leave a shorter but well-formed JSON-lines file."""
+    pick = lambda seq: seq[rng.integers(len(seq))]  # noqa: E731
+    if kind == "truncate":
+        return text[:pick([k for k in range(1, len(text))
+                           if not (lines and "\n" in text[k - 1:k + 1])])].encode()
+    if kind == "extend":
+        return (text + pick(_SUFFIXES)).encode()
+    if kind == "prefix":
+        return pick(_PREFIXES) + text.encode()
+    docs = [json.loads(line) for line in text.splitlines()] if lines else [json.loads(text)]
+    doc = pick(docs)
+    if kind == "unknown":
+        pick([doc] + [c[k] for c, k in _nodes(doc) if isinstance(c[k], dict)])["extra"] = \
+            pick(_SWAPS)
+    elif kind == "delete":
+        c, k = pick([(c, k) for c, k in _nodes(doc) if c is not doc or k not in keep])
+        del c[k]
+    else:  # a value of another JSON type; an integer may also turn into a float
+        c, k = pick(_nodes(doc))
+        c[k] = pick([v for v in _SWAPS if _json_kind(v) != _json_kind(c[k])]
+                    + ([float(c[k])] if type(c[k]) is int else []))
+    return "".join(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n"
+                   for d in docs).encode()
+
+
+_MUTATIONS = ("delete", "unknown", "swap", "truncate", "extend", "prefix")
+
+
+class TestFileFuzz:
+    """Seeded mutations of each file a command reads: every run exits 0
+    or 1 and none raises, and a run exits 0 only if the file decodes to
+    what the unmutated file does."""
+
+    def fuzz(self, pipeline, tmp_path, kind, decode, seed, trials=240, lines=False, keep=()):
+        path, argv = _reader(pipeline, tmp_path)[kind]
+        assert main(argv) == 0
+        text = path.read_text(encoding="utf-8")
+        base = decode(path)
+        rng = np.random.default_rng(seed)
+        codes = collections.Counter()
+        for trial in range(trials):
+            mutation = _MUTATIONS[trial % len(_MUTATIONS)]
+            path.write_bytes(_mutate(text, mutation, rng, lines, keep))
+            try:
+                code = main(argv)
+            except Exception as exc:
+                pytest.fail(f"{mutation} of {kind}: {path.read_bytes()!r} raised {exc!r}")
+            assert code in (0, 1), (mutation, path.read_bytes())
+            if code == 0:
+                assert decode(path) == base, (mutation, path.read_bytes())
+            codes[code] += 1
+        # most mutations break the file; a trailing space, say, changes nothing
+        assert codes[1] > trials // 2 and codes[0]
+
+    def test_arch(self, pipeline, tmp_path):
+        self.fuzz(pipeline, tmp_path, "arch", lambda p: cli._load_arch(p).to_json(), 1801)
+
+    def test_history(self, pipeline, tmp_path):
+        def decode(path):
+            lines = path.read_text(encoding="utf-8").splitlines()
+            return json.dumps([dict(rec, arch=rec["arch"].to_dict()) for rec in (
+                cli._history_record(n, line) for n, line in enumerate(lines, 1) if line.strip())],
+                sort_keys=True)
+        self.fuzz(pipeline, tmp_path, "history", decode, 1802, lines=True)
+
+    def test_manifest_and_binary(self, pipeline, tmp_path, capsys):
+        def decode(path):
+            params, _, manifest = load_model(path.parent / "model.bin", path)
+            return json.dumps(manifest, sort_keys=True), \
+                [t.data.tobytes() for t in params.weights.values()]
+        # a manifest without best_epoch, metric or virtual_node is one a
+        # library caller writes, and it loads
+        self.fuzz(pipeline, tmp_path, "manifest", decode, 1803, keep=MANIFEST_OPTIONAL)
+        path, argv = _reader(pipeline, tmp_path / "binary")["binary"]
+        blob = path.read_bytes()
+        rng = np.random.default_rng(1804)
+        capsys.readouterr()
+        for trial in range(30):  # cut short, or extended by 1 or 8 bytes
+            path.write_bytes(blob[:rng.integers(len(blob))] if trial % 3 == 0
+                             else blob + bytes([7] * (1 if trial % 3 == 1 else 8)))
+            assert main(argv) == 1
+            assert "error: model binary model.bin holds" in capsys.readouterr().err
+
+    def test_splits(self, pipeline, tmp_path):
+        def decode(path):
+            ds = load_dataset(path.parent / "dataset.jsonl", TaskSchema("binary"), path)
+            return {name: idx.tolist() for name, idx in ds.splits.items()}
+        self.fuzz(pipeline, tmp_path, "splits", decode, 1805)
 
 
 # ---------------------------------------------------------------------------

@@ -668,8 +668,11 @@ def test_splits_must_partition():
 
 
 @pytest.mark.parametrize("splits, message", [
-    ([[0, 1], [2], [3]], "JSON object of index lists"),
-    ({"train": [0, 1], "valid": [2], "test": 3}, "split 'test' must be a list"),
+    pytest.param([[0, 1], [2], [3]],
+                 r"s\.json: not a JSON object, got \[\[0, 1\], \[2\], \[3\]\]",
+                 id="splits0-JSON object of index lists"),
+    pytest.param({"train": [0, 1], "valid": [2], "test": 3}, r"s\.json: test must be list, got 3",
+                 id="splits1-split 'test' must be a list"),
     ({"train": [0.5, 1], "valid": [2], "test": [3]}, "split 'train' must be a list"),
     ({"train": [0, True], "valid": [2], "test": [3]}, "split 'train' must be a list"),
     ({"train": [0, 1], "valid": ["2"], "test": [3]}, "split 'valid' must be a list"),

@@ -1,5 +1,7 @@
 """Tests for the relaxed supernet: encodings, mixing, block forward, derivation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,9 @@ class TestArchEncoding:
             obj["num_blocks"] = value
         else:
             obj["blocks"][0]["select"] = [value]
-        with pytest.raises(ValueError, match=f"'{field}' must hold JSON integers"):
+        message = f"num_blocks must be int, got {value!r}" if field == "num_blocks" else \
+            f"block 0: select must hold ints, got {[value]!r}"
+        with pytest.raises(ValueError, match=re.escape(f"architecture: {message}")):
             ArchEncoding.from_dict(obj)
 
     def test_bad_op_names_rejected(self):
@@ -108,6 +112,14 @@ class TestArchEncoding:
             simple_arch(agg="SAGE")
         with pytest.raises(ValueError, match="unknown readout op"):
             simple_arch(readout="GLOBAL_MIN")
+
+
+@pytest.mark.parametrize("key, value, least", [
+    ("d_in", -1, 0), ("out_dim", 0, 1), ("num_blocks", 0, 1), ("hidden", 0, 1), ("d_edge", -1, 0)])
+def test_dims_must_be_sizes(key, value, least):
+    sizes = {"d_in": 1, "out_dim": 1, "num_blocks": 1, "hidden": 1, "d_edge": 0, key: value}
+    with pytest.raises(ValueError, match=f"{key} must be >= {least}, got {value}"):
+        SupernetDims(**sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -601,22 +601,25 @@ class TestSaveLoad:
         manifest = json.loads(path.read_text())
         manifest["schema_version"] = 2
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="manifest version"):
+        with pytest.raises(ValueError, match=r"manifest\.json: schema_version must be 1, got 2"):
             load_model(tmp_path / "model.bin", path)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda m: [m], "must be a JSON object"),
+        (lambda m: [m], r"manifest\.json: not a JSON object, got \[\{"),
         (lambda m: {k: v for k, v in m.items() if k != "dims"}, "lacks 'dims'"),
         (lambda m: {k: v for k, v in m.items() if k != "arch"}, "lacks 'arch'"),
         (lambda m: {k: v for k, v in m.items() if k != "tensors"}, "lacks 'tensors'"),
-        (lambda m: dict(m, dims=[1, 2]), "'dims': must be an object of ints"),
-        (lambda m: dict(m, dims=dict(m["dims"], hidden="8")), "'dims': must be an object"),
-        (lambda m: dict(m, dims=dict(m["dims"], width=8)), "'dims': .*'width'"),
+        (lambda m: dict(m, dims=[1, 2]), r"manifest\.json: dims must be object, got \[1, 2\]"),
+        (lambda m: dict(m, dims=dict(m["dims"], hidden="8")),
+         r"manifest\.json: dims: hidden must be int, got '8'"),
+        (lambda m: dict(m, dims=dict(m["dims"], width=8)),
+         r"manifest\.json: dims: unknown key 'width'"),
         (lambda m: dict(m, tensors=[{"shape": [1]}] + m["tensors"][1:]),
-         "'tensors' must list objects with a string 'name'"),
-        (lambda m: dict(m, tensors={"encoder/W": [1]}), "'tensors' must list objects"),
-        (lambda m: dict(m, arch={"num_blocks": 1}), "'arch': architecture lacks 'blocks'"),
-        (lambda m: dict(m, arch=[1]), "'arch': bad architecture"),
+         r"manifest\.json: tensors\[0\]: lacks 'name'"),
+        (lambda m: dict(m, tensors={"encoder/W": [1]}),
+         r"manifest\.json: tensors must be list, got \{'encoder/W': \[1\]\}"),
+        (lambda m: dict(m, arch={"num_blocks": 1}), r"manifest\.json: arch: lacks 'blocks'"),
+        (lambda m: dict(m, arch=[1]), r"manifest\.json: arch must be object, got \[1\]"),
     ], ids=["list", "no-dims", "no-arch", "no-tensors", "dims-list", "dims-str-value",
             "dims-unknown-key", "tensor-without-name", "tensors-object", "arch-without-blocks",
             "arch-list"])
@@ -631,7 +634,7 @@ class TestSaveLoad:
         ds = small_dataset()
         arch = one_block_arch()
         params, _, _ = train_discrete(ds, arch, HParams(epochs=0, hidden_size=8))
-        with pytest.raises(ValueError, match="collides"):
+        with pytest.raises(ValueError, match="extra manifest keys: unknown key 'arch'"):
             save_model(params, arch, tmp_path / "m.bin", tmp_path / "m.json",
                        extra={"arch": {}})
 
