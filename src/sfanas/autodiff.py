@@ -20,7 +20,7 @@ over that index, which adds each segment's rows in row order onto
 zeros, and maxima are one ``maximum.at``. The ids come as a
 :class:`SegmentIndex`, which checks them once and builds each flat index
 once. A graph batch hands out one per index array it owns, and the tape
-nodes that read it keep it, with its memos, until the tape is consumed;
+nodes that read it keep it, with its memo, until the tape is consumed;
 a plain array passed to a segment kernel becomes a throwaway one.
 
 The tape contract: an op computes its output and hands :func:`_make` its
@@ -308,12 +308,12 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 
 class SegmentIndex:
-    """Segment ids in ``[0, num_segments)``, checked once, with memos of
-    what the segment kernels derive from them: the flat index per width
-    and the row count per segment, each built on first use. The memos
-    live as long as the index, which the tape nodes that read it hold."""
+    """Segment ids in ``[0, num_segments)``, checked once, with a memo of
+    the flat index the segment kernels derive from them, per width, built
+    on first use. The memo lives as long as the index, which the tape
+    nodes that read it hold."""
 
-    __slots__ = ("ids", "num_segments", "_flat", "_counts", "__weakref__")
+    __slots__ = ("ids", "num_segments", "_flat", "__weakref__")
 
     def __init__(self, ids, num_segments: int):
         ids = np.ascontiguousarray(ids, dtype=np.int64)
@@ -324,13 +324,11 @@ class SegmentIndex:
         self.ids = ids
         self.num_segments = num_segments
         self._flat: dict[int, np.ndarray] = {}
-        self._counts: np.ndarray | None = None
 
     def copy(self) -> "SegmentIndex":
-        """The same ids, not checked again, with empty memos."""
+        """The same ids, not checked again, with an empty memo."""
         twin = SegmentIndex.__new__(SegmentIndex)
-        twin.ids, twin.num_segments, twin._flat, twin._counts = \
-            self.ids, self.num_segments, {}, None
+        twin.ids, twin.num_segments, twin._flat = self.ids, self.num_segments, {}
         return twin
 
     def flat(self, width: int) -> np.ndarray:
@@ -340,13 +338,6 @@ class SegmentIndex:
         if flat is None:
             flat = self._flat[width] = (self.ids[:, None] * width + np.arange(width)).ravel()
         return flat
-
-    def counts(self) -> np.ndarray:
-        """Rows per segment, at least 1, as a column: a mean's divisor."""
-        if self._counts is None:
-            self._counts = np.maximum(
-                np.bincount(self.ids, minlength=self.num_segments), 1.0)[:, None]
-        return self._counts
 
 
 def _segment_index(ids, num_segments: int) -> SegmentIndex:
@@ -404,7 +395,7 @@ def segment_reduce(values: Tensor, ids, num_segments: int,
     if mode == "sum":
         return _make(_segment_sum(values.data, index), (values,), (lambda g: g[index.ids],))
     if mode == "mean":
-        n = index.counts()
+        n = np.maximum(np.bincount(index.ids, minlength=num_segments), 1.0)[:, None]
         return _make(_segment_sum(values.data, index) / n, (values,),
                      (lambda g: (g / n)[index.ids],))
 

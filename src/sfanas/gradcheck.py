@@ -1,13 +1,14 @@
 """Finite-difference verification of every backward rule.
 
 The registry covers three layers: each autodiff primitive, each graph
-operator (every selection/fusion/aggregation/readout candidate exactly
-once), and the full relaxed network checked against both its operation
-weights and its architecture logits. Each check returns the max relative
-error between analytic and central-difference gradients. The network
-check backpropagates once, then moves each entry of every weight and
-logit in place (:func:`autodiff.difference_error`), so the forward reads
-the very tensors it trains with.
+operator (every fusion, aggregation and readout candidate exactly once),
+and two whole networks: the relaxed supernet, checked against both its
+operation weights and its architecture logits, and a discrete network
+whose selection bits are both 0 and 1. Each check returns the max
+relative error between analytic and central-difference gradients. A
+network check backpropagates once, then moves each entry of every weight
+and logit in place (:func:`autodiff.difference_error`), so the forward
+reads the very tensors it trains with.
 
 Check functions must be pure: every random constant is drawn before the
 function is handed to grad_check, which re-evaluates it many times.
@@ -23,7 +24,7 @@ from . import autodiff as ad
 from . import ops
 from .autodiff import Tensor
 from .graphs import Graph, batch_graphs
-from .supernet import SupernetDims, init_relaxed, supernet_forward
+from .supernet import ArchEncoding, SupernetDims, init_discrete, init_relaxed, supernet_forward
 from .training import bce_masked, cross_entropy
 
 THRESHOLD = 1e-4
@@ -170,13 +171,6 @@ def _operator_checks():
     agg_params = {name: ops.init_aggregation_params(name, d, prng)
                   for name in ops.AGGREGATION_OPS}
 
-    for name in ops.SELECTION_OPS:
-        def sel_run(name=name):
-            rng = np.random.default_rng([9, 210])
-            x = rng.standard_normal(batch.node_features.shape)
-            return _checked(lambda t: ops.select(name, t), x, rng)
-        checks.append((f"op/selection/{name}", sel_run))
-
     for name in ops.FUSION_OPS:
         def fus_run(name=name):
             rng = np.random.default_rng([9, 220])
@@ -216,28 +210,33 @@ def _operator_checks():
     return checks
 
 
-def _supernet_check():
-    def run():
+# block 1 reads H0 and drops H1: a 1 and a 0 selection bit
+_DISCRETE = ArchEncoding(num_blocks=2, selection=((1,), (1, 0)), fusion=("CONCAT", "SUM"),
+                         aggregation=("GEN", "GIN"), readout="GLOBAL_SUM")
+
+
+def _supernet_checks():
+    def run(arch):
         batch = _toy_batch(2, d_edge=2)
         dims = SupernetDims(d_in=2, out_dim=2, num_blocks=2, hidden=4, d_edge=2)
-        params = init_relaxed(dims, seed=7)
-        params.lam = 1.0
+        params = init_relaxed(dims, seed=7) if arch is None else init_discrete(dims, arch, seed=7)
         rng = np.random.default_rng([9, 300])
         w_out = Tensor(rng.standard_normal((batch.num_graphs, 2)))
+        mode = "relaxed" if arch is None else "discrete"
 
         def objective():
-            return ad.tsum(ad.mul(supernet_forward(batch, params, mode="relaxed"), w_out))
+            return ad.tsum(ad.mul(supernet_forward(batch, params, mode, arch), w_out))
 
         ad.backward(objective())
         leaves = [*params.weights.values(), *params.alphas.values()]
         with ad.frozen(leaves):
             return max(ad.difference_error(t.grad, lambda: float(objective().data), t.data)
                        for t in leaves)
-    return [("supernet/relaxed", run)]
+    return [("supernet/relaxed", lambda: run(None)), ("supernet/discrete", lambda: run(_DISCRETE))]
 
 
 def all_checks():
-    return _primitive_checks() + _operator_checks() + _supernet_check()
+    return _primitive_checks() + _operator_checks() + _supernet_checks()
 
 
 def run_all():

@@ -102,10 +102,6 @@ class Graph:
     def num_nodes(self) -> int:
         return self.node_features.shape[0]
 
-    @property
-    def num_edges(self) -> int:
-        return self.edges.shape[0]
-
 
 @dataclass(frozen=True)
 class GraphBatch:

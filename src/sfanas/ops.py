@@ -1,4 +1,4 @@
-"""Candidate operations: aggregation, fusion, selection, readout.
+"""Candidate operations: aggregation, fusion, readout.
 
 Every aggregation operator maps (batch, H) -> H' without touching the graph
 structure. Operators are pure functions of their inputs and parameter dicts,
@@ -225,18 +225,7 @@ def fuse(name: str, inputs: list, params: dict) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# selection and readout
-
-
-def select(name: str, x: Tensor) -> Tensor:
-    """ZERO scales ``x`` by 0.0 and IDENTITY by 1.0. IDENTITY still makes a
-    node: H_j feeds several blocks, and returning ``x`` itself would reorder
-    the gradient sums into it and move the last bits upstream of it."""
-    if name == "ZERO":
-        return ad.scalar_mul(x, 0.0)
-    if name == "IDENTITY":
-        return ad.scalar_mul(x, 1.0)
-    raise ValueError(f"unknown selection op {name!r}")
+# readout
 
 
 _READOUT_MODES = {"GLOBAL_MEAN": "mean", "GLOBAL_MAX": "max", "GLOBAL_SUM": "sum"}

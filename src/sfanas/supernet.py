@@ -100,10 +100,6 @@ class ArchEncoding:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "ArchEncoding":
-        return cls.from_dict(json.loads(text))
-
 
 ARCH = {"num_blocks": "int", "blocks": "list", "readout": "str"}
 ARCH_BLOCK = {"select": "list", "fusion": "str", "agg": "str"}
@@ -251,8 +247,10 @@ def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
 
     ``block_index`` is 1-based: block i consumes history H0..H(i-1).
     Fusion and aggregation are :func:`site_forward` sites. A selection
-    site scales H_j by its IDENTITY weight when relaxed (ZERO contributes
-    nothing) and runs :func:`ops.select` on ``arch``'s bit when discrete.
+    site scales H_j by one weight: its IDENTITY softmax weight when relaxed
+    (ZERO contributes nothing), ``arch``'s 0/1 bit when discrete. The
+    product is a node even for a 1 bit: H_j feeds several blocks, and
+    passing it on itself would reorder the gradient sums into it.
     """
     if block_index < 1 or len(history) != block_index:
         raise ValueError(f"block {block_index} expects a history of length {block_index}")
@@ -260,12 +258,11 @@ def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
 
     scaled = []
     for j, Hj in enumerate(history):
-        key = f"sel/b{b}/i{j}"
-        if arch is None:
-            w = arch_weights(params.alphas[key], params.lam)
-            scaled.append(ad.mul(w[1:2], Hj))  # the IDENTITY weight
+        if arch is None:  # the IDENTITY weight
+            w = arch_weights(params.alphas[f"sel/b{b}/i{j}"], params.lam)[1:2]
         else:
-            scaled.append(ops.select(params.sites[key][1](arch), Hj))
+            w = Tensor([float(arch.selection[b][j])])
+        scaled.append(ad.mul(w, Hj))
 
     fus, agg, proj = f"fus/b{b}", f"agg/b{b}", params.edge_proj[b]
     fused = site_forward(params, fus, arch,

@@ -422,34 +422,48 @@ MANIFEST = {"schema_version": "int", "dtype": "str", "max_degree": "int", "expan
             "dims": "object", "arch": "object", "tensors": "list",
             "best_epoch": "int", "metric": "str", "virtual_node": "bool"}
 MANIFEST_OPTIONAL = ("best_epoch", "metric", "virtual_node")
+# the blob is read as the format and with the constants this code writes
+MANIFEST_PINNED = {"schema_version": 1, "dtype": "<f8", "max_degree": ops.MAX_DEGREE,
+                   "expansion": ops.EXPANSION}
 DIMS = {f.name: f.type for f in dataclasses.fields(SupernetDims)}
 TENSOR = {"name": "str", "shape": "list"}
+
+
+def _check_manifest(manifest, where: str) -> dict:
+    """``manifest`` if it has the keys and kinds of MANIFEST, the values of
+    MANIFEST_PINNED and a best_epoch of -1 or more; a ValueError naming
+    ``where`` if not. save_model checks what it writes, load_model what it
+    reads."""
+    fields(manifest, MANIFEST, where, optional=MANIFEST_OPTIONAL)
+    for key, wanted in MANIFEST_PINNED.items():
+        if manifest[key] != wanted:
+            raise ValueError(f"{where}: {key} must be {wanted!r}, got {manifest[key]!r}")
+    # eval writes best_epoch into its report
+    if manifest.get("best_epoch", -1) < -1:
+        raise ValueError(f"{where}: best_epoch must be >= -1, got {manifest['best_epoch']}")
+    return manifest
 
 
 def save_model(params: SupernetParams, arch: ArchEncoding, bin_path, manifest_path,
                extra: dict | None = None) -> None:
     """Flat little-endian float64 blob plus a JSON manifest that records
-    enough to rebuild the container (dims, arch, tensor names and shapes)."""
+    enough to rebuild the container (dims, arch, tensor names and shapes).
+    Writes nothing if ``extra`` would make a manifest load_model refuses."""
     extra = fields(extra or {}, {k: MANIFEST[k] for k in MANIFEST_OPTIONAL},
                    "extra manifest keys", optional=MANIFEST_OPTIONAL)
     names = list(params.weights)
-    flat = np.concatenate([params.weights[k].data.ravel() for k in names]) \
-        if names else np.zeros(0)
-    with open(bin_path, "wb") as fh:
-        fh.write(flat.astype("<f8").tobytes())
-    manifest = {
-        "schema_version": 1,
-        "dtype": "<f8",
-        "dims": {"d_in": params.dims.d_in, "out_dim": params.dims.out_dim,
-                 "num_blocks": params.dims.num_blocks, "hidden": params.dims.hidden,
-                 "d_edge": params.dims.d_edge},
-        "max_degree": ops.MAX_DEGREE,
-        "expansion": ops.EXPANSION,
+    manifest = _check_manifest({
+        **MANIFEST_PINNED,
+        "dims": dataclasses.asdict(params.dims),
         "arch": arch.to_dict(),
         "tensors": [{"name": k, "shape": list(params.weights[k].data.shape)}
                     for k in names],
         **extra,
-    }
+    }, f"model manifest {manifest_path}")
+    flat = np.concatenate([params.weights[k].data.ravel() for k in names]) \
+        if names else np.zeros(0)
+    with open(bin_path, "wb") as fh:
+        fh.write(flat.astype("<f8").tobytes())
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
@@ -457,16 +471,7 @@ def save_model(params: SupernetParams, arch: ArchEncoding, bin_path, manifest_pa
 
 def load_model(bin_path, manifest_path) -> tuple[SupernetParams, ArchEncoding, dict]:
     where = f"model manifest {manifest_path}"
-    manifest = fields(read_json(manifest_path, "model manifest"), MANIFEST, where,
-                      optional=MANIFEST_OPTIONAL)
-    # the blob is read as the format and with the constants this code writes
-    for key, wanted in (("schema_version", 1), ("dtype", "<f8"),
-                        ("max_degree", ops.MAX_DEGREE), ("expansion", ops.EXPANSION)):
-        if manifest[key] != wanted:
-            raise ValueError(f"{where}: {key} must be {wanted!r}, got {manifest[key]!r}")
-    # eval writes best_epoch into its report
-    if manifest.get("best_epoch", -1) < -1:
-        raise ValueError(f"{where}: best_epoch must be >= -1, got {manifest['best_epoch']}")
+    manifest = _check_manifest(read_json(manifest_path, "model manifest"), where)
     dims = fields(manifest["dims"], DIMS, f"{where}: dims")
     try:
         dims = SupernetDims(**dims)
@@ -475,19 +480,22 @@ def load_model(bin_path, manifest_path) -> tuple[SupernetParams, ArchEncoding, d
     arch = ArchEncoding.from_dict(manifest["arch"], f"{where}: arch")
     for i, entry in enumerate(manifest["tensors"]):
         fields(entry, TENSOR, f"{where}: tensors[{i}]")
-    params = init_discrete(dims, arch, seed=0)
+    try:
+        params = init_discrete(dims, arch, seed=0)
+    except ValueError as e:  # arch and dims disagree on the block count
+        raise ValueError(f"{where}: {e}") from None
     # the manifest must list each tensor of the rebuilt model exactly once
     listed = Counter(entry["name"] for entry in manifest["tensors"])
     for name in sorted(listed.keys() | params.weights.keys()):
         if listed[name] != int(name in params.weights):
             problem = ("is not in the rebuilt architecture" if name not in params.weights
                        else "is missing" if not listed[name] else "is listed more than once")
-            raise ValueError(f"manifest tensor {name} {problem}")
+            raise ValueError(f"{where}: manifest tensor {name} {problem}")
     tensors = [params.weights[entry["name"]] for entry in manifest["tensors"]]
     for entry, t in zip(manifest["tensors"], tensors):
         if entry["shape"] != list(t.data.shape) or not all(map(KINDS["int"], entry["shape"])):
-            raise ValueError(f"manifest tensor {entry['name']} {tuple(entry['shape'])} does "
-                             f"not match the rebuilt architecture")
+            raise ValueError(f"{where}: manifest tensor {entry['name']} "
+                             f"{tuple(entry['shape'])} does not match the rebuilt architecture")
     with open(bin_path, "rb") as fh:
         blob = fh.read()
     expected = 8 * sum(t.data.size for t in tensors)

@@ -1,10 +1,12 @@
 """Print SHA-256 digests of the logits and every leaf gradient of a set of
 models on each benchmark workload's fixed batch, one line per array.
 
-Two checkouts that print the same lines compute the same bits. Run it in
-each and compare::
+Two checkouts that print the same lines compute the same bits.
+``tests/test_bithash.py`` compares the output with ``tests/bithash.ref``;
+a change that moves bits on purpose regenerates that file with::
 
-    PYTHONPATH=src python3 tests/bithash.py > hashes.txt
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+        PYTHONPATH=src python3 tests/bithash.py > tests/bithash.ref
 
 The batch is the first 32 train graphs of the workload at seed 0, as the
 benchmark builds it (``sfabench/workloads.py``, read only). The models

@@ -120,8 +120,8 @@ class TestSynthData:
 
 class TestSearch:
     def test_writes_arch_and_history(self, pipeline):
-        arch = ArchEncoding.from_json(
-            (pipeline["search"] / "arch.json").read_text())
+        arch = ArchEncoding.from_dict(
+            json.loads((pipeline["search"] / "arch.json").read_text()))
         assert arch.num_blocks == 2
         records = [json.loads(line) for line in
                    (pipeline["search"] / "history.jsonl").read_text().splitlines()]
@@ -148,13 +148,13 @@ class TestSearch:
     def test_blocks_override(self, pipeline, tmp_path):
         assert main(["search", "--config", pipeline["config"], "--blocks", "1",
                      "--out", str(tmp_path)]) == 0
-        arch = ArchEncoding.from_json((tmp_path / "arch.json").read_text())
+        arch = ArchEncoding.from_dict(json.loads((tmp_path / "arch.json").read_text()))
         assert arch.num_blocks == 1
 
     def test_fixed_agg_override(self, pipeline, tmp_path):
         assert main(["search", "--config", pipeline["config"],
                      "--fixed-agg", "EXPC", "--out", str(tmp_path)]) == 0
-        arch = ArchEncoding.from_json((tmp_path / "arch.json").read_text())
+        arch = ArchEncoding.from_dict(json.loads((tmp_path / "arch.json").read_text()))
         assert arch.aggregation == ("EXPC", "EXPC")
 
     def test_unknown_fixed_agg(self, pipeline, tmp_path, capsys):
@@ -244,8 +244,8 @@ class TestDerive:
     def test_picks_best_valid_epoch(self, pipeline):
         records = self.history(pipeline)
         best = max(records, key=lambda r: r["valid_metric"])
-        arch = ArchEncoding.from_json(
-            (pipeline["derive"] / "arch.json").read_text())
+        arch = ArchEncoding.from_dict(
+            json.loads((pipeline["derive"] / "arch.json").read_text()))
         assert arch == ArchEncoding.from_dict(best["arch"])
 
     def test_epoch_flag(self, pipeline, tmp_path):
@@ -253,7 +253,7 @@ class TestDerive:
         assert main(["derive", "--history",
                      str(pipeline["search"] / "history.jsonl"),
                      "--epoch", "0", "--out", str(tmp_path)]) == 0
-        arch = ArchEncoding.from_json((tmp_path / "arch.json").read_text())
+        arch = ArchEncoding.from_dict(json.loads((tmp_path / "arch.json").read_text()))
         assert arch == ArchEncoding.from_dict(records[0]["arch"])
 
     def test_epoch_out_of_range(self, pipeline, tmp_path, capsys):
@@ -792,9 +792,10 @@ class TestGradcheckCommand:
         covered = {(module.capitalize(), name)
                    for module, name in (n.split("/")[1:] for n in listed)}
         assert covered == {(module, name) for module, names in (
-            ("Selection", ops.SELECTION_OPS), ("Fusion", ops.FUSION_OPS),
-            ("Aggregation", ops.AGGREGATION_OPS), ("Readout", ops.READOUT_OPS))
-            for name in names}
+            ("Fusion", ops.FUSION_OPS), ("Aggregation", ops.AGGREGATION_OPS),
+            ("Readout", ops.READOUT_OPS)) for name in names}
+        # selection is covered by the whole networks, relaxed and discrete
+        assert {"supernet/relaxed", "supernet/discrete"} <= {c["name"] for c in report["checks"]}
 
     def test_failure_exits_nonzero(self, monkeypatch, capsys):
         from sfanas import gradcheck as gc

@@ -86,14 +86,14 @@ def test_batch_holds_each_graph_at_its_offsets():
     n_off = e_off = 0
     for i, g in enumerate(graphs):
         nodes = slice(n_off, n_off + g.num_nodes)
-        edges = slice(e_off, e_off + g.num_edges)
+        edges = slice(e_off, e_off + g.edges.shape[0])
         np.testing.assert_array_equal(batch.node_features[nodes], g.node_features)
         np.testing.assert_array_equal(batch.graph_ids[nodes], i)
         np.testing.assert_array_equal(batch.edges[edges] - n_off, g.edges)
         np.testing.assert_array_equal(batch.edge_features[edges], g.edge_features)
         np.testing.assert_array_equal(batch.labels[i], g.label)
         n_off += g.num_nodes
-        e_off += g.num_edges
+        e_off += g.edges.shape[0]
     assert (n_off, e_off) == (batch.num_nodes, len(batch.edges))
 
 
@@ -181,13 +181,11 @@ def test_no_memo_outlives_its_batch(monkeypatch):
     assert b.num_nodes == sum(sizes) and len(b.edges) == 2 * sum(sizes)
     got = step(b)
     # the plain-array path: each kernel gets a copy of the ids and derives
-    # the flat index and the counts afresh
+    # the flat index afresh
     monkeypatch.setattr(ad, "_segment_index",
                         lambda ids, n: ad.SegmentIndex(np.array(getattr(ids, "ids", ids)), n))
     monkeypatch.setattr(ad.SegmentIndex, "flat",
                         lambda self, w: (self.ids[:, None] * w + np.arange(w)).ravel())
-    monkeypatch.setattr(ad.SegmentIndex, "counts", lambda self: np.maximum(
-        np.bincount(self.ids, minlength=self.num_segments), 1.0)[:, None])
     assert got == step(b)
 
 

@@ -363,29 +363,6 @@ class TestFusion:
 
 
 # ---------------------------------------------------------------------------
-# selection
-
-
-class TestSelect:
-    def test_zero_and_one(self):
-        x = T([[3.0, -4.0]])
-        np.testing.assert_array_equal(ops.select("ZERO", x).data, [[0.0, 0.0]])
-        same = ops.select("IDENTITY", x)
-        np.testing.assert_array_equal(same.data, x.data)
-        assert same is not x  # a node of its own, see ops.select
-
-    def test_gradients(self):
-        x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-        ad.backward(ad.tsum(ad.add(ops.select("IDENTITY", x),
-                                   ad.scalar_mul(ops.select("ZERO", x), 5.0))))
-        np.testing.assert_array_equal(x.grad, [[1.0, 1.0]])
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown selection op"):
-            ops.select("HALF", T([[1.0]]))
-
-
-# ---------------------------------------------------------------------------
 # readout
 
 

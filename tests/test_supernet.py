@@ -1,5 +1,6 @@
 """Tests for the relaxed supernet: encodings, mixing, block forward, derivation."""
 
+import json
 import re
 
 import numpy as np
@@ -48,7 +49,7 @@ class TestArchEncoding:
         arch = ArchEncoding(num_blocks=2, selection=((1,), (1, 0)),
                             fusion=("MAX", "CONCAT"),
                             aggregation=("GIN", "EXPC"), readout="GLOBAL_MAX")
-        again = ArchEncoding.from_json(arch.to_json())
+        again = ArchEncoding.from_dict(json.loads(arch.to_json()))
         assert again == arch
 
     def test_dict_shape(self):
@@ -61,7 +62,7 @@ class TestArchEncoding:
     def test_fourteen_blocks_expressible(self):
         arch = simple_arch(num_blocks=14)
         assert len(arch.selection[13]) == 14
-        assert ArchEncoding.from_json(arch.to_json()) == arch
+        assert ArchEncoding.from_dict(json.loads(arch.to_json())) == arch
 
     def test_zero_blocks_rejected(self):
         with pytest.raises(ValueError, match="at least one block"):
@@ -249,6 +250,22 @@ class TestSfaBlock:
         out = sfa_block_forward(self.batch, 1, [T([[1.0], [2.0]])], params)
         zero_in = ops.gin(self.batch, T(np.zeros((2, 1))), params.ops["agg/b0", "GIN"])
         np.testing.assert_array_equal(out.data, zero_in.data)
+
+    def test_discrete_selection_bits_scale_by_zero_or_one(self, monkeypatch):
+        dims = SupernetDims(d_in=1, out_dim=1, num_blocks=2, hidden=1)
+        arch = ArchEncoding(num_blocks=2, selection=((1,), (0, 1)), fusion=("SUM", "CONCAT"),
+                            aggregation=("GIN", "GIN"), readout="GLOBAL_MEAN")
+        params = init_discrete(dims, arch, seed=3)
+        fuse, seen = ops.fuse, []
+        monkeypatch.setattr(ops, "fuse", lambda name, inputs, p: seen.extend(inputs) or fuse(name, inputs, p))
+        H0 = Tensor(np.array([[1.0], [2.0]]), requires_grad=True)
+        H1 = Tensor(np.array([[-3.0], [4.0]]), requires_grad=True)
+        ad.backward(ad.tsum(sfa_block_forward(self.batch, 2, [H0, H1], params, arch)))
+        zero, one = seen
+        np.testing.assert_array_equal(zero.data, np.zeros((2, 1)))  # the 0 bit
+        np.testing.assert_array_equal(one.data, H1.data)  # the 1 bit
+        assert one is not H1  # a node of its own, so gradient sums keep their order
+        np.testing.assert_array_equal(H0.grad, np.zeros((2, 1)))
 
     def test_history_length_checked(self):
         dims = SupernetDims(d_in=1, out_dim=1, num_blocks=2, hidden=1)

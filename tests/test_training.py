@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -577,7 +578,8 @@ class TestSaveLoad:
     def test_tensor_list_must_match_the_rebuilt_model(self, tmp_path, edit, message):
         self.train_and_save(tmp_path, arch=one_block_arch(agg="MF"))
         self.relist_tensors(tmp_path, edit)
-        with pytest.raises(ValueError, match=f"manifest tensor b0/agg/MF/{message}"):
+        with pytest.raises(ValueError,
+                           match=rf"manifest\.json: manifest tensor b0/agg/MF/{message}"):
             load_model(tmp_path / "model.bin", tmp_path / "model.manifest.json")
 
     def test_unknown_tensor_rejected(self, tmp_path):
@@ -586,7 +588,21 @@ class TestSaveLoad:
         manifest = json.loads(path.read_text())
         manifest["tensors"][0]["name"] = "b9/agg/EXPC/We"
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="b9/agg/EXPC/We is not in the rebuilt"):
+        with pytest.raises(ValueError, match=r"manifest\.json: manifest tensor b9/agg/EXPC/We "
+                                             r"is not in the rebuilt"):
+            load_model(tmp_path / "model.bin", path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: dict(m, dims=dict(m["dims"], num_blocks=2)),
+         "architecture has 1 blocks, dims say 2"),
+        (lambda m: dict(m, tensors=m["tensors"][:-1] + [{"name": "head/b", "shape": [2]}]),
+         r"manifest tensor head/b \(2,\) does not match the rebuilt architecture"),
+    ], ids=["block-count", "tensor-shape"])
+    def test_rebuild_errors_name_the_file(self, tmp_path, edit, message):
+        self.train_and_save(tmp_path)
+        path = tmp_path / "model.manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=rf"^model manifest {re.escape(str(path))}: {message}"):
             load_model(tmp_path / "model.bin", path)
 
     def test_manifest_records_the_constants(self, tmp_path):
@@ -638,6 +654,15 @@ class TestSaveLoad:
             save_model(params, arch, tmp_path / "m.bin", tmp_path / "m.json",
                        extra={"arch": {}})
 
+    def test_save_refuses_what_load_refuses(self, tmp_path):
+        ds = small_dataset()
+        arch = one_block_arch()
+        params, _, _ = train_discrete(ds, arch, HParams(epochs=0, hidden_size=8))
+        with pytest.raises(ValueError, match="best_epoch must be >= -1, got -5"):
+            save_model(params, arch, tmp_path / "m.bin", tmp_path / "m.json",
+                       extra={"best_epoch": -5})
+        assert list(tmp_path.iterdir()) == []
+
     def test_evaluate_model_feature_width_guard(self, tmp_path):
         ds, arch, params, _ = self.train_and_save(tmp_path)
         wider = Dataset(
@@ -652,7 +677,7 @@ class TestSaveLoad:
         ds = small_dataset()
         with_ef = Dataset(
             graphs=[Graph(node_features=g.node_features, edges=g.edges,
-                          edge_features=np.ones((g.num_edges, 2)), label=g.label)
+                          edge_features=np.ones((g.edges.shape[0], 2)), label=g.label)
                     for g in ds.graphs],
             schema=ds.schema, splits=ds.splits)
         arch = one_block_arch(agg="GEN")
