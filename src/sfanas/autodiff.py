@@ -19,9 +19,10 @@ Segment reductions sort nothing. Row ``i``, column ``c`` goes to slot
 over that index, which adds each segment's rows in row order onto
 zeros, and maxima are one ``maximum.at``. The ids come as a
 :class:`SegmentIndex`, which checks them once and builds each flat index
-once. A graph batch hands out one per index array it owns, and the tape
-nodes that read it keep it, with its memo, until the tape is consumed;
-a plain array passed to a segment kernel becomes a throwaway one.
+once. A graph batch hands out one per index array it owns; a supernet
+forward holds it while it runs, and the tape nodes that read it keep it,
+with its memo, until the tape is consumed; a plain array passed to a
+segment kernel becomes a throwaway one.
 
 The tape contract: an op computes its output and hands :func:`_make` its
 parents plus one vector-Jacobian product (VJP) per parent, each mapping
@@ -38,10 +39,11 @@ value or a tensor's ``data``, and never writes an array after returning
 it. A leaf's first gradient stores -0.0 as 0.0 either way, so leaf
 gradients keep the bits they had when every first gradient was copied.
 
-Five fused composites are one tape node each, with a closed-form VJP:
+Six fused composites are one tape node each, with a closed-form VJP:
 :func:`softmax` (the architecture weights), :func:`weighted_sum` (the
-relaxed mixture), :func:`layer_norm`, :func:`masked_bce` and :func:`lstm`
-(the whole scan; its VJP runs backpropagation through time). Each forward
+relaxed mixture), :func:`layer_norm`, :func:`masked_bce`, :func:`lstm`
+(the whole scan; its VJP runs backpropagation through time) and
+:func:`segment_softmax` (attention over each segment). Each forward
 evaluates the numpy expressions of the composed version it replaced, in
 the same order, so outputs keep their bits; gradients may differ in the
 last bits. A fused VJP may keep forward buffers in its closure (the LSTM
@@ -52,6 +54,7 @@ only, as the benchmark's ``autodiff.tape_bytes`` does, leaves them out.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -355,7 +358,7 @@ def _segment_sum(values: np.ndarray, index: SegmentIndex) -> np.ndarray:
     """Per-segment sums of the rows of ``values``: each segment's rows are
     added one by one, in row order, onto zeros, so empty segments give zero.
     The result owns its memory, so :func:`backward` can keep it."""
-    width = int(np.prod(values.shape[1:], dtype=np.int64))
+    width = math.prod(values.shape[1:])
     sums = np.bincount(index.flat(width), weights=values.ravel(),
                        minlength=index.num_segments * width)
     sums.shape = (index.num_segments,) + values.shape[1:]  # in place, not a view
@@ -418,13 +421,20 @@ def segment_reduce(values: Tensor, ids, num_segments: int,
 
 
 def segment_softmax(logits: Tensor, ids, num_segments: int) -> Tensor:
-    """Softmax over each segment, per column. Max-shifted for stability."""
+    """Softmax over each segment, per column, of the 2-d ``logits``;
+    max-shifted for stability. One tape node, whose VJP is
+    ``out * (g - segsum(g * out)[ids])``."""
     index = _segment_index(ids, num_segments)
     flat = index.flat(logits.data.shape[1])
     shift = _segment_max(logits.data, flat, num_segments)[flat].reshape(logits.data.shape)
-    z = exp(sub(logits, Tensor(shift)))
-    denom = segment_reduce(z, index, num_segments, "sum")
-    return div(z, gather_rows(denom, index))
+    z = np.exp(np.subtract(logits.data, shift, out=shift), out=shift)
+    out = np.divide(z, _segment_sum(z, index)[index.ids], out=z)
+
+    def vjp(g):
+        grad = g - _segment_sum(g * out, index)[index.ids]
+        grad *= out
+        return grad
+    return _make(out, (logits,), (vjp,))
 
 
 # ---------------------------------------------------------------------------

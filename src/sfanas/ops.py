@@ -79,8 +79,29 @@ def init_fusion_params(name: str, d: int, num_inputs: int,
 # aggregation operators
 
 
-def _neighbor_sum(batch: GraphBatch, H: Tensor) -> Tensor:
-    return ad.segment_reduce(ad.gather_rows(H, batch.src), batch.dst, batch.num_nodes, "sum")
+class Neighbours:
+    """The edge work GIN, GEN, MF and EXPC do on features ``H``: its rows
+    gathered by edge source (:meth:`messages`) and their sum per
+    destination (:meth:`sums`). Each is built on first use, so the
+    candidates of a relaxed block, handed one ``Neighbours`` of the fused
+    features, build each at most once between them."""
+
+    __slots__ = ("batch", "H", "_messages", "_sums")
+
+    def __init__(self, batch: GraphBatch, H: Tensor):
+        self.batch, self.H = batch, H
+        self._messages = self._sums = None
+
+    def messages(self) -> Tensor:
+        if self._messages is None:
+            self._messages = ad.gather_rows(self.H, self.batch.src)
+        return self._messages
+
+    def sums(self) -> Tensor:
+        if self._sums is None:
+            self._sums = ad.segment_reduce(self.messages(), self.batch.dst,
+                                           self.batch.num_nodes, "sum")
+        return self._sums
 
 
 def _mlp(x: Tensor, params: dict) -> Tensor:
@@ -104,20 +125,24 @@ def gat_attention(batch: GraphBatch, H: Tensor, params: dict,
     """Per-edge attention over each destination's in-edges plus a self-loop.
 
     Returns (attention E'x1, transformed sources E'xd, dst index vector).
+    The plain logit of edge j -> i is ``a_src . Wh_j + a_dst . Wh_i``
+    (Velickovic et al., 2018), whose halves are computed once per node and
+    looked up per edge; sym adds the logit of i -> j.
     """
     n = batch.num_nodes
     HW = ad.matmul(H, params["W"])
     hs = ad.gather_rows(HW, batch.loop_src)
-    hd = ad.gather_rows(HW, batch.loop_dst)
+    if variant in ("plain", "sym"):
+        s_src, s_dst = ad.matmul(HW, params["a_src"]), ad.matmul(HW, params["a_dst"])
 
-    def score(u, v):
-        return ad.leaky_relu(ad.add(ad.matmul(u, params["a_src"]), ad.matmul(v, params["a_dst"])))
+        def score(src, dst):
+            return ad.leaky_relu(ad.add(ad.gather_rows(s_src, src), ad.gather_rows(s_dst, dst)))
 
-    if variant == "plain":
-        logits = score(hs, hd)
-    elif variant == "sym":
-        logits = ad.add(score(hs, hd), score(hd, hs))
+        logits = score(batch.loop_src, batch.loop_dst)
+        if variant == "sym":
+            logits = ad.add(logits, score(batch.loop_dst, batch.loop_src))
     elif variant == "cos":
+        hd = ad.gather_rows(HW, batch.loop_dst)
         dot = ad.tsum(ad.mul(hs, hd), axis=1, keepdims=True)
         ns = ad.sqrt(ad.add(ad.tsum(ad.mul(hs, hs), axis=1, keepdims=True), Tensor(1e-24)))
         nd = ad.sqrt(ad.add(ad.tsum(ad.mul(hd, hd), axis=1, keepdims=True), Tensor(1e-24)))
@@ -134,16 +159,17 @@ def gat(batch: GraphBatch, H: Tensor, params: dict,
     return ad.segment_reduce(ad.mul(hs, attn), batch.loop_dst, batch.num_nodes, "sum")
 
 
-def gin(batch: GraphBatch, H: Tensor, params: dict) -> Tensor:
-    s = ad.add(ad.add(H, ad.mul(params["eps"], H)), _neighbor_sum(batch, H))
+def gin(batch: GraphBatch, H: Tensor, params: dict,
+        neighbours: Neighbours | None = None) -> Tensor:
+    s = ad.add(ad.add(H, ad.mul(params["eps"], H)), (neighbours or Neighbours(batch, H)).sums())
     return _mlp(s, params)
 
 
 def gen(batch: GraphBatch, H: Tensor, params: dict,
-        edge_feats: Tensor | None = None) -> Tensor:
+        edge_feats: Tensor | None = None, neighbours: Neighbours | None = None) -> Tensor:
     """Softmax-weighted (per channel) message aggregation with learnable sharpness."""
     n = batch.num_nodes
-    msg_in = ad.gather_rows(H, batch.src)
+    msg_in = (neighbours or Neighbours(batch, H)).messages()
     if edge_feats is not None:
         msg_in = ad.add(msg_in, edge_feats)
     m = ad.add(ad.relu(msg_in), Tensor(1e-7))
@@ -152,10 +178,11 @@ def gen(batch: GraphBatch, H: Tensor, params: dict,
     return _mlp(ad.add(H, agg), params)
 
 
-def mf(batch: GraphBatch, H: Tensor, params: dict) -> Tensor:
+def mf(batch: GraphBatch, H: Tensor, params: dict,
+       neighbours: Neighbours | None = None) -> Tensor:
     """Degree-indexed linear transform of self+neighbor sums."""
     max_degree = len(params) - 1
-    s = ad.add(H, _neighbor_sum(batch, H))
+    s = ad.add(H, (neighbours or Neighbours(batch, H)).sums())
     bucket = np.minimum(batch.degrees.astype(np.int64), max_degree)
     out = None
     for k in range(max_degree + 1):
@@ -170,12 +197,14 @@ def mf(batch: GraphBatch, H: Tensor, params: dict) -> Tensor:
 def expc(batch: GraphBatch, H: Tensor, params: dict) -> Tensor:
     """Expand, activate, and compress self+neighbor contributions."""
     z = ad.relu(ad.matmul(H, params["We"]))
-    s = ad.add(z, _neighbor_sum(batch, z))
+    s = ad.add(z, Neighbours(batch, z).sums())
     return ad.matmul(s, params["Wc"])
 
 
 def aggregate(name: str, batch: GraphBatch, H: Tensor, params: dict,
-              edge_feats: Tensor | None = None) -> Tensor:
+              edge_feats: Tensor | None = None, neighbours: Neighbours | None = None) -> Tensor:
+    """Aggregation ``name`` of ``H``. ``neighbours``, built over ``H``,
+    lends GIN, GEN and MF its gather and sum; without it they build their own."""
     if name == "GCN":
         return gcn(batch, H, params)
     if name == "GAT":
@@ -185,11 +214,11 @@ def aggregate(name: str, batch: GraphBatch, H: Tensor, params: dict,
     if name == "GAT_COS":
         return gat(batch, H, params, "cos")
     if name == "GIN":
-        return gin(batch, H, params)
+        return gin(batch, H, params, neighbours)
     if name == "GEN":
-        return gen(batch, H, params, edge_feats)
+        return gen(batch, H, params, edge_feats, neighbours)
     if name == "MF":
-        return mf(batch, H, params)
+        return mf(batch, H, params, neighbours)
     if name == "EXPC":
         return expc(batch, H, params)
     raise ValueError(f"unknown aggregation op {name!r}")

@@ -246,7 +246,9 @@ def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
     """One selection-fusion-aggregation block over the feature history.
 
     ``block_index`` is 1-based: block i consumes history H0..H(i-1).
-    Fusion and aggregation are :func:`site_forward` sites. A selection
+    Fusion and aggregation are :func:`site_forward` sites; the aggregation
+    candidates share one :class:`ops.Neighbours` of the fused features, so
+    the edge gather and neighbour sum they read are built once. A selection
     site scales H_j by one weight: its IDENTITY softmax weight when relaxed
     (ZERO contributes nothing), ``arch``'s 0/1 bit when discrete. The
     product is a node even for a 1 bit: H_j feeds several blocks, and
@@ -267,10 +269,12 @@ def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
     fus, agg, proj = f"fus/b{b}", f"agg/b{b}", params.edge_proj[b]
     fused = site_forward(params, fus, arch,
                          lambda name: ops.fuse(name, scaled, params.ops[fus, name]))
+    shared = ops.Neighbours(batch, fused)
     return site_forward(params, agg, arch, lambda name: ops.aggregate(
         name, batch, fused, params.ops[agg, name],
         ad.matmul(Tensor(batch.edge_features), proj)
-        if name == "GEN" and proj is not None and batch.edge_features is not None else None))
+        if name == "GEN" and proj is not None and batch.edge_features is not None else None,
+        shared))
 
 
 def supernet_forward(batch: GraphBatch, params: SupernetParams,
@@ -283,12 +287,18 @@ def supernet_forward(batch: GraphBatch, params: SupernetParams,
     "discrete" (the ops ``arch`` chose). After each block the features
     pass through relu, a per-node normalization, and (in training mode)
     dropout; deep stacks do not train without the normalization.
+
+    The forward holds the batch's index plan (its five
+    :class:`autodiff.SegmentIndex` handles) while it runs, so every kernel
+    reads one handle per index array and builds each flat index once, as
+    in a taped step, also when nothing is taped.
     """
     if mode not in ("relaxed", "discrete"):
         raise ValueError(f"unknown mode {mode!r}; expected 'relaxed' or 'discrete'")
     if mode == "discrete" and arch is None:
         raise ValueError("discrete mode needs an ArchEncoding")
     arch = arch if mode == "discrete" else None
+    plan = (batch.src, batch.dst, batch.loop_src, batch.loop_dst, batch.graph_index)
     H0 = ad.add(ad.matmul(Tensor(batch.node_features), params.weights["encoder/W"]),
                 params.weights["encoder/b"])
     history = [H0]
@@ -301,7 +311,9 @@ def supernet_forward(batch: GraphBatch, params: SupernetParams,
 
     pooled = site_forward(params, "readout", arch, lambda name: ops.readout(
         name, history[-1], batch.graph_index, batch.num_graphs))
-    return ad.add(ad.matmul(pooled, params.weights["head/W"]), params.weights["head/b"])
+    logits = ad.add(ad.matmul(pooled, params.weights["head/W"]), params.weights["head/b"])
+    del plan  # from here on only the tape nodes that read an index hold it
+    return logits
 
 
 # ---------------------------------------------------------------------------

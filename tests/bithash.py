@@ -1,5 +1,6 @@
 """Print SHA-256 digests of the logits and every leaf gradient of a set of
-models on each benchmark workload's fixed batch, one line per array.
+models on each benchmark workload's fixed batch, one line per array, and
+of the two files ``save_model`` writes for each discrete model.
 
 Two checkouts that print the same lines compute the same bits.
 ``tests/test_bithash.py`` compares the output with ``tests/bithash.ref``;
@@ -32,7 +33,7 @@ from sfanas import autodiff as ad, graphs, ops  # noqa: E402
 from sfanas.search import SearchConfig, random_architecture  # noqa: E402
 from sfanas.supernet import (DEFAULT_AGG_CANDIDATES, SupernetDims, init_discrete,  # noqa: E402
                              init_relaxed, supernet_forward)
-from sfanas.training import output_dim, task_loss  # noqa: E402
+from sfanas.training import output_dim, save_model, task_loss  # noqa: E402
 
 SEED = 0
 RANDOM_ARCHS = 5
@@ -82,6 +83,17 @@ def workload_lines(name: str):
             leaves = {**params.weights, **{f"alpha/{k}": t for k, t in params.alphas.items()}}
             for key, t in leaves.items():
                 yield f"{prefix} grad {key} {_digest(t.grad)}"
+        if arch is not None:
+            yield from _model_file_lines(f"{name} {label}", params, arch)
+
+
+def _model_file_lines(prefix: str, params, arch):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = Path(tmp) / "model.bin", Path(tmp) / "model.manifest.json"
+        save_model(params, arch, *paths)
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths]
+    for path, digest in zip(paths, digests):
+        yield f"{prefix} file {path.name} {digest}"
 
 
 def main() -> None:

@@ -437,6 +437,15 @@ def composed_lstm(inputs, W_ih, W_hh, b):
     return h
 
 
+def composed_segment_softmax(logits, ids, num_segments):
+    index = ad._segment_index(ids, num_segments)
+    flat = index.flat(logits.data.shape[1])
+    shift = ad._segment_max(logits.data, flat, num_segments)[flat].reshape(logits.data.shape)
+    z = ad.exp(ad.sub(logits, Tensor(shift)))
+    denom = ad.segment_reduce(z, index, num_segments, "sum")
+    return ad.div(z, ad.gather_rows(denom, index))
+
+
 def _softmax_case(rng):
     a = Tensor(rng.normal(size=int(rng.integers(1, 9))) * 4.0, requires_grad=True)
     temperature = float(rng.uniform(0.05, 3.0))
@@ -467,6 +476,19 @@ def _masked_bce_case(rng):
     return [z], lambda op: op(z, y, mask)
 
 
+def _segment_softmax_case(rng):
+    """Widths 1 and 32; the last segment is always empty, and a row of
+    NaNs comes in about a third of the cases."""
+    rows, segments = int(rng.integers(1, 12)), int(rng.integers(2, 6))
+    width = (1, 32)[int(rng.integers(2))]
+    ids = rng.integers(0, segments - 1, size=rows)
+    logits = rng.normal(size=(rows, width)) * 3.0
+    if rng.random() < 0.35:
+        logits[int(rng.integers(rows))] = np.nan
+    x = Tensor(logits, requires_grad=True)
+    return [x], lambda op: op(x, ids, segments)
+
+
 def _lstm_case(rng):
     n, d, steps = (int(v) for v in rng.integers(1, 6, size=3))
     xs = [Tensor(rng.normal(size=(n, d)), requires_grad=True) for _ in range(steps)]
@@ -481,11 +503,13 @@ def _lstm_case(rng):
     (ad.layer_norm, composed_layer_norm, _layer_norm_case),
     (ad.masked_bce, composed_masked_bce, _masked_bce_case),
     (ad.lstm, composed_lstm, _lstm_case),
-], ids=["softmax", "weighted_sum", "layer_norm", "masked_bce", "lstm"])
+    (ad.segment_softmax, composed_segment_softmax, _segment_softmax_case),
+], ids=["softmax", "weighted_sum", "layer_norm", "masked_bce", "lstm", "segment_softmax"])
 def test_fused_matches_composed(fused, composed, case):
     """The fused op records one tape node, over the leaves, and its output
     equals the composed version's bit for bit; the gradients agree within
-    1e-12 in grad_check's relative error, |a - b| / max(1, |b|)."""
+    1e-12 in grad_check's relative error, |a - b| / max(1, |b|), and are
+    NaN at the same entries (a segment softmax over a NaN row)."""
     for trial in range(30):
         rng = np.random.default_rng([trial, len(fused.__name__)])
         leaves, call = case(rng)
@@ -502,7 +526,10 @@ def test_fused_matches_composed(fused, composed, case):
             grads.append([t.grad.copy() for t in leaves])
         assert outs[0] == outs[1], trial
         for mine, ref in zip(*grads):
-            assert np.all(np.abs(mine - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), trial
+            nan = np.isnan(ref)
+            assert np.array_equal(np.isnan(mine), nan), trial
+            assert np.all(np.abs(mine - ref)[~nan] <= 1e-12 * np.maximum(1.0, np.abs(ref[~nan]))), \
+                trial
 
 
 def test_fused_shape_checks():
