@@ -39,17 +39,24 @@ value or a tensor's ``data``, and never writes an array after returning
 it. A leaf's first gradient stores -0.0 as 0.0 either way, so leaf
 gradients keep the bits they had when every first gradient was copied.
 
-Six fused composites are one tape node each, with a closed-form VJP:
+Seven fused composites are one tape node each, with a closed-form VJP:
 :func:`softmax` (the architecture weights), :func:`weighted_sum` (the
 relaxed mixture), :func:`layer_norm`, :func:`masked_bce`, :func:`lstm`
-(the whole scan; its VJP runs backpropagation through time) and
-:func:`segment_softmax` (attention over each segment). Each forward
-evaluates the numpy expressions of the composed version it replaced, in
-the same order, so outputs keep their bits; gradients may differ in the
-last bits. A fused VJP may keep forward buffers in its closure (the LSTM
-keeps every step's gates, cell state and hidden state); they live until
-:func:`backward` frees the node, and a tape size that counts node outputs
-only, as the benchmark's ``autodiff.tape_bytes`` does, leaves them out.
+(the whole scan; its VJP runs backpropagation through time),
+:func:`segment_softmax` (attention over each segment) and
+:func:`softmax_aggregate` (GEN's relu, softmax and weighted sum over each
+segment). :func:`pick_blocks` takes one column block per row, as MF
+picks each node's degree bucket out of one product against all its
+weights. Each forward evaluates the numpy expressions of the composed
+version it replaced, in the same order, so outputs keep their bits;
+gradients may differ in the last bits. The LSTM's first step leaves out
+the zero state's ``h @ W_hh`` and ``f * c``, and a fused VJP computes
+only the gradients of parents that need one, so frozen weights cost the
+LSTM no weight product; neither rule moves a bit. A fused VJP may keep
+forward buffers in its closure (the LSTM keeps every step's gates, cell
+state and hidden state); they live until :func:`backward` frees the
+node, and a tape size that counts node outputs only, as the benchmark's
+``autodiff.tape_bytes`` does, leaves them out.
 """
 
 from __future__ import annotations
@@ -291,6 +298,26 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return _make(a.data[index.ids], (a,), (lambda g: _segment_sum(g, index),))
 
 
+def pick_blocks(a: Tensor, blocks: np.ndarray, width: int) -> Tensor:
+    """Row ``i`` of the output is block ``blocks[i]`` of row ``i`` of the
+    2-d ``a``, whose columns form blocks of ``width``: columns
+    ``blocks[i] * width`` up to ``(blocks[i] + 1) * width``. The VJP
+    writes each row's gradient back into its block of zeros."""
+    rows, cols = a.data.shape
+    blocks = np.asarray(blocks)
+    if cols % width or blocks.shape != (rows,):
+        raise ShapeError(f"pick_blocks: blocks of shape {blocks.shape} and width {width} "
+                         f"do not fit shape {a.data.shape}")
+    shape, picked = (rows, cols // width, width), np.arange(rows)
+
+    def vjp(g):
+        grad = np.zeros(shape)
+        grad[picked, blocks] = g
+        grad.shape = a.data.shape  # in place, not a view
+        return grad
+    return _make(a.data.reshape(shape)[picked, blocks], (a,), (vjp,))
+
+
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -420,15 +447,21 @@ def segment_reduce(values: Tensor, ids, num_segments: int,
     return _make(out.reshape(num_segments, width), (values,), (vjp,))
 
 
+def _segment_softmax(logits: np.ndarray, index: SegmentIndex) -> np.ndarray:
+    """Softmax over each segment, per column, of the 2-d ``logits``,
+    shifted by the segment's max."""
+    flat = index.flat(logits.shape[1])
+    shift = _segment_max(logits, flat, index.num_segments)[flat].reshape(logits.shape)
+    z = np.exp(np.subtract(logits, shift, out=shift), out=shift)
+    return np.divide(z, _segment_sum(z, index)[index.ids], out=z)
+
+
 def segment_softmax(logits: Tensor, ids, num_segments: int) -> Tensor:
     """Softmax over each segment, per column, of the 2-d ``logits``;
     max-shifted for stability. One tape node, whose VJP is
     ``out * (g - segsum(g * out)[ids])``."""
     index = _segment_index(ids, num_segments)
-    flat = index.flat(logits.data.shape[1])
-    shift = _segment_max(logits.data, flat, num_segments)[flat].reshape(logits.data.shape)
-    z = np.exp(np.subtract(logits.data, shift, out=shift), out=shift)
-    out = np.divide(z, _segment_sum(z, index)[index.ids], out=z)
+    out = _segment_softmax(logits.data, index)
 
     def vjp(g):
         grad = g - _segment_sum(g * out, index)[index.ids]
@@ -491,16 +524,37 @@ def masked_bce(logits: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:
                  (lambda g: (g * scale) * keep * (_sigmoid(z) - y),))
 
 
+def _shared_vjps(grads: Callable[[np.ndarray], list], count: int) -> tuple:
+    """``count`` VJPs, the ``k``-th returning ``grads(g)[k]``, where
+    ``grads`` runs once, at the first VJP :func:`backward` calls. It may
+    leave ``None`` for a parent that needs no gradient, whose VJP
+    :func:`backward` does not call."""
+    cache = []
+
+    def part(k):
+        def vjp(g):
+            if not cache:
+                cache.extend(grads(g))
+            return cache[k]
+        return vjp
+    return tuple(part(k) for k in range(count))
+
+
 def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Tensor:
     """Final hidden state of an LSTM run over ``inputs`` in list order from
     a zero state. Each step computes ``z = x @ W_ih + h @ W_hh + b``, whose
     four d-wide column blocks give the gates i, f, g, o; then
     ``c = f * c + i * g`` and ``h = o * tanh(c)`` (sigmoid gates, tanh g).
+    The first step leaves out the zero state's terms ``h @ W_hh`` and
+    ``f * c``.
 
     The VJP runs backpropagation through time once for every parent
     (Appleyard et al., 2016): each step writes its four gate gradients into
     one (n, 4d) buffer, from which that step's input gradient, its share of
-    the weight gradients and the recurrent gradient are one matmul each.
+    the weight gradients and the recurrent gradient are one matmul each. It
+    computes only the gradients of parents that need one, so frozen
+    weights cost no product, and the first step, whose state is zero,
+    adds nothing to ``W_hh``'s gradient and leaves its forget gate's at zero.
     """
     n, d = inputs[0].data.shape
     for x in inputs:
@@ -510,30 +564,31 @@ def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Ten
             or b.data.shape != (1, 4 * d):
         raise ShapeError(f"lstm: weights {W_ih.data.shape}, {W_hh.data.shape}, "
                          f"{b.data.shape} do not fit width {d}")
-    h, c = np.zeros((n, d)), np.zeros((n, d))
-    # per step: h and c before it, the gates i, f, g, o (each contiguous), tanh(c)
-    hs, cs, gates, tanh_cs = [], [], [], []
-    for x in inputs:
-        hs.append(h)
-        cs.append(c)
+    # per step: the gates i, f, g, o (each contiguous), c, tanh(c) and h after it
+    gates, cs, tanh_cs, hs = [], [], [], []
+    for t, x in enumerate(inputs):
         z = x.data @ W_ih.data
-        z += h @ W_hh.data
+        if t:
+            z += hs[-1] @ W_hh.data
         z += b.data
         i, f, g, o = act = np.empty((4, n, d))
         for k in range(4):
             (np.tanh if k == 2 else _sigmoid)(z[:, k * d:(k + 1) * d], out=act[k])
-        c = f * c
-        c += i * g
+        if t:
+            c = f * cs[-1]
+            c += i * g
+        else:
+            c = i * g
         tanh_c = np.tanh(c)
-        h = o * tanh_c
         gates.append(act)
+        cs.append(c)
         tanh_cs.append(tanh_c)
-
-    cache = []
+        hs.append(o * tanh_c)
 
     def bptt(gh: np.ndarray) -> list:
-        grads = [None] * len(inputs) + [np.zeros_like(W_ih.data), np.zeros_like(W_hh.data),
-                                        np.zeros_like(b.data)]
+        grads = [None] * len(inputs) + [
+            np.zeros_like(w.data) if w.requires_grad else None for w in (W_ih, W_hh, b)]
+        dW_ih, dW_hh, db = grads[-3:]
         dz = np.empty((n, 4 * d))
         di, df, dg, do = (dz[:, k * d:(k + 1) * d] for k in range(4))
         dh, dc = gh, np.zeros((n, d))
@@ -541,25 +596,66 @@ def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Ten
             (i, f, g, o), tanh_c = gates[t], tanh_cs[t]
             dc += dh * o * (1.0 - tanh_c * tanh_c)
             np.multiply(dc * g, i * (1.0 - i), out=di)
-            np.multiply(dc * cs[t], f * (1.0 - f), out=df)
+            if t:
+                np.multiply(dc * cs[t - 1], f * (1.0 - f), out=df)
+            else:
+                df.fill(0.0)
             np.multiply(dc * i, 1.0 - g * g, out=dg)
             np.multiply(dh * tanh_c, o * (1.0 - o), out=do)
-            grads[t] = dz @ W_ih.data.T
-            grads[-3] += inputs[t].data.T @ dz
-            grads[-2] += hs[t].T @ dz
-            grads[-1] += dz.sum(axis=0, keepdims=True)
-            dh = dz @ W_hh.data.T
-            dc *= f
+            if inputs[t].requires_grad:
+                grads[t] = dz @ W_ih.data.T
+            if dW_ih is not None:
+                dW_ih += inputs[t].data.T @ dz
+            if dW_hh is not None and t:
+                dW_hh += hs[t - 1].T @ dz
+            if db is not None:
+                db += dz.sum(axis=0, keepdims=True)
+            if t:
+                dh = dz @ W_hh.data.T
+                dc *= f
         return grads
 
-    def part(k):
-        def vjp(g):
-            if not cache:
-                cache.extend(bptt(g))
-            return cache[k]
-        return vjp
+    return _make(hs[-1], (*inputs, W_ih, W_hh, b), _shared_vjps(bptt, len(inputs) + 3))
 
-    return _make(h, (*inputs, W_ih, W_hh, b), tuple(part(k) for k in range(len(inputs) + 3)))
+
+def softmax_aggregate(x: Tensor, beta: Tensor, ids, num_segments: int) -> Tensor:
+    """DeeperGCN's softmax aggregation (Li et al., 2020) of the 2-d
+    messages ``x`` into ``num_segments`` rows, given each row's segment
+    ``ids``: with ``m = relu(x) + 1e-7`` and ``w`` the softmax of
+    ``beta * m`` over each segment, per column, output row ``s`` is the
+    sum of ``w * m`` over segment ``s``. ``beta`` holds one value.
+
+    One tape node. With ``y`` the output and ``G`` its gradient, the VJPs
+    are ``dx = [x > 0] * w * G[ids] * (1 + beta * (m - y[ids]))`` and
+    ``dbeta = sum(w * G[ids] * (m - y[ids]) * m)``, each computed only
+    for a parent that needs it."""
+    if x.data.ndim != 2 or beta.data.size != 1:
+        raise ShapeError(f"softmax_aggregate: messages {x.data.shape} and beta "
+                         f"{beta.data.shape}; want 2-d messages and one beta")
+    index = _segment_index(ids, num_segments)
+    m = np.maximum(x.data, 0.0)
+    m += 1e-7
+    w = _segment_softmax(beta.data * m, index)
+    out = _segment_sum(w * m, index)
+
+    def grads(g: np.ndarray) -> list:
+        gw = g[index.ids]
+        gw *= w
+        centred = m - out[index.ids]
+        dx = dbeta = None
+        if beta.requires_grad:  # summed elementwise: a BLAS dot's bits vary with its threads
+            terms = gw * centred
+            terms *= m
+            dbeta = np.full(beta.data.shape, terms.sum())
+        if x.requires_grad:
+            centred *= beta.data
+            centred += 1.0
+            centred *= gw
+            centred *= x.data > 0.0
+            dx = centred
+        return [dx, dbeta]
+
+    return _make(out, (x, beta), _shared_vjps(grads, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,21 @@ def _primitive_checks():
         return _checked(lambda t: ad.segment_softmax(t, ids, 3), x, rng)
     checks.append(("primitive/segment_softmax", segsoft_run))
 
+    def softagg_run():
+        rng = np.random.default_rng([9, 121])
+        x = _away_from(rng.standard_normal((6, 2)))  # both signs, off relu's kink
+        beta = Tensor(np.array([1.6]))
+        return max(_checked(lambda t: ad.softmax_aggregate(t, beta, ids, 4), x, rng),
+                   _checked(lambda t: ad.softmax_aggregate(Tensor(x), t, ids, 4),
+                            beta.data, rng))
+    checks.append(("primitive/softmax_aggregate", softagg_run))
+
+    def pick_run():
+        rng = np.random.default_rng([9, 102])
+        x = rng.standard_normal((4, 6))
+        return _checked(lambda t: ad.pick_blocks(t, np.array([2, 0, 0, 1]), 2), x, rng)
+    checks.append(("primitive/pick_blocks", pick_run))
+
     def bce_run():
         rng = np.random.default_rng([9, 130])
         z = rng.standard_normal((4, 3))

@@ -287,7 +287,7 @@ def _parse_record(obj: dict, schema: TaskSchema, lineno: int, may_hold_bool: boo
     try:
         n = obj["num_nodes"]
         node_feat = np.asarray(obj["node_feat"])
-        edges = np.asarray(obj.get("edges", []))
+        edges = np.asarray(obj["edges"])  # required: [] for a graph with no edges
         raw_ef = obj.get("edge_feat")
         edge_feat = None if raw_ef is None else np.asarray(raw_ef)
         # load_dataset sets the width of an empty "node_feat": [] or "edge_feat": []

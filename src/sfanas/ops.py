@@ -168,30 +168,26 @@ def gin(batch: GraphBatch, H: Tensor, params: dict,
 def gen(batch: GraphBatch, H: Tensor, params: dict,
         edge_feats: Tensor | None = None, neighbours: Neighbours | None = None) -> Tensor:
     """Softmax-weighted (per channel) message aggregation with learnable sharpness."""
-    n = batch.num_nodes
-    msg_in = (neighbours or Neighbours(batch, H)).messages()
+    msg = (neighbours or Neighbours(batch, H)).messages()
     if edge_feats is not None:
-        msg_in = ad.add(msg_in, edge_feats)
-    m = ad.add(ad.relu(msg_in), Tensor(1e-7))
-    weights = ad.segment_softmax(ad.mul(params["beta"], m), batch.dst, n)
-    agg = ad.segment_reduce(ad.mul(weights, m), batch.dst, n, "sum")
+        msg = ad.add(msg, edge_feats)
+    agg = ad.softmax_aggregate(msg, params["beta"], batch.dst, batch.num_nodes)
     return _mlp(ad.add(H, agg), params)
 
 
 def mf(batch: GraphBatch, H: Tensor, params: dict,
        neighbours: Neighbours | None = None) -> Tensor:
-    """Degree-indexed linear transform of self+neighbor sums."""
-    max_degree = len(params) - 1
+    """Degree-indexed linear transform of self+neighbor sums: node ``i``
+    uses ``W{k}`` for its degree ``k`` capped at the last weight. One
+    product against the weights of the buckets that hold a node, side by
+    side, then each node picks its bucket's block; a weight whose bucket is
+    empty gets no gradient."""
     s = ad.add(H, (neighbours or Neighbours(batch, H)).sums())
-    bucket = np.minimum(batch.degrees.astype(np.int64), max_degree)
-    out = None
-    for k in range(max_degree + 1):
-        mask = (bucket == k).astype(np.float64)[:, None]
-        if not mask.any():
-            continue
-        term = ad.mul(ad.matmul(s, params[f"W{k}"]), Tensor(mask))
-        out = term if out is None else ad.add(out, term)
-    return ad.sigmoid(out)
+    bucket = np.minimum(batch.degrees.astype(np.int64), len(params) - 1)
+    present, block = np.unique(bucket, return_inverse=True)
+    # a batch of zero-node graphs fills no bucket: run W0 over its zero rows
+    W = ad.concat([params[f"W{k}"] for k in present] or [params["W0"]], axis=1)
+    return ad.sigmoid(ad.pick_blocks(ad.matmul(s, W), block, params["W0"].data.shape[1]))
 
 
 def expc(batch: GraphBatch, H: Tensor, params: dict) -> Tensor:

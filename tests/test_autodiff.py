@@ -446,6 +446,12 @@ def composed_segment_softmax(logits, ids, num_segments):
     return ad.div(z, ad.gather_rows(denom, index))
 
 
+def composed_softmax_aggregate(x, beta, ids, num_segments):
+    m = ad.add(ad.relu(x), Tensor(1e-7))
+    w = ad.segment_softmax(ad.mul(beta, m), ids, num_segments)
+    return ad.segment_reduce(ad.mul(w, m), ids, num_segments, "sum")
+
+
 def _softmax_case(rng):
     a = Tensor(rng.normal(size=int(rng.integers(1, 9))) * 4.0, requires_grad=True)
     temperature = float(rng.uniform(0.05, 3.0))
@@ -489,6 +495,17 @@ def _segment_softmax_case(rng):
     return [x], lambda op: op(x, ids, segments)
 
 
+def _softmax_aggregate_case(rng):
+    """Widths 1 and 32, messages of both signs, beta away from 1; the last
+    segment is always empty."""
+    rows, segments = int(rng.integers(1, 12)), int(rng.integers(2, 6))
+    width = (1, 32)[int(rng.integers(2))]
+    ids = rng.integers(0, segments - 1, size=rows)
+    x = Tensor(rng.normal(size=(rows, width)) * 2.0, requires_grad=True)
+    beta = Tensor([rng.uniform(0.2, 3.0)], requires_grad=True)
+    return [x, beta], lambda op: op(x, beta, ids, segments)
+
+
 def _lstm_case(rng):
     n, d, steps = (int(v) for v in rng.integers(1, 6, size=3))
     xs = [Tensor(rng.normal(size=(n, d)), requires_grad=True) for _ in range(steps)]
@@ -504,7 +521,9 @@ def _lstm_case(rng):
     (ad.masked_bce, composed_masked_bce, _masked_bce_case),
     (ad.lstm, composed_lstm, _lstm_case),
     (ad.segment_softmax, composed_segment_softmax, _segment_softmax_case),
-], ids=["softmax", "weighted_sum", "layer_norm", "masked_bce", "lstm", "segment_softmax"])
+    (ad.softmax_aggregate, composed_softmax_aggregate, _softmax_aggregate_case),
+], ids=["softmax", "weighted_sum", "layer_norm", "masked_bce", "lstm", "segment_softmax",
+        "softmax_aggregate"])
 def test_fused_matches_composed(fused, composed, case):
     """The fused op records one tape node, over the leaves, and its output
     equals the composed version's bit for bit; the gradients agree within
@@ -545,6 +564,127 @@ def test_fused_shape_checks():
         ad.lstm([ones, Tensor(np.ones((3, 3)))], W, W, b)
     with pytest.raises(ShapeError, match="lstm: weights"):
         ad.lstm([ones], W, Tensor(np.ones((3, 8))), b)
+    with pytest.raises(ShapeError, match="softmax_aggregate"):
+        ad.softmax_aggregate(ones, Tensor(np.ones(2)), np.zeros(2, dtype=np.int64), 1)
+    with pytest.raises(ShapeError, match="pick_blocks"):
+        ad.pick_blocks(ones, np.zeros(2, dtype=np.int64), 2)
+
+
+def pre_change_lstm(xs, W_ih, W_hh, b, gh):
+    """(h, [dx..., dW_ih, dW_hh, db]) by the fused LSTM as it was before
+    its first step left out the zero state and its VJP left out products
+    nothing needs: every step adds ``h @ W_hh`` and ``f * c``, and BPTT
+    runs every product at every step."""
+    n, d = xs[0].shape
+    h, c = np.zeros((n, d)), np.zeros((n, d))
+    hs, cs, gates, tanh_cs = [], [], [], []
+    for x in xs:
+        hs.append(h)
+        cs.append(c)
+        z = x @ W_ih
+        z += h @ W_hh
+        z += b
+        i, f, g, o = act = np.empty((4, n, d))
+        for k in range(4):
+            (np.tanh if k == 2 else ad._sigmoid)(z[:, k * d:(k + 1) * d], out=act[k])
+        c = f * c
+        c += i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        gates.append(act)
+        tanh_cs.append(tanh_c)
+    grads = [None] * len(xs) + [np.zeros_like(W_ih), np.zeros_like(W_hh), np.zeros_like(b)]
+    dz = np.empty((n, 4 * d))
+    di, df, dg, do = (dz[:, k * d:(k + 1) * d] for k in range(4))
+    dh, dc = gh, np.zeros((n, d))
+    for t in reversed(range(len(xs))):
+        (i, f, g, o), tanh_c = gates[t], tanh_cs[t]
+        dc += dh * o * (1.0 - tanh_c * tanh_c)
+        np.multiply(dc * g, i * (1.0 - i), out=di)
+        np.multiply(dc * cs[t], f * (1.0 - f), out=df)
+        np.multiply(dc * i, 1.0 - g * g, out=dg)
+        np.multiply(dh * tanh_c, o * (1.0 - o), out=do)
+        grads[t] = dz @ W_ih.T
+        grads[-3] += xs[t].T @ dz
+        grads[-2] += hs[t].T @ dz
+        grads[-1] += dz.sum(axis=0, keepdims=True)
+        dh = dz @ W_hh.T
+        dc *= f
+    return h, grads
+
+
+def _lstm_args(rng, steps, n=7, d=5):
+    xs = [rng.normal(size=(n, d)) for _ in range(steps)]
+    weights = [rng.normal(size=shape) * 0.7 for shape in ((d, 4 * d), (d, 4 * d), (1, 4 * d))]
+    return xs, weights
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.0], ids=["inputs", "zero-scaled"])
+@pytest.mark.parametrize("steps", [1, 2, 3, 4])
+def test_lstm_keeps_the_bits_of_the_zero_state_formula(steps, scale):
+    """Leaving the zero state's terms out of the first step moves no bit of
+    the output or of any gradient, also when every input is scaled by
+    zero, as a discrete ZERO selection does."""
+    rng = np.random.default_rng([steps, int(scale)])
+    raw, W = _lstm_args(rng, steps)
+    xs = [Tensor(a, requires_grad=True) for a in raw]
+    inputs = [ad.mul(Tensor([scale]), x) for x in xs]
+    weights = [Tensor(w, requires_grad=True) for w in W]
+    out = ad.lstm(inputs, *weights)
+    gh = rng.normal(size=out.data.shape)
+    ad.backward(ad.tsum(ad.mul(out, Tensor(gh))))
+    h, grads = pre_change_lstm([t.data for t in inputs], *W, gh)
+    assert out.data.tobytes() == h.tobytes()
+    for x, g in zip(xs, grads):
+        assert x.grad.tobytes() == (g * np.array([scale]) + 0.0).tobytes()
+    for w, g in zip(weights, grads[steps:]):
+        assert w.grad.tobytes() == g.tobytes()
+
+
+class _Counted(np.ndarray):
+    """An array that counts the matmuls it, or a view of it, takes part in."""
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        if ufunc is np.matmul:
+            _Counted.matmuls += 1
+        args = [a.view(np.ndarray) if isinstance(a, _Counted) else a for a in args]
+        return getattr(ufunc, method)(*args, **kwargs)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_lstm_frozen_weights_cost_no_weight_product(steps):
+    """With the weights frozen, the inputs' gradients keep their bits, the
+    weights get none, and no input takes part in a product in the backward
+    pass, where ``W_ih``'s gradient would need ``x.T @ dz`` each step."""
+    raw, W = _lstm_args(np.random.default_rng(steps), steps)
+    gh = np.random.default_rng(0).normal(size=raw[0].shape)
+
+    def run(freeze):
+        xs = [Tensor(a, requires_grad=True) for a in raw]
+        for x in xs:
+            x.data = x.data.view(_Counted)
+        weights = [Tensor(w, requires_grad=True) for w in W]
+        with ad.frozen(weights if freeze else []):
+            loss = ad.tsum(ad.mul(ad.lstm(xs, *weights), Tensor(gh)))
+            before = _Counted.matmuls
+            ad.backward(loss)
+        return [x.grad for x in xs], _Counted.matmuls - before, [w.grad for w in weights]
+
+    grads, products, weight_grads = run(freeze=False)
+    frozen_grads, frozen_products, frozen_weight_grads = run(freeze=True)
+    assert [g.tobytes() for g in frozen_grads] == [g.tobytes() for g in grads]
+    assert (products, frozen_products) == (steps, 0)
+    assert all(g is not None for g in weight_grads)
+    assert frozen_weight_grads == [None, None, None]
+
+
+def test_pick_blocks_takes_each_rows_block():
+    a = Tensor(np.arange(12.0).reshape(2, 6), requires_grad=True)
+    out = ad.pick_blocks(a, np.array([2, 0]), 2)
+    np.testing.assert_array_equal(out.data, [[4.0, 5.0], [6.0, 7.0]])
+    ad.backward(ad.tsum(ad.mul(out, Tensor([[1.0, 2.0], [3.0, 4.0]]))))
+    np.testing.assert_array_equal(a.grad, [[0, 0, 0, 0, 1, 2], [3, 4, 0, 0, 0, 0]])
 
 
 def test_sigmoid_keeps_the_masked_form_bits():

@@ -4,6 +4,7 @@ run at one BLAS thread, prints ``tests/bithash.ref`` line for line.
 The reference holds for one numpy build at one BLAS thread; see the
 script's docstring for the command that regenerates it."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -23,4 +24,16 @@ def test_digests_match_the_reference():
     want = (TESTS / "bithash.ref").read_text().splitlines()
     assert len(got) == len(want)
     moved = [(w, g) for w, g in zip(want, got) if w != g]
-    assert not moved, f"{len(moved)} digests moved, the first: {moved[0]}"
+    counts = collections.Counter((w.split()[0], _kind(w)) for w, _ in moved)
+    assert not moved, (
+        f"{len(moved)} of {len(want)} digests moved: "
+        + ", ".join(f"{count} {kind} on {workload}"
+                    for (workload, kind), count in sorted(counts.items()))
+        + f"; the first: {moved[0]}")
+
+
+def _kind(line: str) -> str:
+    """``logits``, ``grad`` or ``file`` (a model file) for a line of the
+    form ``workload model [dropout=rate] kind ...``."""
+    fields = line.split()
+    return fields[3] if fields[2].startswith("dropout=") else fields[2]

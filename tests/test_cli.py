@@ -772,6 +772,20 @@ class TestFileFuzz:
             return {name: idx.tolist() for name, idx in ds.splits.items()}
         self.fuzz(pipeline, tmp_path, "splits", decode, 1805)
 
+    def test_dataset(self, pipeline, tmp_path):
+        def decode(path):
+            """Each graph with its edges in sorted order: the loader
+            symmetrizes, so a deleted reverse edge comes back, at the end."""
+            ds = load_dataset(path, TaskSchema("binary"), path.parent / "splits.json")
+            graphs = []
+            for g in ds.graphs:
+                order = np.lexsort(g.edges.T[::-1])
+                ef = None if g.edge_features is None else g.edge_features[order]
+                graphs.append([None if a is None else (a.shape, a.dtype.str, a.tobytes())
+                               for a in (g.node_features, g.edges[order], ef, g.label)])
+            return graphs, {name: idx.tolist() for name, idx in ds.splits.items()}
+        self.fuzz(pipeline, tmp_path, "dataset", decode, 1806, lines=True)
+
 
 # ---------------------------------------------------------------------------
 # gradcheck

@@ -252,6 +252,27 @@ class TestGen:
         out = ops.gen(batch, T(batch.node_features), params)
         np.testing.assert_allclose(out.data, [[3.0]], atol=1e-12)
 
+    def test_grad_check_in_features_and_beta(self):
+        """Messages of both signs, kept 0.1 off relu's kink; edge features;
+        beta 1.7; node 3 has no in-edge, so its segment is empty."""
+        rng = np.random.default_rng(21)
+        d, edges = 3, np.array([[0, 1], [2, 1], [1, 0], [3, 0], [0, 2], [1, 2], [2, 2]])
+        H = rng.normal(size=(4, d))
+        messages = rng.normal(size=(len(edges), d))
+        messages += np.sign(messages) * 0.1
+        batch = make_batch(H, edges, messages - H[edges[:, 0]])
+        assert batch.in_degrees[3] == 0 and (messages < 0).any()
+        params = {"beta": T([1.7]), "W1": T(rng.normal(size=(d, d))),
+                  "b1": T(rng.normal(size=(1, d))), "W2": T(rng.normal(size=(d, d))),
+                  "b2": T(np.zeros((1, d)))}
+        ef, w = T(batch.edge_features), T(rng.normal(size=(4, d)))
+
+        def loss(features, beta):
+            out = ops.gen(batch, features, dict(params, beta=beta), edge_feats=ef)
+            return ad.tsum(ad.mul(out, w))
+        assert ad.grad_check(lambda t: loss(t, params["beta"]), T(H)) < 1e-7
+        assert ad.grad_check(lambda t: loss(T(H), t), params["beta"]) < 1e-7
+
 
 # ---------------------------------------------------------------------------
 # MF
@@ -298,6 +319,72 @@ class TestMf:
         out = ops.mf(batch, T(batch.node_features), params)
         expected = 1.0 / (1.0 + np.exp(-6.0))
         assert out.data[0, 0] == pytest.approx(expected, abs=1e-12)
+
+    def test_zero_node_batch(self):
+        """A batch of zero-node graphs, which every other candidate takes,
+        gives zero rows."""
+        g = graphs.Graph(node_features=np.zeros((0, 2)), edges=np.zeros((0, 2), dtype=np.int64),
+                         edge_features=None, label=np.array([0.0]))
+        params = {f"W{k}": T(np.ones((2, 2))) for k in range(6)}
+        out = ops.mf(graphs.batch_graphs([g, g]), T(np.zeros((0, 2))), params)
+        assert out.data.shape == (0, 2)
+
+    @staticmethod
+    def masked_sum(batch, H, params):
+        """MF as the sum over non-empty degree buckets of ``(s @ W_k)``
+        masked to the bucket's nodes."""
+        s = ad.add(H, ops.Neighbours(batch, H).sums())
+        bucket = np.minimum(batch.degrees.astype(np.int64), len(params) - 1)
+        out = None
+        for k in range(len(params)):
+            mask = (bucket == k).astype(np.float64)[:, None]
+            if mask.any():
+                term = ad.mul(ad.matmul(s, params[f"W{k}"]), Tensor(mask))
+                out = term if out is None else ad.add(out, term)
+        return ad.sigmoid(out)
+
+    @staticmethod
+    def buckets_but_four():
+        """An isolated node (degree 0), a path (1, 2), a 3-star and a
+        6-star (bucket 5): every bucket holds a node except bucket 4."""
+        edges = [[1, 2], [2, 3]] + [[4, k] for k in range(5, 8)] + [[8, k] for k in range(9, 15)]
+        edges += [[v, u] for u, v in edges]
+        rng = np.random.default_rng(4)
+        batch = make_batch(rng.normal(size=(15, 3)), edges)
+        assert set(np.minimum(batch.degrees, 5)) == {0, 1, 2, 3, 5}
+        params = {f"W{k}": Tensor(rng.normal(size=(3, 3)), requires_grad=True) for k in range(6)}
+        return batch, params, rng
+
+    def test_matches_the_masked_sum(self):
+        """Outputs bit for bit, gradients within 1e-12, and the empty
+        bucket's weight gets no gradient either way."""
+        batch, params, rng = self.buckets_but_four()
+        w = T(rng.normal(size=(15, 3)))
+        outs, grads = [], []
+        for op in (ops.mf, self.masked_sum):
+            H = Tensor(batch.node_features, requires_grad=True)
+            for t in params.values():
+                t.zero_grad()
+            out = op(batch, H, params)
+            ad.backward(ad.tsum(ad.mul(out, w)))
+            outs.append(out.data.tobytes())
+            grads.append([H.grad] + [t.grad for t in params.values()])
+        assert outs[0] == outs[1]
+        assert grads[0][5] is None and grads[1][5] is None
+        for mine, ref in zip(*grads):
+            if ref is not None:
+                np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-12)
+
+    def test_grad_check(self):
+        batch, params, rng = self.buckets_but_four()
+        w = T(rng.normal(size=(15, 3)))
+
+        def loss(H, params):
+            return ad.tsum(ad.mul(ops.mf(batch, H, params), w))
+        assert ad.grad_check(lambda t: loss(t, params), T(batch.node_features)) < 1e-7
+        for key in ("W0", "W5"):
+            assert ad.grad_check(lambda t: loss(T(batch.node_features), {**params, key: t}),
+                                 params[key]) < 1e-7
 
 
 # ---------------------------------------------------------------------------
