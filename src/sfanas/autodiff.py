@@ -85,10 +85,6 @@ class Tensor:
         self._parents = _parents
         self._vjps = _vjps
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def accumulate(self, g: np.ndarray, owned: bool = False) -> None:
         """Add ``g`` to the gradient. The first ``g`` becomes the gradient
         itself when ``owned`` says nothing else holds it."""

@@ -2,8 +2,10 @@
 
 Commands: synth-data, search, derive, train, eval, gradcheck. All file
 outputs are deterministic under a fixed seed (sorted JSON keys, no
-timestamps), so repeated runs produce byte-identical artifacts. Every JSON
-file is read by graphs.read_json and checked against a field table.
+timestamps), so repeated runs produce byte-identical artifacts. Every file
+a command reads or writes goes through the helpers of ``graphs``
+(``read_text``, ``read_json``, ``write_json``, ``write_json_lines``), and
+every JSON file read is checked against a field table.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from .graphs import (SyntheticSpec, TaskSchema, fields, generate_synthetic, load_dataset,
-                     read_json, read_text, write_dataset)
+                     read_json, read_text, write_dataset, write_json, write_json_lines)
 from .search import SearchConfig, best_record, search
 from .supernet import ArchEncoding
 from .training import (HParams, default_metric, evaluate_model, load_model,
@@ -97,11 +99,7 @@ def _build_dataset(cfg: dict):
         raise CliError("dataset section needs \"task\": {\"type\": ...}")
     schema = _build_section(TaskSchema, "task",
                             {"task_type" if k == "type" else k: v for k, v in task.items()})
-    splits_path = section.get("splits_path")
-    for what, file in (("dataset", path), ("splits", splits_path)):
-        if file is not None and not Path(file).is_file():
-            raise CliError(f"{what} file not found: {file}")
-    return load_dataset(path, schema, splits_path=splits_path,
+    return load_dataset(path, schema, splits_path=section.get("splits_path"),
                         symmetrize=section.get("symmetrize", True))
 
 
@@ -116,21 +114,6 @@ def _check_grid(cfg: dict, values: dict, strict: bool) -> None:
     for key, value in values.items():
         if key in grid and value not in grid[key]:
             raise CliError(f"{key}={value!r} is outside the {name} grid {grid[key]}")
-
-
-def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_jsonl(path: Path, records) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
 
 
 def _print_reports(reports: dict) -> None:
@@ -157,7 +140,6 @@ def cmd_synth_data(args) -> int:
                           triangle_threshold=args.threshold)
     dataset = generate_synthetic(spec, seed=args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_dataset(dataset, out / "dataset.jsonl", out / "splits.json")
     n = len(dataset.graphs)
     mean_nodes = float(np.mean([g.num_nodes for g in dataset.graphs]))
@@ -187,9 +169,8 @@ def cmd_search(args) -> int:
     dataset = _build_dataset(cfg)
     arch, history = search(dataset, config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "arch.json").write_text(arch.to_json() + "\n", encoding="utf-8")
-    _write_jsonl(out / "history.jsonl", history)
+    write_json(out / "arch.json", arch.to_dict())
+    write_json_lines(out / "history.jsonl", history)
     best = best_record(history)
     print(f"searched {config.epochs} epochs over {config.num_blocks} blocks")
     print(f"best epoch {best['epoch']}: valid {best['metric']} = "
@@ -225,8 +206,7 @@ def cmd_derive(args) -> int:
         chosen = best_record(records)
     arch = chosen["arch"]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "arch.json").write_text(arch.to_json() + "\n", encoding="utf-8")
+    write_json(out / "arch.json", arch.to_dict())
     print(f"derived from epoch {chosen['epoch']} "
           f"(valid {chosen['metric']} = {chosen['valid_metric']:.4f})")
     print(f"wrote {out / 'arch.json'}")
@@ -248,9 +228,9 @@ def cmd_train(args) -> int:
     params, reports, history = train_discrete(dataset, arch, hp)
     best_epoch = reports["valid"].epoch
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", _report_payload(reports, reports["valid"].metric,
-                                                     best_epoch))
+    out.mkdir(parents=True, exist_ok=True)  # for save_model's binary
+    write_json(out / "report.json", _report_payload(reports, reports["valid"].metric,
+                                                    best_epoch), indent=2)
     save_model(params, arch, out / "model.bin", out / "model.manifest.json",
                extra={"best_epoch": best_epoch, "metric": reports["valid"].metric,
                       "virtual_node": hp.virtual_node})
@@ -263,18 +243,16 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
+    section = cfg.get("train", {})
+    _build_section(HParams, "train", section)  # checked as train checks it
     model_dir = Path(args.model_dir)
-    bin_path = model_dir / "model.bin"
-    manifest_path = model_dir / "model.manifest.json"
-    if not bin_path.is_file() or not manifest_path.is_file():
-        raise CliError(f"{model_dir} must contain model.bin and model.manifest.json")
-    params, arch, manifest = load_model(bin_path, manifest_path)
+    params, arch, manifest = load_model(model_dir / "model.bin",
+                                        model_dir / "model.manifest.json")
     if args.arch is not None:
         declared = _load_arch(args.arch)
         if declared != arch:
             raise CliError("architecture file does not match the one stored "
                            "in the model manifest")
-    section = cfg.get("train", {})
     for key in ("metric", "virtual_node"):
         named, trained = section.get(key), manifest.get(key)
         if named is not None and trained is not None and named != trained:
@@ -287,9 +265,8 @@ def cmd_eval(args) -> int:
                                                        section.get("virtual_node", False)),
                              epoch=manifest.get("best_epoch", -1))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", _report_payload(
-        reports, metric, manifest.get("best_epoch", -1)))
+    write_json(out / "report.json", _report_payload(
+        reports, metric, manifest.get("best_epoch", -1)), indent=2)
     _print_reports(reports)
     print(f"wrote {out / 'report.json'}")
     return 0
@@ -305,12 +282,12 @@ def cmd_gradcheck(args) -> int:
     print(f"{len(results) - failed}/{len(results)} checks passed "
           f"(threshold {gradcheck_mod.THRESHOLD:g})")
     if args.out is not None:
-        _write_json(Path(args.out) / "report.json", {
+        write_json(Path(args.out) / "report.json", {
             "schema_version": 1,
             "threshold": gradcheck_mod.THRESHOLD,
             "checks": [{"name": n, "max_error": e, "pass": e < gradcheck_mod.THRESHOLD}
                        for n, e in results],
-        })
+        }, indent=2)
         print(f"wrote {Path(args.out) / 'report.json'}")
     return 1 if failed else 0
 

@@ -4,12 +4,16 @@ Graphs are stored as explicit directed edge lists; undirected graphs carry
 both directed pairs so every aggregation operator can treat in-edges
 uniformly. All containers are immutable after construction and safe to
 share across workers. Loading rejects a record with a value numpy would
-coerce or a feature width unlike the file's, naming its line. Every JSON
-file the package reads goes through :func:`read_json` and :func:`fields`.
+coerce or a feature width unlike the file's, naming its line. Every file
+the package reads goes through :func:`read_bytes` (or :func:`read_text` and
+:func:`read_json` on top of it), every JSON file it reads then through
+:func:`fields`, and every JSON file it writes through :func:`write_json` or
+:func:`write_json_lines`.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import reprlib
@@ -129,12 +133,11 @@ class GraphBatch:
             object.__setattr__(self, "edge_features",
                                _freeze(np.asarray(self.edge_features, dtype=np.float64)))
         n = self.node_features.shape[0]
-        edges = self.edges if self.edges.size else np.zeros((0, 2), dtype=np.int64)
         loop = np.arange(n, dtype=np.int64)
-        e = edges.shape[0]
+        e = self.edges.shape[0]
         plan = {"graph_index": SegmentIndex(self.graph_ids, self.num_graphs)}
         for name, col in (("src", 0), ("dst", 1)):
-            with_loops = _freeze(np.concatenate([edges[:, col], loop]))
+            with_loops = _freeze(np.concatenate([self.edges[:, col], loop]))
             # the plain version is the first e ids of the self-loop one
             plan[name] = SegmentIndex(with_loops[:e], n)
             plan[f"loop_{name}"] = SegmentIndex(with_loops, n)
@@ -356,16 +359,23 @@ KINDS = {
 }
 
 
-def read_text(path, what: str) -> str:
-    """The text of the UTF-8 file at ``path``; a missing or unreadable file
-    or bytes that are not UTF-8 raise a ValueError naming the ``what`` file."""
+def read_bytes(path, what: str) -> bytes:
+    """The bytes of the file at ``path``; a missing or unreadable file
+    raises a ValueError naming the ``what`` file."""
     try:
         with open(path, "rb") as fh:
-            return fh.read().decode("utf-8")
+            return fh.read()
     except FileNotFoundError:
         raise ValueError(f"{what} file not found: {path}") from None
     except OSError as exc:  # a directory, say
         raise ValueError(f"cannot read {what} file {path}: {exc.strerror}") from None
+
+
+def read_text(path, what: str) -> str:
+    """The text of the UTF-8 file at ``path``: :func:`read_bytes`, then a
+    ValueError naming the ``what`` file if the bytes are not UTF-8."""
+    try:
+        return read_bytes(path, what).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{what} file {path} is not UTF-8 ({exc.reason} at byte "
                          f"{exc.start})") from None
@@ -379,6 +389,27 @@ def read_json(path, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
+def write_json(path, obj, indent=None) -> None:
+    """``obj`` as one JSON value and a newline, in UTF-8, into the file at
+    ``path``, its directory made if missing. Keys are sorted and the value
+    is compact or indented by ``indent`` spaces, so a rerun writes the same
+    bytes."""
+    _write_lines(path, [json.dumps(obj, sort_keys=True, indent=indent,
+                                   separators=(",", ":" if indent is None else ": "))])
+
+
+def write_json_lines(path, records) -> None:
+    """Each of ``records`` as one compact line, as :func:`write_json` writes it."""
+    _write_lines(path, (json.dumps(rec, sort_keys=True, separators=(",", ":"))
+                        for rec in records))
+
+
+def _write_lines(path, lines) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def fields(obj, table: dict, where: str, optional=()) -> dict:
@@ -460,26 +491,23 @@ def load_dataset(path, schema: TaskSchema, splits_path=None,
     hold only finite numbers, whole ones for edge endpoints; a record
     that does not is rejected with its line number.
     """
-    path = Path(path)
     graphs = []
     seen = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-                g = _parse_record(obj, schema, lineno, "true" in line or "false" in line)
-                _check_layout(g, lineno, seen)
-                if symmetrize:
-                    g = _symmetrize(g)
-                graphs.append(g)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"dataset file {path} is not UTF-8 ({exc.reason})") from None
+    # lines end as in a text-mode file: str.splitlines would also split at
+    # U+2028 or U+0085, which a record's string may hold
+    for lineno, line in enumerate(io.StringIO(read_text(path, "dataset"), newline=None), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        g = _parse_record(obj, schema, lineno, "true" in line or "false" in line)
+        _check_layout(g, lineno, seen)
+        if symmetrize:
+            g = _symmetrize(g)
+        graphs.append(g)
     if not graphs:
         raise ValidationError(f"{path}: no graph records found")
     # a zero-node record's "node_feat": [] and an edgeless record's
@@ -540,20 +568,14 @@ def _symmetrize(g: Graph) -> Graph:
 
 def write_dataset(dataset: Dataset, path, splits_path) -> None:
     """Write the JSON-lines graph file plus the splits file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for g in dataset.graphs:
-            rec = {
-                "num_nodes": g.num_nodes,
-                "node_feat": g.node_features.tolist(),
-                "edges": g.edges.tolist(),
-                "edge_feat": None if g.edge_features is None else g.edge_features.tolist(),
-                "label": _label_to_json(g.label, dataset.schema),
-            }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-    with open(splits_path, "w", encoding="utf-8") as fh:
-        json.dump({k: np.asarray(v).tolist() for k, v in dataset.splits.items()},
-                  fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json_lines(path, ({
+        "num_nodes": g.num_nodes,
+        "node_feat": g.node_features.tolist(),
+        "edges": g.edges.tolist(),
+        "edge_feat": None if g.edge_features is None else g.edge_features.tolist(),
+        "label": _label_to_json(g.label, dataset.schema),
+    } for g in dataset.graphs))
+    write_json(splits_path, {k: np.asarray(v).tolist() for k, v in dataset.splits.items()})
 
 
 def _label_to_json(label: np.ndarray, schema: TaskSchema):

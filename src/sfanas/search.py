@@ -64,9 +64,11 @@ class SearchConfig:
         self.aggregation_candidates = tuple(self.aggregation_candidates)
         if not self.aggregation_candidates:
             raise ValueError("aggregation candidate set must be non-empty")
-        for name in self.aggregation_candidates:
+        for k, name in enumerate(self.aggregation_candidates):
             if name not in ops.AGGREGATION_OPS:
                 raise ValueError(f"unknown aggregation candidate {name!r}")
+            if name in self.aggregation_candidates[:k]:
+                raise ValueError(f"aggregation candidate {name!r} is listed more than once")
         if self.fixed_aggregation is not None and \
                 self.fixed_aggregation not in ops.AGGREGATION_OPS:
             raise ValueError(f"unknown fixed aggregation {self.fixed_aggregation!r}")

@@ -13,7 +13,6 @@ set-up (``prepare_run``) and their optimizer step (``descend``).
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from . import autodiff as ad
 from . import ops
 from .autodiff import Tensor
 from .graphs import (KINDS, Dataset, TaskSchema, add_virtual_node, batch_graphs, fields,
-                     read_json)
+                     read_bytes, read_json, write_json)
 from .supernet import ArchEncoding, SupernetDims, SupernetParams, init_discrete, supernet_forward
 
 # ---------------------------------------------------------------------------
@@ -464,12 +463,12 @@ def save_model(params: SupernetParams, arch: ArchEncoding, bin_path, manifest_pa
         if names else np.zeros(0)
     with open(bin_path, "wb") as fh:
         fh.write(flat.astype("<f8").tobytes())
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(manifest_path, manifest)
 
 
 def load_model(bin_path, manifest_path) -> tuple[SupernetParams, ArchEncoding, dict]:
+    # the binary first: a directory holding neither file names model.bin
+    blob = read_bytes(bin_path, "model binary")
     where = f"model manifest {manifest_path}"
     manifest = _check_manifest(read_json(manifest_path, "model manifest"), where)
     dims = fields(manifest["dims"], DIMS, f"{where}: dims")
@@ -496,8 +495,6 @@ def load_model(bin_path, manifest_path) -> tuple[SupernetParams, ArchEncoding, d
         if entry["shape"] != list(t.data.shape) or not all(map(KINDS["int"], entry["shape"])):
             raise ValueError(f"{where}: manifest tensor {entry['name']} "
                              f"{tuple(entry['shape'])} does not match the rebuilt architecture")
-    with open(bin_path, "rb") as fh:
-        blob = fh.read()
     expected = 8 * sum(t.data.size for t in tensors)
     if len(blob) != expected:
         raise ValueError(f"model binary {os.path.basename(bin_path)} holds {len(blob)} bytes; "

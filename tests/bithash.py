@@ -1,6 +1,7 @@
 """Print SHA-256 digests of the logits and every leaf gradient of a set of
-models on each benchmark workload's fixed batch, one line per array, and
-of the two files ``save_model`` writes for each discrete model.
+models on each benchmark workload's fixed batch, one line per array, of
+the two files ``save_model`` writes for each discrete model, and, last, of
+the two files ``write_dataset`` writes for each workload's dataset.
 
 Two checkouts that print the same lines compute the same bits.
 ``tests/test_bithash.py`` compares the output with ``tests/bithash.ref``;
@@ -84,21 +85,36 @@ def workload_lines(name: str):
             for key, t in leaves.items():
                 yield f"{prefix} grad {key} {_digest(t.grad)}"
         if arch is not None:
-            yield from _model_file_lines(f"{name} {label}", params, arch)
+            yield from _file_lines(f"{name} {label}", lambda *paths: save_model(
+                params, arch, *paths), "model.bin", "model.manifest.json")
 
 
-def _model_file_lines(prefix: str, params, arch):
+def data_file_lines(name: str):
+    w = workloads.WORKLOADS[name]
     with tempfile.TemporaryDirectory() as tmp:
-        paths = Path(tmp) / "model.bin", Path(tmp) / "model.manifest.json"
-        save_model(params, arch, *paths)
+        ds = _dataset(w, Path(tmp))
+    yield from _file_lines(f"{name} data", lambda *paths: graphs.write_dataset(ds, *paths),
+                           "dataset.jsonl", "splits.json")
+
+
+def _file_lines(prefix: str, write, *names):
+    """``{prefix} file {name} {digest}`` for each of the files ``names``
+    that ``write(*paths)`` writes into a new directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in names]
+        write(*paths)
         digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths]
-    for path, digest in zip(paths, digests):
-        yield f"{prefix} file {path.name} {digest}"
+    for name, digest in zip(names, digests):
+        yield f"{prefix} file {name} {digest}"
 
 
 def main() -> None:
     for name in workloads.WORKLOADS:
         for line in workload_lines(name):
+            print(line)
+    # the data files come after every model's lines, which keep their places
+    for name in workloads.WORKLOADS:
+        for line in data_file_lines(name):
             print(line)
 
 

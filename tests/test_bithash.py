@@ -33,7 +33,7 @@ def test_digests_match_the_reference():
 
 
 def _kind(line: str) -> str:
-    """``logits``, ``grad`` or ``file`` (a model file) for a line of the
+    """``logits``, ``grad`` or ``file`` (a model or data file) for a line of the
     form ``workload model [dropout=rate] kind ...``."""
     fields = line.split()
     return fields[3] if fields[2].startswith("dropout=") else fields[2]

@@ -183,6 +183,14 @@ class TestSearch:
         assert main(["search", "--config", config, "--out", str(tmp_path)]) == 1
         assert "bad search section" in capsys.readouterr().err
 
+    def test_repeated_aggregation_candidate(self, pipeline, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json", dataset=synth_section(pipeline["data"]),
+                              search=dict(SEARCH_SECTION,
+                                          aggregation_candidates=["GCN", "GCN", "GIN"]))
+        assert main(["search", "--config", config, "--out", str(tmp_path)]) == 1
+        assert "error: aggregation candidate 'GCN' is listed more than once" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("synthetic, message", [
         ({"task": "triangle-threshold", "num_graph": 20},
          "bad synthetic section: unknown key 'num_graph'"),
@@ -366,6 +374,23 @@ class TestTrainEval:
             assert main(["eval", "--config", other, "--model-dir", str(model),
                          "--out", str(tmp_path / key)]) == 1
             assert f"config train.{key} is {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, message", [
+        ({"hidden_size": 4, "epochs": 1, "virtaul_node": True},
+         "bad train section: unknown key 'virtaul_node'"),
+        ({"learning_rate": -1, "epochs": "x"}, "bad train section: epochs must be int, got 'x'"),
+        ({"learning_rate": -1}, "learning_rate, batch_size, hidden_size must be positive"),
+    ], ids=["misspelt-key", "wrong-kind", "bad-value"])
+    def test_eval_checks_the_train_section_as_train_does(self, pipeline, tmp_path, section,
+                                                         message, capsys):
+        config = write_config(tmp_path / "c.json", dataset=synth_section(pipeline["data"]),
+                              train=section)
+        for command, flag, value in (("train", "--arch", pipeline["derive"] / "arch.json"),
+                                     ("eval", "--model-dir", pipeline["train"])):
+            assert main([command, "--config", config, flag, str(value),
+                         "--out", str(tmp_path / command)]) == 1
+            assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "report.json").exists()
 
     def test_eval_missing_model(self, pipeline, tmp_path, capsys):
         assert main(["eval", "--config", pipeline["config"],

@@ -511,6 +511,46 @@ def test_write_then_load_round_trip(tmp_path):
         np.testing.assert_array_equal(ds.splits[split], back.splits[split])
 
 
+@pytest.mark.parametrize("schema, labels, written", [
+    (TaskSchema("multi-class", num_classes=3), [[0.0], [2.0], [1.0]], [0, 2, 1]),
+    (TaskSchema("multi-binary", num_tasks=3),
+     [[1.0, np.nan, 0.0], [np.nan, np.nan, 1.0], [0.0, 1.0, np.nan]],
+     [[1.0, None, 0.0], [None, None, 1.0], [0.0, 1.0, None]]),
+], ids=["multi-class", "multi-binary"])
+def test_non_binary_labels_survive_write_and_load(tmp_path, schema, labels, written):
+    ds = Dataset(graphs=[_graph(2, [[0, 1], [1, 0]], label=np.array(lab)) for lab in labels],
+                 schema=schema, splits={"train": np.array([0]), "valid": np.array([1]),
+                                        "test": np.array([2])})
+    write_dataset(ds, tmp_path / "d.jsonl", tmp_path / "s.json")
+    lines = (tmp_path / "d.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["label"] for line in lines] == written
+    back = load_dataset(tmp_path / "d.jsonl", schema, tmp_path / "s.json")
+    for g, h in zip(ds.graphs, back.graphs):
+        np.testing.assert_array_equal(g.label, h.label)  # NaN where NaN was
+        np.testing.assert_array_equal(g.node_features, h.node_features)
+
+
+def test_class_index_out_of_range_names_its_line(tmp_path):
+    p = tmp_path / "d.jsonl"
+    _write_lines(p, [json.dumps({"num_nodes": 1, "node_feat": [[0.0]], "edges": [],
+                                 "label": label}) for label in (1, 2)])
+    with pytest.raises(ValidationError, match=r"line 2: class index must be an integer "
+                                              r"in \[0, 2\)"):
+        load_dataset(p, TaskSchema("multi-class", num_classes=2))
+
+
+def test_load_dataset_ends_lines_as_a_text_file_does(tmp_path):
+    """\\r\\n and a lone \\r end a line; U+2028 and U+0085 inside a
+    record's string do not."""
+    records = [json.dumps({"num_nodes": 1, "node_feat": [[float(i)]], "edges": [],
+                           "label": 0, "note": "a\u2028b\x85c"}, ensure_ascii=False)
+               for i in range(3)]
+    p = tmp_path / "d.jsonl"
+    p.write_bytes(f"{records[0]}\r\n{records[1]}\r{records[2]}\n".encode("utf-8"))
+    ds = load_dataset(p, TaskSchema("binary"))
+    assert [g.node_features[0, 0] for g in ds.graphs] == [0.0, 1.0, 2.0]
+
+
 def test_flat_edges_are_rejected_not_paired(tmp_path):
     p = tmp_path / "d.jsonl"
     _write_lines(p, [json.dumps({"num_nodes": 4, "node_feat": [[0.0]] * 4,

@@ -91,6 +91,7 @@ class TestSearchConfig:
         {"fixed_aggregation": "SAGE"},
         {"dropout": 1.0},
         {"dropout": -0.1},
+        {"aggregation_candidates": ("GCN", "GCN", "GIN")},
     ])
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for losses, metrics, the optimizer, and discrete training."""
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -14,6 +15,7 @@ from sfanas import training
 from sfanas.autodiff import Tensor
 from sfanas.graphs import (Dataset, Graph, SyntheticSpec, TaskSchema, batch_graphs,
                            generate_synthetic)
+from sfanas.search import SearchConfig, search
 from sfanas.supernet import (ArchEncoding, SupernetDims, init_discrete, init_relaxed,
                              supernet_forward)
 from sfanas.training import (HParams, SGD, accuracy, average_precision,
@@ -526,6 +528,22 @@ class TestSaveLoad:
         again = evaluate_model(ds, loaded, arch2, metric="accuracy")
         assert again["valid"].value == reports["valid"].value
         assert again["test"].value == reports["test"].value
+
+    def test_multi_class_search_train_and_round_trip(self, tmp_path):
+        base = small_dataset()
+        # three classes, by node count
+        ds = Dataset(graphs=[dataclasses.replace(g, label=np.array([g.num_nodes % 3.0]))
+                             for g in base.graphs],
+                     schema=TaskSchema("multi-class", num_classes=3), splits=base.splits)
+        arch, history = search(ds, SearchConfig(num_blocks=2, hidden=4, epochs=1))
+        assert history[0]["metric"] == "accuracy"
+        params, reports, _ = train_discrete(ds, arch, HParams(epochs=2, hidden_size=8))
+        assert params.dims.out_dim == 3 and reports["valid"].metric == "accuracy"
+        save_model(params, arch, tmp_path / "model.bin", tmp_path / "model.manifest.json")
+        loaded, arch2, _ = load_model(tmp_path / "model.bin", tmp_path / "model.manifest.json")
+        again = evaluate_model(ds, loaded, arch2)
+        for split in ("valid", "test"):
+            assert again[split].value == reports[split].value
 
     def test_load_model_closes_its_file(self, tmp_path):
         self.train_and_save(tmp_path)
