@@ -3,16 +3,17 @@
 Commands: synth-data, search, derive, train, eval, gradcheck. All file
 outputs are deterministic under a fixed seed (sorted JSON keys, no
 timestamps), so repeated runs produce byte-identical artifacts. Every file
-a command reads or writes goes through the helpers of ``graphs``
-(``read_text``, ``read_json``, ``write_json``, ``write_json_lines``), and
-every JSON file read is checked against a field table.
+a command reads or writes goes through the helpers of ``graphs``: the
+dataset and the search history share one line reader (``read_json_lines``),
+every JSON file read is checked against a field table, and every writer
+turns an OS error, such as an ``--out`` under a regular file, into a
+ValueError naming the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from .graphs import (SyntheticSpec, TaskSchema, fields, generate_synthetic, load_dataset,
-                     read_json, read_text, write_dataset, write_json, write_json_lines)
+                     read_json, read_json_lines, write_dataset, write_json, write_json_lines)
 from .search import SearchConfig, best_record, search
 from .supernet import ArchEncoding
 from .training import (HParams, default_metric, evaluate_model, load_model,
@@ -144,13 +145,11 @@ def cmd_synth_data(args) -> int:
     n = len(dataset.graphs)
     mean_nodes = float(np.mean([g.num_nodes for g in dataset.graphs]))
     mean_edges = float(np.mean([g.edges.shape[0] / 2 for g in dataset.graphs]))
-    pos = float(np.mean([g.label[0] for g in dataset.graphs])) \
-        if dataset.schema.task_type == "binary" else float("nan")
+    pos = float(np.mean([g.label[0] for g in dataset.graphs]))  # the generator's are binary
     print(f"graphs: {n}")
     print(f"mean nodes per graph: {mean_nodes:.2f}")
     print(f"mean edges per graph: {mean_edges:.2f}")
-    if not np.isnan(pos):
-        print(f"positive rate: {pos:.3f}")
+    print(f"positive rate: {pos:.3f}")
     print(f"splits: train={len(dataset.splits['train'])} "
           f"valid={len(dataset.splits['valid'])} test={len(dataset.splits['test'])}")
     print(f"wrote {out / 'dataset.jsonl'} and {out / 'splits.json'}")
@@ -181,20 +180,17 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _history_record(lineno: int, line: str) -> dict:
-    """One search history record, its ``arch`` decoded."""
+def _history_record(lineno: int, value) -> dict:
+    """One decoded search history record, checked, its ``arch`` decoded."""
     where = f"history line {lineno}"
-    try:
-        rec = fields(json.loads(line), HISTORY, where)
-    except json.JSONDecodeError as e:
-        raise CliError(f"{where}: {e}")
+    rec = fields(value, HISTORY, where)
     rec["arch"] = ArchEncoding.from_dict(rec["arch"], f"{where}: arch")
     return rec
 
 
 def cmd_derive(args) -> int:
-    lines = read_text(args.history, "history").splitlines()
-    records = [_history_record(n, line) for n, line in enumerate(lines, 1) if line.strip()]
+    records = [_history_record(n, value)
+               for n, _, value in read_json_lines(args.history, "history")]
     if not records:
         raise CliError("history file is empty")
     if args.epoch is not None:
@@ -228,7 +224,6 @@ def cmd_train(args) -> int:
     params, reports, history = train_discrete(dataset, arch, hp)
     best_epoch = reports["valid"].epoch
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)  # for save_model's binary
     write_json(out / "report.json", _report_payload(reports, reports["valid"].metric,
                                                     best_epoch), indent=2)
     save_model(params, arch, out / "model.bin", out / "model.manifest.json",

@@ -5,10 +5,12 @@ both directed pairs so every aggregation operator can treat in-edges
 uniformly. All containers are immutable after construction and safe to
 share across workers. Loading rejects a record with a value numpy would
 coerce or a feature width unlike the file's, naming its line. Every file
-the package reads goes through :func:`read_bytes` (or :func:`read_text` and
-:func:`read_json` on top of it), every JSON file it reads then through
-:func:`fields`, and every JSON file it writes through :func:`write_json` or
-:func:`write_json_lines`.
+the package reads goes through :func:`read_bytes` (or :func:`read_text`,
+:func:`read_json` and :func:`read_json_lines` on top of it, the last the one
+line reader of the dataset and the search history), and every JSON file it
+reads then through :func:`fields`. Every file it writes goes through
+:func:`write_bytes` (or :func:`write_json` and :func:`write_json_lines` on top
+of it), which turns an OS error into a ValueError naming the file.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ class ValidationError(ValueError):
 
 
 class ParseError(ValueError):
-    """A dataset file line could not be decoded."""
+    """A line of a JSON-lines file, the dataset or a search history, could
+    not be decoded."""
 
 
 @dataclass(frozen=True)
@@ -391,25 +394,51 @@ def read_json(path, what: str):
         raise ValueError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
+def read_json_lines(path, what: str):
+    """``(line number, line, value)`` for each non-blank line of the UTF-8
+    file at ``path``, the line stripped and ``value`` its JSON value; a line
+    that is not JSON raises a ParseError naming ``<what> line N``. Lines end
+    as in a text-mode file: str.splitlines would also split at U+2028 or
+    U+0085, which a record's string may hold."""
+    for lineno, line in enumerate(io.StringIO(read_text(path, what), newline=None), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{what} line {lineno}: {exc.msg} (column {exc.colno})") from None
+        yield lineno, line, value
+
+
+def write_bytes(path, data: bytes) -> None:
+    """``data`` into the file at ``path``, its directory made if missing; an
+    OS error, such as a regular file where a directory should be, raises a
+    ValueError naming the file."""
+    parent = Path(path).parent
+    try:
+        if not parent.exists():  # a file in its place is left for open to name
+            parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise ValueError(f"cannot write file {path}: {exc.strerror}") from None
+
+
 def write_json(path, obj, indent=None) -> None:
     """``obj`` as one JSON value and a newline, in UTF-8, into the file at
-    ``path``, its directory made if missing. Keys are sorted and the value
-    is compact or indented by ``indent`` spaces, so a rerun writes the same
+    ``path`` by :func:`write_bytes`. Keys are sorted and the value is
+    compact or indented by ``indent`` spaces, so a rerun writes the same
     bytes."""
-    _write_lines(path, [json.dumps(obj, sort_keys=True, indent=indent,
-                                   separators=(",", ":" if indent is None else ": "))])
+    write_bytes(path, (json.dumps(obj, sort_keys=True, indent=indent,
+                                  separators=(",", ":" if indent is None else ": "))
+                       + "\n").encode("utf-8"))
 
 
 def write_json_lines(path, records) -> None:
     """Each of ``records`` as one compact line, as :func:`write_json` writes it."""
-    _write_lines(path, (json.dumps(rec, sort_keys=True, separators=(",", ":"))
-                        for rec in records))
-
-
-def _write_lines(path, lines) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
+    write_bytes(path, "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+                              for rec in records).encode("utf-8"))
 
 
 def fields(obj, table: dict, where: str, optional=()) -> dict:
@@ -493,16 +522,7 @@ def load_dataset(path, schema: TaskSchema, splits_path=None,
     """
     graphs = []
     seen = {}
-    # lines end as in a text-mode file: str.splitlines would also split at
-    # U+2028 or U+0085, which a record's string may hold
-    for lineno, line in enumerate(io.StringIO(read_text(path, "dataset"), newline=None), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    for lineno, line, obj in read_json_lines(path, "dataset"):
         g = _parse_record(obj, schema, lineno, "true" in line or "false" in line)
         _check_layout(g, lineno, seen)
         if symmetrize:

@@ -14,14 +14,13 @@ and name; tensor names exist only for the model file.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import ops
-from .autodiff import ShapeError, Tensor
+from .autodiff import Tensor
 from .graphs import KINDS, GraphBatch, ValidationError, fields
 
 DEFAULT_AGG_CANDIDATES = ("GCN", "GAT", "GIN", "GEN", "MF", "EXPC")
@@ -96,9 +95,6 @@ class ArchEncoding:
                        aggregation=tuple(b["agg"] for b in blocks), readout=obj["readout"])
         except ValueError as e:
             raise ValueError(f"{where}: {e}") from None
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 ARCH = {"num_blocks": "int", "blocks": "list", "readout": "str"}
@@ -228,17 +224,8 @@ def site_forward(params: SupernetParams, key: str, arch: ArchEncoding | None, ru
         if chosen not in names:
             raise ValueError(f"op {chosen!r} not among candidates {tuple(names)}")
         return run(chosen)
-    w = arch_weights(params.alphas[key], params.lam)
-    if w.data.shape != (len(names),):
-        raise ShapeError(f"site {key}: {len(names)} candidates but weight shape {w.data.shape}")
-    ys = []
-    for name in names:
-        y = run(name)
-        if ys and y.data.shape != ys[0].data.shape:
-            raise ShapeError(f"site {key}: {name} output shape {y.data.shape} "
-                             f"differs from {ys[0].data.shape}")
-        ys.append(y)
-    return ad.weighted_sum(w, ys)
+    w = arch_weights(params.alphas[key], params.lam)  # taped before the candidates
+    return ad.weighted_sum(w, [run(name) for name in names])
 
 
 def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import ops
 from .autodiff import Tensor
 from .graphs import (KINDS, Dataset, TaskSchema, add_virtual_node, batch_graphs, fields,
-                     read_bytes, read_json, write_json)
+                     read_bytes, read_json, write_bytes, write_json)
 from .supernet import ArchEncoding, SupernetDims, SupernetParams, init_discrete, supernet_forward
 
 # ---------------------------------------------------------------------------
@@ -459,10 +459,8 @@ def save_model(params: SupernetParams, arch: ArchEncoding, bin_path, manifest_pa
                     for k in names],
         **extra,
     }, f"model manifest {manifest_path}")
-    flat = np.concatenate([params.weights[k].data.ravel() for k in names]) \
-        if names else np.zeros(0)
-    with open(bin_path, "wb") as fh:
-        fh.write(flat.astype("<f8").tobytes())
+    flat = np.concatenate([params.weights[k].data.ravel() for k in names])
+    write_bytes(bin_path, flat.astype("<f8").tobytes())
     write_json(manifest_path, manifest)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from sfanas import cli, ops
 from sfanas.cli import main
-from sfanas.graphs import SyntheticSpec, TaskSchema, load_dataset
+from sfanas.graphs import SyntheticSpec, TaskSchema, load_dataset, read_json_lines
 from sfanas.search import SearchConfig
 from sfanas.supernet import ArchEncoding
 from sfanas.training import MANIFEST_OPTIONAL, load_model
@@ -296,6 +296,18 @@ class TestDerive:
         assert main(["derive", "--history", str(path), "--out", str(tmp_path)]) == 1
         assert f"error: history line 3: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\x85"], ids=["U+2028", "U+0085"])
+    def test_line_separator_inside_a_string(self, pipeline, tmp_path, sep):
+        """A raw U+2028 or U+0085 in a record's string ends no line, as in
+        the dataset."""
+        rec = json.loads((pipeline["search"] / "history.jsonl").read_text().splitlines()[0])
+        rec["metric"] = f"a{sep}b"
+        path = tmp_path / "h.jsonl"
+        path.write_text(json.dumps(rec, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert sep in path.read_text(encoding="utf-8")
+        assert main(["derive", "--history", str(path), "--out", str(tmp_path / "d")]) == 0
+        assert json.loads((tmp_path / "d" / "arch.json").read_text()) == rec["arch"]
+
     def test_empty_history(self, tmp_path, capsys):
         path = tmp_path / "h.jsonl"
         path.write_text("\n")
@@ -345,7 +357,7 @@ class TestTrainEval:
         other = ArchEncoding(num_blocks=1, selection=((1,),), fusion=("MAX",),
                              aggregation=("GCN",), readout="GLOBAL_SUM")
         wrong = tmp_path / "other.json"
-        wrong.write_text(other.to_json() + "\n")
+        wrong.write_text(json.dumps(other.to_dict()) + "\n")
         assert main(["eval", "--config", pipeline["config"],
                      "--model-dir", str(pipeline["train"]),
                      "--arch", str(wrong), "--out", str(tmp_path)]) == 1
@@ -487,7 +499,7 @@ class TestTrainEval:
         arch = ArchEncoding(num_blocks=1, selection=((1,),), fusion=("SUM",),
                             aggregation=("GIN",), readout="GLOBAL_MEAN")
         arch_path = tmp_path / "arch.json"
-        arch_path.write_text(arch.to_json() + "\n")
+        arch_path.write_text(json.dumps(arch.to_dict()) + "\n")
         assert main(["train", "--config", config, "--arch", str(arch_path),
                      "--out", str(tmp_path)]) == 1
         assert "does not apply to a multi-class" in capsys.readouterr().err
@@ -684,6 +696,27 @@ class TestFileErrors:
             capsys.readouterr().err
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command, first", [
+        ("synth-data", "dataset.jsonl"), ("search", "arch.json"), ("derive", "arch.json"),
+        ("train", "report.json"), ("eval", "report.json"), ("gradcheck", "report.json")])
+    def test_out_under_a_file_exits_1_naming_it(self, pipeline, tmp_path, command, first,
+                                                capsys):
+        config = pipeline["config"]
+        argv = {"synth-data": ["--num-graphs", "10"],
+                "search": ["--config", config],
+                "derive": ["--history", str(pipeline["search"] / "history.jsonl")],
+                "train": ["--config", config, "--arch", str(pipeline["derive"] / "arch.json")],
+                "eval": ["--config", config, "--model-dir", str(pipeline["train"])],
+                "gradcheck": []}[command]
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x"
+        capsys.readouterr()
+        assert main([command, *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write file {out / first}: Not a directory"]
+
+
 _SWAPS = [None, True, False, "", "x", [], [1], {}, {"a": 1}, 0.5, 7]
 _SUFFIXES = ["x", "}", "{}", " ", "\n", "0", "[]", "\n{}"]
 _PREFIXES = [b"\xff", b"\xfe\xff", b"\x80", b"\xc3(", b"\xef\xbb\xbf"]  # the last is a BOM
@@ -763,14 +796,12 @@ class TestFileFuzz:
         assert codes[1] > trials // 2 and codes[0]
 
     def test_arch(self, pipeline, tmp_path):
-        self.fuzz(pipeline, tmp_path, "arch", lambda p: cli._load_arch(p).to_json(), 1801)
+        self.fuzz(pipeline, tmp_path, "arch", cli._load_arch, 1801)
 
     def test_history(self, pipeline, tmp_path):
-        def decode(path):
-            lines = path.read_text(encoding="utf-8").splitlines()
-            return json.dumps([dict(rec, arch=rec["arch"].to_dict()) for rec in (
-                cli._history_record(n, line) for n, line in enumerate(lines, 1) if line.strip())],
-                sort_keys=True)
+        def decode(path):  # as derive reads it
+            return [cli._history_record(n, value)
+                    for n, _, value in read_json_lines(path, "history")]
         self.fuzz(pipeline, tmp_path, "history", decode, 1802, lines=True)
 
     def test_manifest_and_binary(self, pipeline, tmp_path, capsys):

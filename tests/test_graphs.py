@@ -17,7 +17,7 @@ from sfanas.training import task_loss
 from sfanas.graphs import (Dataset, Graph, ParseError, SyntheticSpec, TaskSchema,
                            ValidationError, add_virtual_node, batch_graphs,
                            count_triangles, generate_synthetic, load_dataset,
-                           write_dataset)
+                           read_json_lines, write_bytes, write_dataset)
 from sfanas.graphs import _symmetrize
 
 
@@ -549,6 +549,28 @@ def test_load_dataset_ends_lines_as_a_text_file_does(tmp_path):
     p.write_bytes(f"{records[0]}\r\n{records[1]}\r{records[2]}\n".encode("utf-8"))
     ds = load_dataset(p, TaskSchema("binary"))
     assert [g.node_features[0, 0] for g in ds.graphs] == [0.0, 1.0, 2.0]
+
+
+def test_read_json_lines_yields_each_nonblank_line_and_its_value(tmp_path):
+    p = tmp_path / "h.jsonl"
+    p.write_bytes('{"a":"x\u2028y"}\r\n\n  [1]  \r2\n{x\n'.encode("utf-8"))
+    lines = read_json_lines(p, "history")
+    assert next(lines) == (1, '{"a":"x\u2028y"}', {"a": "x\u2028y"})
+    assert next(lines) == (3, "[1]", [1])
+    assert next(lines) == (4, "2", 2)
+    with pytest.raises(ParseError, match=r"^history line 5: Expecting property name"):
+        next(lines)
+
+
+def test_write_bytes_makes_the_directory_or_names_the_file(tmp_path):
+    write_bytes(tmp_path / "a" / "b" / "f.bin", b"\x00\n")
+    assert (tmp_path / "a" / "b" / "f.bin").read_bytes() == b"\x00\n"
+    for bad, reason in [(tmp_path / "a" / "b" / "f.bin" / "c" / "g.bin", "Not a directory"),
+                        (tmp_path / "a" / "b" / "f.bin" / "g.bin", "Not a directory"),
+                        (tmp_path / "a", "Is a directory")]:
+        message = re.escape(f"cannot write file {bad}: {reason}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write_bytes(bad, b"")
 
 
 def test_flat_edges_are_rejected_not_paired(tmp_path):

@@ -681,6 +681,17 @@ class TestSaveLoad:
                        extra={"best_epoch": -5})
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_binary_names_the_file(self, tmp_path):
+        ds = small_dataset()
+        arch = one_block_arch()
+        params, _, _ = train_discrete(ds, arch, HParams(epochs=0, hidden_size=8))
+        (tmp_path / "afile").write_text("")
+        bad = tmp_path / "afile" / "m.bin"
+        message = re.escape(f"cannot write file {bad}: Not a directory")
+        with pytest.raises(ValueError, match=message):
+            save_model(params, arch, bad, tmp_path / "m.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
     def test_evaluate_model_feature_width_guard(self, tmp_path):
         ds, arch, params, _ = self.train_and_save(tmp_path)
         wider = Dataset(
