@@ -154,10 +154,10 @@ def _scatter(shape: tuple[int, ...], key, values: np.ndarray) -> np.ndarray:
 
 
 def _check_broadcast(name: str, a: Tensor, b: Tensor) -> None:
-    try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError:
-        raise ShapeError(f"{name}: incompatible shapes {a.data.shape} and {b.data.shape}")
+    # numpy's rule: trailing dimensions pair up and must be equal or 1
+    for x, y in zip(a.data.shape[::-1], b.data.shape[::-1]):
+        if x != y and 1 not in (x, y):
+            raise ShapeError(f"{name}: incompatible shapes {a.data.shape} and {b.data.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -260,26 +260,17 @@ def sqrt(a: Tensor) -> Tensor:
 # shape ops
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """2-d tensors with the same row count, joined side by side."""
     if not tensors:
         raise ShapeError("concat: empty tensor list")
     shapes = [t.data.shape for t in tensors]
-    base = list(shapes[0])
-    for s in shapes[1:]:
-        trial = list(s)
-        if len(trial) != len(base):
-            raise ShapeError(f"concat: rank mismatch among shapes {shapes}")
-        trial[axis] = base[axis]
-        if trial != base:
-            raise ShapeError(f"concat: incompatible shapes {shapes} along axis {axis}")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [s[axis] for s in shapes])
-    keys = []
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        key = [slice(None)] * out_data.ndim
-        key[axis] = slice(lo, hi)
-        keys.append(tuple(key))
-    return _make(out_data, tuple(tensors), tuple([lambda g, k=k: g[k] for k in keys]))
+    if any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes):
+        raise ShapeError(f"concat: incompatible shapes {shapes}; need 2-d, equal row counts")
+    offsets = np.cumsum([0] + [s[1] for s in shapes])
+    return _make(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors),
+                 tuple([lambda g, lo=lo, hi=hi: g[:, lo:hi]
+                        for lo, hi in zip(offsets[:-1], offsets[1:])]))
 
 
 def tslice(a: Tensor, key) -> Tensor:

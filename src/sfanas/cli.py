@@ -21,7 +21,8 @@ import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from .graphs import (SyntheticSpec, TaskSchema, fields, generate_synthetic, load_dataset,
-                     read_json, read_json_lines, write_dataset, write_json, write_json_lines)
+                     located, read_json, read_json_lines, write_dataset, write_json,
+                     write_json_lines)
 from .search import SearchConfig, best_record, search
 from .supernet import ArchEncoding
 from .training import (HParams, default_metric, evaluate_model, load_model,
@@ -77,12 +78,16 @@ def _load_config(path: str) -> dict:
 def _build_section(cls, name: str, section, **overrides):
     """``cls`` built from a config section, with the command-line
     ``overrides`` that are not None on top; the section's table comes from
-    the fields of ``cls`` and their annotations (a tuple is a JSON list)."""
+    the fields of ``cls`` and their annotations (a tuple is a JSON list).
+    A bad key or a bad value raises a ValueError naming the section."""
     if isinstance(section, dict):
         section = {**section, **{k: v for k, v in overrides.items() if v is not None}}
     table = {f.name: "list" if f.type == "tuple" else f.type for f in dataclasses.fields(cls)}
     optional = [f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING]
-    return cls(**fields(section, table, f"bad {name} section", optional))
+    where = f"bad {name} section"
+    section = fields(section, table, where, optional)
+    with located(where):
+        return cls(**section)
 
 
 def _build_dataset(cfg: dict):

@@ -30,10 +30,10 @@ from .training import bce_masked, cross_entropy
 THRESHOLD = 1e-4
 
 
-def _away_from(x: np.ndarray, kink: float = 0.0, gap: float = 0.05) -> np.ndarray:
-    # nudge values off non-differentiable points so central differences hold
-    near = np.abs(x - kink) < gap
-    return x + np.where(near, np.sign(x - kink + 1e-12) * gap, 0.0)
+def _away_from(x: np.ndarray) -> np.ndarray:
+    # nudge values off the (leaky) relu kink at 0 so central differences hold
+    near = np.abs(x) < 0.05
+    return x + np.where(near, np.sign(x + 1e-12) * 0.05, 0.0)
 
 
 def _spread(x: np.ndarray) -> np.ndarray:
@@ -78,7 +78,7 @@ def _primitive_checks():
     simple("exp", lambda rng: ad.exp)
     simple("log", lambda rng: ad.log, data_fn=lambda x: np.abs(x) + 0.5)
     simple("sqrt", lambda rng: ad.sqrt, data_fn=lambda x: np.abs(x) + 0.5)
-    simple("concat", lambda rng: (lambda t, c=const(rng): ad.concat([t, c], axis=1)))
+    simple("concat", lambda rng: (lambda t, c=const(rng): ad.concat([t, c])))
     simple("tslice", lambda rng: (lambda t: t[1:3, 0:2]))
     simple("tsum", lambda rng: (lambda t: ad.tsum(t, axis=0, keepdims=True)))
     simple("tmean", lambda rng: (lambda t: ad.tmean(t, axis=1, keepdims=True)))

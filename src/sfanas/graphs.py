@@ -10,7 +10,9 @@ the package reads goes through :func:`read_bytes` (or :func:`read_text`,
 line reader of the dataset and the search history), and every JSON file it
 reads then through :func:`fields`. Every file it writes goes through
 :func:`write_bytes` (or :func:`write_json` and :func:`write_json_lines` on top
-of it), which turns an OS error into a ValueError naming the file.
+of it), which turns an OS error into a ValueError naming the file. A block
+run inside :func:`located` names where its bad value came from, such as
+``dataset line 3``, in front of any ValueError it raises.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import math
 import reprlib
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -286,7 +289,7 @@ def add_virtual_node(g: Graph) -> Graph:
 # JSON-lines IO
 
 
-def _parse_record(obj: dict, schema: TaskSchema, lineno: int, may_hold_bool: bool) -> Graph:
+def _parse_record(obj: dict, schema: TaskSchema, may_hold_bool: bool) -> Graph:
     """One graph from a decoded line. ``may_hold_bool`` says the line
     holds a ``true`` or ``false``, which numpy would read as 1 or 0
     inside a numeric array, so each array value is then checked."""
@@ -303,44 +306,38 @@ def _parse_record(obj: dict, schema: TaskSchema, lineno: int, may_hold_bool: boo
             edge_feat = edge_feat.reshape(0, 0)
         raw_label = obj["label"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"line {lineno}: malformed graph record ({exc})") from exc
+        raise ParseError(f"malformed graph record ({exc})") from exc
 
     if may_hold_bool:
         for what in ("node_feat", "edges", "edge_feat"):
             if _holds_bool(obj.get(what)):
-                raise ParseError(f"line {lineno}: {what} must hold numbers only")
+                raise ParseError(f"{what} must hold numbers only")
     if not KINDS["float"](n):
-        raise ParseError(f"line {lineno}: num_nodes must be a number, got {n!r}")
+        raise ParseError(f"num_nodes must be a number, got {n!r}")
     if not float(n).is_integer():
-        raise ValidationError(f"line {lineno}: num_nodes must be a whole number, got {n}")
+        raise ValidationError(f"num_nodes must be a whole number, got {n}")
     n = int(n)
-    _check_numbers(node_feat, "node_feat", lineno)
-    _check_numbers(edges, "edges", lineno, whole=True)
+    _check_numbers(node_feat, "node_feat")
+    _check_numbers(edges, "edges", whole=True)
     if edge_feat is not None:
-        _check_numbers(edge_feat, "edge_feat", lineno)
+        _check_numbers(edge_feat, "edge_feat")
     if node_feat.ndim != 2 or node_feat.shape[0] != n:
-        raise ValidationError(f"line {lineno}: node_feat shape {node_feat.shape} "
-                              f"does not match num_nodes {n}")
-
-    label = _parse_label(raw_label, schema, lineno)
-    try:
-        return Graph(node_features=node_feat, edges=edges,
-                     edge_features=edge_feat, label=label)
-    except ValidationError as exc:
-        raise ValidationError(f"line {lineno}: {exc}") from exc
+        raise ValidationError(f"node_feat shape {node_feat.shape} does not match num_nodes {n}")
+    return Graph(node_features=node_feat, edges=edges, edge_features=edge_feat,
+                 label=_parse_label(raw_label, schema))
 
 
-def _check_numbers(arr: np.ndarray, what: str, lineno: int, whole: bool = False) -> None:
+def _check_numbers(arr: np.ndarray, what: str, whole: bool = False) -> None:
     """Reject what numpy would silently coerce: strings, booleans, nulls,
     NaN and Infinity (which Python's json reads), and, when ``whole``,
     fractions that a cast to int would truncate."""
     if arr.size and arr.dtype.kind not in "iuf":
-        raise ParseError(f"line {lineno}: {what} must hold numbers only")
+        raise ParseError(f"{what} must hold numbers only")
     if arr.dtype.kind == "f":
         if not np.isfinite(arr).all():
-            raise ValidationError(f"line {lineno}: {what} holds a non-finite value")
+            raise ValidationError(f"{what} holds a non-finite value")
         if whole and (arr % 1.0).any():
-            raise ValidationError(f"line {lineno}: {what} must hold whole numbers")
+            raise ValidationError(f"{what} must hold whole numbers")
 
 
 def _holds_bool(raw) -> bool:
@@ -441,6 +438,16 @@ def write_json_lines(path, records) -> None:
                               for rec in records).encode("utf-8"))
 
 
+@contextmanager
+def located(where: str):
+    """Re-raise a ValueError from the block as the same class, its message
+    now starting with ``where: ``, the place its bad value came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def fields(obj, table: dict, where: str, optional=()) -> dict:
     """``obj``, checked against ``table``, which maps each key to the name
     of its kind in :data:`KINDS` (other kind names, such as ``"str | None"``,
@@ -462,27 +469,24 @@ def fields(obj, table: dict, where: str, optional=()) -> dict:
     return obj
 
 
-def _parse_label(raw, schema: TaskSchema, lineno: int) -> np.ndarray:
+def _parse_label(raw, schema: TaskSchema) -> np.ndarray:
     if schema.task_type == "multi-binary":
         if not isinstance(raw, list) or len(raw) != schema.num_tasks:
-            raise ValidationError(
-                f"line {lineno}: expected a {schema.num_tasks}-entry label vector")
+            raise ValidationError(f"expected a {schema.num_tasks}-entry label vector")
         vals = [MISSING if v is None else v for v in raw]
         # a NaN entry (v != v) is missing, like null
         if not all(v != v or KINDS["float"](v) and v in (0, 1) for v in vals):
-            raise ValidationError(f"line {lineno}: multi-binary entries must be 0, 1 or null")
+            raise ValidationError("multi-binary entries must be 0, 1 or null")
         return np.array(vals, dtype=np.float64)
     if not KINDS["float"](raw):
-        raise ValidationError(f"line {lineno}: {schema.task_type} label must be a number, "
-                              f"got {raw!r}")
+        raise ValidationError(f"{schema.task_type} label must be a number, got {raw!r}")
     val = float(raw)
     if schema.task_type == "binary":
         if val not in (0.0, 1.0):
-            raise ValidationError(f"line {lineno}: binary label must be 0 or 1, got {raw}")
+            raise ValidationError(f"binary label must be 0 or 1, got {raw}")
     else:
         if not val.is_integer() or not 0 <= val < schema.num_classes:
-            raise ValidationError(
-                f"line {lineno}: class index must be an integer in [0, {schema.num_classes})")
+            raise ValidationError(f"class index must be an integer in [0, {schema.num_classes})")
     return np.array([val])
 
 
@@ -503,8 +507,7 @@ def _check_layout(g: Graph, lineno: int, seen: dict) -> None:
     for prop, value in layout.items():
         first, first_line = seen.setdefault(prop, (value, lineno))
         if value != first:
-            raise ValidationError(f"line {lineno}: {prop} {value} differs from "
-                                  f"{first} on line {first_line}")
+            raise ValidationError(f"{prop} {value} differs from {first} on line {first_line}")
 
 
 def load_dataset(path, schema: TaskSchema, splits_path=None,
@@ -518,13 +521,14 @@ def load_dataset(path, schema: TaskSchema, splits_path=None,
     split over file order is used. Every record must give its features
     the first record's widths (and carry ``edge_feat`` if it does) and
     hold only finite numbers, whole ones for edge endpoints; a record
-    that does not is rejected with its line number.
+    that does not is rejected as ``dataset line N: ...``.
     """
     graphs = []
     seen = {}
     for lineno, line, obj in read_json_lines(path, "dataset"):
-        g = _parse_record(obj, schema, lineno, "true" in line or "false" in line)
-        _check_layout(g, lineno, seen)
+        with located(f"dataset line {lineno}"):
+            g = _parse_record(obj, schema, "true" in line or "false" in line)
+            _check_layout(g, lineno, seen)
         if symmetrize:
             g = _symmetrize(g)
         graphs.append(g)

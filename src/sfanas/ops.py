@@ -26,10 +26,9 @@ EXPANSION = 2   # EXPC's hidden width, as a multiple of the block width
 # parameter initialization
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
-           shape=None) -> np.ndarray:
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape or (fan_in, fan_out))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
 def _param(arr) -> Tensor:
@@ -186,7 +185,7 @@ def mf(batch: GraphBatch, H: Tensor, params: dict,
     bucket = np.minimum(batch.degrees.astype(np.int64), len(params) - 1)
     present, block = np.unique(bucket, return_inverse=True)
     # a batch of zero-node graphs fills no bucket: run W0 over its zero rows
-    W = ad.concat([params[f"W{k}"] for k in present] or [params["W0"]], axis=1)
+    W = ad.concat([params[f"W{k}"] for k in present] or [params["W0"]])
     return ad.sigmoid(ad.pick_blocks(ad.matmul(s, W), block, params["W0"].data.shape[1]))
 
 
@@ -243,7 +242,7 @@ def fuse(name: str, inputs: list, params: dict) -> Tensor:
             out = ad.maximum(out, x)
         return out
     if name == "CONCAT":
-        return ad.matmul(ad.concat(inputs, axis=1), params["P"])
+        return ad.matmul(ad.concat(inputs), params["P"])
     if name == "LSTM":
         return ad.lstm(inputs, params["W_ih"], params["W_hh"], params["b"])
     raise ValueError(f"unknown fusion op {name!r}")

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import ops
 from .autodiff import Tensor
-from .graphs import KINDS, GraphBatch, ValidationError, fields
+from .graphs import KINDS, GraphBatch, ValidationError, fields, located
 
 DEFAULT_AGG_CANDIDATES = ("GCN", "GAT", "GIN", "GEN", "MF", "EXPC")
 
@@ -88,13 +88,11 @@ class ArchEncoding:
             bits = fields(b, ARCH_BLOCK, f"{where}: block {i}")["select"]
             if not all(KINDS["int"](v) for v in bits):
                 raise ValidationError(f"{where}: block {i}: select must hold ints, got {bits}")
-        try:
+        with located(where):
             return cls(num_blocks=obj["num_blocks"],
                        selection=tuple(tuple(b["select"]) for b in blocks),
                        fusion=tuple(b["fusion"] for b in blocks),
                        aggregation=tuple(b["agg"] for b in blocks), readout=obj["readout"])
-        except ValueError as e:
-            raise ValueError(f"{where}: {e}") from None
 
 
 ARCH = {"num_blocks": "int", "blocks": "list", "readout": "str"}

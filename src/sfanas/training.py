@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import ops
 from .autodiff import Tensor
 from .graphs import (KINDS, Dataset, TaskSchema, add_virtual_node, batch_graphs, fields,
-                     read_bytes, read_json, write_bytes, write_json)
+                     located, read_bytes, read_json, write_bytes, write_json)
 from .supernet import ArchEncoding, SupernetDims, SupernetParams, init_discrete, supernet_forward
 
 # ---------------------------------------------------------------------------
@@ -152,19 +152,20 @@ def predictions_from_logits(schema: TaskSchema, logits: np.ndarray) -> np.ndarra
     return (logits[:, 0] > 0.0).astype(np.int64)
 
 
-METRICS = ("auc", "ap", "accuracy")
+# the metrics each task type allows, its default first
+TASK_METRICS = {"binary": ("auc", "ap", "accuracy"), "multi-binary": ("ap",),
+                "multi-class": ("accuracy",)}
+METRICS = TASK_METRICS["binary"]  # a binary task allows every metric
 
 
 def default_metric(schema: TaskSchema) -> str:
-    return {"binary": "auc", "multi-binary": "ap", "multi-class": "accuracy"}[schema.task_type]
+    return TASK_METRICS[schema.task_type][0]
 
 
 def check_metric(schema: TaskSchema, metric: str) -> None:
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    allowed = {"binary": ("auc", "ap", "accuracy"),
-               "multi-binary": ("ap",),
-               "multi-class": ("accuracy",)}[schema.task_type]
+    allowed = TASK_METRICS[schema.task_type]
     if metric not in allowed:
         raise ValueError(f"metric {metric!r} does not apply to a {schema.task_type} task "
                          f"(allowed: {allowed})")
@@ -179,8 +180,7 @@ class EvalReport:
     per_task: list | None = None
 
     def to_dict(self) -> dict:
-        return {"metric": self.metric, "value": self.value, "split": self.split,
-                "epoch": self.epoch, "per_task": self.per_task}
+        return dataclasses.asdict(self)
 
 
 def _score(schema: TaskSchema, metric: str, logits: np.ndarray,
@@ -321,10 +321,8 @@ def prepare_run(dataset: Dataset, metric: str | None, num_blocks: int, hidden: i
         raise ValueError("train and valid splits must be non-empty")
     # scoring constant logits fails where the valid labels leave the metric undefined
     labels = np.stack([g.label for g in splits["valid"]])
-    try:
+    with located(f"the valid split leaves {metric} undefined"):
         _score(schema, metric, np.zeros((len(labels), output_dim(schema))), labels)
-    except ValueError as exc:
-        raise ValueError(f"the valid split leaves {metric} undefined: {exc}") from exc
     dims = SupernetDims(d_in=dataset.num_node_features, out_dim=output_dim(schema),
                         num_blocks=num_blocks, hidden=hidden,
                         d_edge=dataset.num_edge_features)
@@ -470,17 +468,13 @@ def load_model(bin_path, manifest_path) -> tuple[SupernetParams, ArchEncoding, d
     where = f"model manifest {manifest_path}"
     manifest = _check_manifest(read_json(manifest_path, "model manifest"), where)
     dims = fields(manifest["dims"], DIMS, f"{where}: dims")
-    try:
+    with located(f"{where}: dims"):
         dims = SupernetDims(**dims)
-    except ValueError as e:
-        raise ValueError(f"{where}: dims: {e}") from None
     arch = ArchEncoding.from_dict(manifest["arch"], f"{where}: arch")
     for i, entry in enumerate(manifest["tensors"]):
         fields(entry, TENSOR, f"{where}: tensors[{i}]")
-    try:
+    with located(where):  # arch and dims may disagree on the block count
         params = init_discrete(dims, arch, seed=0)
-    except ValueError as e:  # arch and dims disagree on the block count
-        raise ValueError(f"{where}: {e}") from None
     # the manifest must list each tensor of the rebuilt model exactly once
     listed = Counter(entry["name"] for entry in manifest["tensors"])
     for name in sorted(listed.keys() | params.weights.keys()):

@@ -188,8 +188,19 @@ class TestSearch:
                               search=dict(SEARCH_SECTION,
                                           aggregation_candidates=["GCN", "GCN", "GIN"]))
         assert main(["search", "--config", config, "--out", str(tmp_path)]) == 1
-        assert "error: aggregation candidate 'GCN' is listed more than once" in \
-            capsys.readouterr().err
+        assert ("error: bad search section: aggregation candidate 'GCN' is listed more "
+                "than once") in capsys.readouterr().err
+
+    def test_bad_label_names_the_dataset_line(self, pipeline, tmp_path, capsys):
+        lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
+        lines[0] = json.dumps(dict(json.loads(lines[0]), label=2))
+        (tmp_path / "d.jsonl").write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path / "c.json", search=SEARCH_SECTION,
+                              dataset={"path": str(tmp_path / "d.jsonl"),
+                                       "task": {"type": "binary"}})
+        assert main(["search", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            "error: dataset line 1: binary label must be 0 or 1, got 2\n"
 
     @pytest.mark.parametrize("synthetic, message", [
         ({"task": "triangle-threshold", "num_graph": 20},
@@ -210,6 +221,8 @@ class TestSearch:
         ("train", "virtual_node", 1),
         ("synthetic", "num_graphs", 20.5),
         ("synthetic", "seed", True),
+        ("search", "dropout", 1.5),  # a value the dataclass refuses
+        ("train", "dropout", 1.5),
     ])
     def test_bad_field_type(self, pipeline, tmp_path, capsys, section, field, value):
         sections = {"search": dict(SEARCH_SECTION), "train": dict(TRAIN_SECTION),
@@ -391,7 +404,8 @@ class TestTrainEval:
         ({"hidden_size": 4, "epochs": 1, "virtaul_node": True},
          "bad train section: unknown key 'virtaul_node'"),
         ({"learning_rate": -1, "epochs": "x"}, "bad train section: epochs must be int, got 'x'"),
-        ({"learning_rate": -1}, "learning_rate, batch_size, hidden_size must be positive"),
+        ({"learning_rate": -1},
+         "bad train section: learning_rate, batch_size, hidden_size must be positive"),
     ], ids=["misspelt-key", "wrong-kind", "bad-value"])
     def test_eval_checks_the_train_section_as_train_does(self, pipeline, tmp_path, section,
                                                          message, capsys):

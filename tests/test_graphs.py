@@ -17,7 +17,7 @@ from sfanas.training import task_loss
 from sfanas.graphs import (Dataset, Graph, ParseError, SyntheticSpec, TaskSchema,
                            ValidationError, add_virtual_node, batch_graphs,
                            count_triangles, generate_synthetic, load_dataset,
-                           read_json_lines, write_bytes, write_dataset)
+                           located, read_json_lines, write_bytes, write_dataset)
 from sfanas.graphs import _symmetrize
 
 
@@ -573,6 +573,26 @@ def test_write_bytes_makes_the_directory_or_names_the_file(tmp_path):
             write_bytes(bad, b"")
 
 
+class TestLocated:
+    def test_keeps_the_class_and_prefixes_the_message(self):
+        with pytest.raises(ParseError, match=r"^dataset line 2: bad$"):
+            with located("dataset line 2"):
+                raise ParseError("bad")
+
+    def test_nested_blocks_prefix_outermost_first(self):
+        with pytest.raises(ValueError, match=r"^a: b: msg$") as info:
+            with located("a"), located("b"):
+                raise ValueError("msg")
+        assert type(info.value) is ValueError
+
+    def test_other_errors_pass_unchanged(self):
+        err = KeyError("k")
+        with pytest.raises(KeyError) as info:
+            with located("a"):
+                raise err
+        assert info.value is err
+
+
 def test_flat_edges_are_rejected_not_paired(tmp_path):
     p = tmp_path / "d.jsonl"
     _write_lines(p, [json.dumps({"num_nodes": 4, "node_feat": [[0.0]] * 4,
@@ -701,6 +721,7 @@ def test_mutated_records_load_the_same_graphs_or_fail_naming_their_line(tmp_path
         try:
             graphs = load_dataset(p, schema, symmetrize=False).graphs
         except (ParseError, ValidationError) as exc:
+            assert str(exc).startswith("dataset line "), (kind, lines[r], str(exc))
             assert re.search(rf"\bline {r + 1}\b", str(exc)), (kind, lines[r], str(exc))
             outcomes[kind, "rejected"] += 1
             continue
