@@ -39,24 +39,29 @@ value or a tensor's ``data``, and never writes an array after returning
 it. A leaf's first gradient stores -0.0 as 0.0 either way, so leaf
 gradients keep the bits they had when every first gradient was copied.
 
-Seven fused composites are one tape node each, with a closed-form VJP:
+Eight fused composites are one tape node each, with a closed-form VJP:
 :func:`softmax` (the architecture weights), :func:`weighted_sum` (the
 relaxed mixture), :func:`layer_norm`, :func:`masked_bce`, :func:`lstm`
 (the whole scan; its VJP runs backpropagation through time),
-:func:`segment_softmax` (attention over each segment) and
-:func:`softmax_aggregate` (GEN's relu, softmax and weighted sum over each
-segment). :func:`pick_blocks` takes one column block per row, as MF
-picks each node's degree bucket out of one product against all its
-weights. Each forward evaluates the numpy expressions of the composed
-version it replaced, in the same order, so outputs keep their bits;
-gradients may differ in the last bits. The LSTM's first step leaves out
-the zero state's ``h @ W_hh`` and ``f * c``, and a fused VJP computes
-only the gradients of parents that need one, so frozen weights cost the
-LSTM no weight product; neither rule moves a bit. A fused VJP may keep
-forward buffers in its closure (the LSTM keeps every step's gates, cell
-state and hidden state); they live until :func:`backward` frees the
-node, and a tape size that counts node outputs only, as the benchmark's
-``autodiff.tape_bytes`` does, leaves them out.
+:func:`segment_softmax` (attention over each segment),
+:func:`gather_sum` (message passing: gather rows by edge source, scale
+each by an optional edge weight, sum them per destination) and
+:func:`softmax_aggregate` (GEN's gather, relu, softmax and weighted sum
+over each segment). The two message-passing nodes keep no edge-wide
+array that their VJPs do not read: ``gather_sum`` keeps none and
+rebuilds its gathers in the VJP. :func:`pick_blocks` takes one column
+block per row, as MF picks each node's degree bucket out of one product
+against all its weights. Each forward evaluates the numpy expressions
+of the composed version it replaced, in the same order, so outputs keep
+their bits; gradients may differ in the last bits. The LSTM's first
+step leaves out the zero state's ``h @ W_hh``, ``f * c`` and forget
+gate, and a fused VJP computes only the gradients of parents that need
+one, so frozen weights cost the LSTM no weight product; neither rule
+moves a bit. A fused VJP may keep forward buffers in its closure (the
+LSTM keeps every step's gates, cell state and hidden state); they live
+until :func:`backward` frees the node, and a tape size that counts node
+outputs only, as the benchmark's ``autodiff.tape_bytes`` does, leaves
+them out.
 """
 
 from __future__ import annotations
@@ -533,7 +538,7 @@ def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Ten
     four d-wide column blocks give the gates i, f, g, o; then
     ``c = f * c + i * g`` and ``h = o * tanh(c)`` (sigmoid gates, tanh g).
     The first step leaves out the zero state's terms ``h @ W_hh`` and
-    ``f * c``.
+    ``f * c``, and so its forget gate, which it leaves unset.
 
     The VJP runs backpropagation through time once for every parent
     (Appleyard et al., 2016): each step writes its four gate gradients into
@@ -559,7 +564,7 @@ def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Ten
             z += hs[-1] @ W_hh.data
         z += b.data
         i, f, g, o = act = np.empty((4, n, d))
-        for k in range(4):
+        for k in (range(4) if t else (0, 2, 3)):  # the first forget gate scales a zero state
             (np.tanh if k == 2 else _sigmoid)(z[:, k * d:(k + 1) * d], out=act[k])
         if t:
             c = f * cs[-1]
@@ -605,44 +610,106 @@ def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Ten
     return _make(hs[-1], (*inputs, W_ih, W_hh, b), _shared_vjps(bptt, len(inputs) + 3))
 
 
-def softmax_aggregate(x: Tensor, beta: Tensor, ids, num_segments: int) -> Tensor:
-    """DeeperGCN's softmax aggregation (Li et al., 2020) of the 2-d
-    messages ``x`` into ``num_segments`` rows, given each row's segment
-    ``ids``: with ``m = relu(x) + 1e-7`` and ``w`` the softmax of
-    ``beta * m`` over each segment, per column, output row ``s`` is the
-    sum of ``w * m`` over segment ``s``. ``beta`` holds one value.
+def _edge_indices(name: str, x: Tensor, src, dst, num_segments: int) -> tuple:
+    """The :class:`SegmentIndex` of ``src`` over the rows of the 2-d ``x``
+    and of ``dst`` over ``num_segments``, one id per edge each."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"{name}: expected 2-d node features, got shape {x.data.shape}")
+    src, dst = _segment_index(src, x.data.shape[0]), _segment_index(dst, num_segments)
+    if src.ids.shape != dst.ids.shape:
+        raise ShapeError(f"{name}: {src.ids.size} sources for {dst.ids.size} destinations")
+    return src, dst
 
-    One tape node. With ``y`` the output and ``G`` its gradient, the VJPs
-    are ``dx = [x > 0] * w * G[ids] * (1 + beta * (m - y[ids]))`` and
-    ``dbeta = sum(w * G[ids] * (m - y[ids]) * m)``, each computed only
-    for a parent that needs it."""
-    if x.data.ndim != 2 or beta.data.size != 1:
-        raise ShapeError(f"softmax_aggregate: messages {x.data.shape} and beta "
-                         f"{beta.data.shape}; want 2-d messages and one beta")
-    index = _segment_index(ids, num_segments)
-    m = np.maximum(x.data, 0.0)
-    m += 1e-7
-    w = _segment_softmax(beta.data * m, index)
-    out = _segment_sum(w * m, index)
+
+def gather_sum(x: Tensor, src, dst, num_segments: int, weight=None) -> Tensor:
+    """Message passing: row ``i`` of the output is the sum of
+    ``weight[e] * x[src[e]]`` over the edges ``e`` with ``dst[e] == i``.
+    ``weight`` is None (all ones), a constant (E, 1) array or an (E, 1)
+    Tensor; ``src`` and ``dst`` are id arrays or :class:`SegmentIndex`
+    handles over ``x``'s rows and the ``num_segments`` output rows.
+
+    One tape node that keeps no (E x width) array. Its forward gathers,
+    scales and sums as the chain ``gather_rows``, ``mul``,
+    ``segment_reduce`` does, so the output has its bits. Its VJP rebuilds
+    ``G[dst]`` (``G`` the output's gradient): ``dx`` is the sum of
+    ``weight * G[dst]`` per source, and ``dweight``, built only when the
+    weight Tensor needs it, the row sums of ``G[dst] * x[src]``."""
+    src, dst = _edge_indices("gather_sum", x, src, dst, num_segments)
+    w = weight.data if isinstance(weight, Tensor) else weight
+    if w is not None and np.shape(w) != (src.ids.size, 1):
+        raise ShapeError(f"gather_sum: weight of shape {np.shape(w)} for {src.ids.size} edges")
+    msg = x.data[src.ids]
+    if w is not None:
+        msg *= w
+    out = _segment_sum(msg, dst)
 
     def grads(g: np.ndarray) -> list:
-        gw = g[index.ids]
+        gd = g[dst.ids]
+        dx = dw = None
+        if isinstance(weight, Tensor) and weight.requires_grad:
+            xs = x.data[src.ids]
+            xs *= gd
+            dw = xs.sum(axis=1, keepdims=True)
+        if x.requires_grad:
+            if w is not None:
+                gd *= w
+            dx = _segment_sum(gd, src)
+        return [dx, dw]
+
+    parents = (x, weight) if isinstance(weight, Tensor) else (x,)
+    return _make(out, parents, _shared_vjps(grads, len(parents)))
+
+
+def softmax_aggregate(x: Tensor, beta: Tensor, src, dst, num_segments: int,
+                      edge: Tensor | None = None) -> Tensor:
+    """DeeperGCN's softmax aggregation (Li et al., 2020) of the messages
+    ``x[src]``, plus the (E x width) ``edge`` features when given, into
+    ``num_segments`` rows by ``dst`` (ids as in :func:`gather_sum`): with
+    ``m = relu(message) + 1e-7`` and ``w`` the softmax of ``beta * m`` over
+    each segment, per column, output row ``s`` is the sum of ``w * m`` over
+    segment ``s``. ``beta`` holds one value.
+
+    One tape node, which gathers its messages itself. With ``y`` the output
+    and ``G`` its gradient, the message gradient is
+    ``dmsg = [message > 0] * w * G[dst] * (1 + beta * (m - y[dst]))``:
+    ``dedge`` is ``dmsg`` and ``dx`` its sum per source. ``dbeta`` is
+    ``sum(w * G[dst] * (m - y[dst]) * m)``. Each is computed only for a
+    parent that needs it."""
+    src, dst = _edge_indices("softmax_aggregate", x, src, dst, num_segments)
+    if beta.data.size != 1 or \
+            (edge is not None and edge.data.shape != (src.ids.size, x.data.shape[1])):
+        raise ShapeError(f"softmax_aggregate: beta {beta.data.shape} and edge features "
+                         f"{None if edge is None else edge.data.shape} for {src.ids.size} "
+                         f"messages of width {x.data.shape[1]}; want one beta")
+    m = x.data[src.ids]
+    if edge is not None:
+        m += edge.data
+    positive = m > 0.0
+    np.maximum(m, 0.0, out=m)
+    m += 1e-7
+    w = _segment_softmax(beta.data * m, dst)
+    out = _segment_sum(w * m, dst)
+
+    def grads(g: np.ndarray) -> list:
+        gw = g[dst.ids]
         gw *= w
-        centred = m - out[index.ids]
-        dx = dbeta = None
+        centred = m - out[dst.ids]
+        dmsg = dbeta = None
         if beta.requires_grad:  # summed elementwise: a BLAS dot's bits vary with its threads
             terms = gw * centred
             terms *= m
             dbeta = np.full(beta.data.shape, terms.sum())
-        if x.requires_grad:
+        if x.requires_grad or (edge is not None and edge.requires_grad):
             centred *= beta.data
             centred += 1.0
             centred *= gw
-            centred *= x.data > 0.0
-            dx = centred
-        return [dx, dbeta]
+            centred *= positive
+            dmsg = centred
+        dx = _segment_sum(dmsg, src) if x.requires_grad else None
+        return [dx, dbeta, dmsg]
 
-    return _make(out, (x, beta), _shared_vjps(grads, 2))
+    parents = (x, beta) if edge is None else (x, beta, edge)
+    return _make(out, parents, _shared_vjps(grads, len(parents)))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,19 @@ def _primitive_checks():
     checks.append(("primitive/gather_rows", gather_run))
 
     ids = np.array([0, 0, 1, 2, 2, 2])
+
+    def gather_sum_run():
+        rng = np.random.default_rng([9, 103])
+        x, weight = rng.standard_normal((5, 3)), rng.standard_normal((6, 1))
+        src = np.array([0, 2, 2, 4, 1, 0])  # node 3 sends nothing, segment 3 receives nothing
+
+        def of_arg(k):
+            def f(t):
+                ts = [t if j == k else Tensor(a) for j, a in enumerate((x, weight))]
+                return ad.gather_sum(ts[0], src, ids, 4, ts[1])
+            return f
+        return max(_checked(of_arg(k), a, rng) for k, a in enumerate((x, weight)))
+    checks.append(("primitive/gather_sum", gather_sum_run))
     for mode in ("sum", "mean", "max"):
         def seg_run(mode=mode):
             rng = np.random.default_rng([9, 110, len(mode)])
@@ -133,11 +146,16 @@ def _primitive_checks():
 
     def softagg_run():
         rng = np.random.default_rng([9, 121])
-        x = _away_from(rng.standard_normal((6, 2)))  # both signs, off relu's kink
-        beta = Tensor(np.array([1.6]))
-        return max(_checked(lambda t: ad.softmax_aggregate(t, beta, ids, 4), x, rng),
-                   _checked(lambda t: ad.softmax_aggregate(Tensor(x), t, ids, 4),
-                            beta.data, rng))
+        x, src, beta = rng.standard_normal((4, 2)), np.array([0, 2, 2, 3, 1, 0]), np.array([1.6])
+        # edge features that put every message x[src] + edge off relu's kink
+        edge = _away_from(x[src] + rng.standard_normal((6, 2))) - x[src]
+
+        def of_arg(k):
+            def f(t):
+                ts = [t if j == k else Tensor(a) for j, a in enumerate((x, beta, edge))]
+                return ad.softmax_aggregate(ts[0], ts[1], src, ids, 4, ts[2])
+            return f
+        return max(_checked(of_arg(k), a, rng) for k, a in enumerate((x, beta, edge)))
     checks.append(("primitive/softmax_aggregate", softagg_run))
 
     def pick_run():

@@ -24,6 +24,7 @@ import reprlib
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -149,11 +150,14 @@ class GraphBatch:
             plan[f"loop_{name}"] = SegmentIndex(with_loops, n)
         object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "_in_use", {})  # name -> weak reference to its index
-        # cached degree vectors shared by the aggregation operators
         in_deg = np.bincount(plan["dst"].ids, minlength=n).astype(np.float64)
         object.__setattr__(self, "in_degrees", _freeze(in_deg))
-        object.__setattr__(self, "degrees",
-                           _freeze(_undirected_degrees(self.edges, n).astype(np.float64)))
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Undirected degree per node (MF's buckets), read-only; computed on
+        first read, since only MF reads it."""
+        return _freeze(_undirected_degrees(self.edges, self.num_nodes).astype(np.float64))
 
     def _index(self, name: str) -> SegmentIndex:
         ref = self._in_use.get(name)

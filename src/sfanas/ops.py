@@ -79,27 +79,21 @@ def init_fusion_params(name: str, d: int, num_inputs: int,
 
 
 class Neighbours:
-    """The edge work GIN, GEN, MF and EXPC do on features ``H``: its rows
-    gathered by edge source (:meth:`messages`) and their sum per
-    destination (:meth:`sums`). Each is built on first use, so the
-    candidates of a relaxed block, handed one ``Neighbours`` of the fused
-    features, build each at most once between them."""
+    """The sum of ``H``'s rows over each node's in-edges, which GIN and MF
+    both read: one :func:`autodiff.gather_sum` node, built on first use,
+    so the candidates of a relaxed block, handed one ``Neighbours`` of the
+    fused features, build it at most once between them."""
 
-    __slots__ = ("batch", "H", "_messages", "_sums")
+    __slots__ = ("batch", "H", "_sums")
 
     def __init__(self, batch: GraphBatch, H: Tensor):
         self.batch, self.H = batch, H
-        self._messages = self._sums = None
-
-    def messages(self) -> Tensor:
-        if self._messages is None:
-            self._messages = ad.gather_rows(self.H, self.batch.src)
-        return self._messages
+        self._sums = None
 
     def sums(self) -> Tensor:
         if self._sums is None:
-            self._sums = ad.segment_reduce(self.messages(), self.batch.dst,
-                                           self.batch.num_nodes, "sum")
+            self._sums = ad.gather_sum(self.H, self.batch.src, self.batch.dst,
+                                       self.batch.num_nodes)
         return self._sums
 
 
@@ -114,23 +108,22 @@ def gcn(batch: GraphBatch, H: Tensor, params: dict) -> Tensor:
     dhat = batch.in_degrees + 1.0
     HW = ad.matmul(H, params["W"])
     self_term = ad.mul(HW, Tensor((1.0 / dhat)[:, None]))
-    coef = 1.0 / np.sqrt(dhat[batch.src.ids] * dhat[batch.dst.ids])
-    msg = ad.mul(ad.gather_rows(HW, batch.src), Tensor(coef[:, None]))
-    return ad.add(ad.segment_reduce(msg, batch.dst, n, "sum"), self_term)
+    src, dst = batch.src, batch.dst
+    coef = 1.0 / np.sqrt(dhat[src.ids] * dhat[dst.ids])
+    return ad.add(ad.gather_sum(HW, src, dst, n, coef[:, None]), self_term)
 
 
 def gat_attention(batch: GraphBatch, H: Tensor, params: dict,
                   variant: str = "plain"):
     """Per-edge attention over each destination's in-edges plus a self-loop.
 
-    Returns (attention E'x1, transformed sources E'xd, dst index vector).
-    The plain logit of edge j -> i is ``a_src . Wh_j + a_dst . Wh_i``
+    Returns (attention E'x1, the transformed node features ``H @ W`` nxd,
+    whose rows GAT gathers by ``loop_src``, dst index vector). The plain logit of edge j -> i is ``a_src . Wh_j + a_dst . Wh_i``
     (Velickovic et al., 2018), whose halves are computed once per node and
     looked up per edge; sym adds the logit of i -> j.
     """
     n = batch.num_nodes
     HW = ad.matmul(H, params["W"])
-    hs = ad.gather_rows(HW, batch.loop_src)
     if variant in ("plain", "sym"):
         s_src, s_dst = ad.matmul(HW, params["a_src"]), ad.matmul(HW, params["a_dst"])
 
@@ -141,7 +134,7 @@ def gat_attention(batch: GraphBatch, H: Tensor, params: dict,
         if variant == "sym":
             logits = ad.add(logits, score(batch.loop_dst, batch.loop_src))
     elif variant == "cos":
-        hd = ad.gather_rows(HW, batch.loop_dst)
+        hs, hd = ad.gather_rows(HW, batch.loop_src), ad.gather_rows(HW, batch.loop_dst)
         dot = ad.tsum(ad.mul(hs, hd), axis=1, keepdims=True)
         ns = ad.sqrt(ad.add(ad.tsum(ad.mul(hs, hs), axis=1, keepdims=True), Tensor(1e-24)))
         nd = ad.sqrt(ad.add(ad.tsum(ad.mul(hd, hd), axis=1, keepdims=True), Tensor(1e-24)))
@@ -149,13 +142,13 @@ def gat_attention(batch: GraphBatch, H: Tensor, params: dict,
     else:
         raise ValueError(f"unknown attention variant {variant!r}")
     attn = ad.segment_softmax(logits, batch.loop_dst, n)
-    return attn, hs, batch.loop_dst.ids
+    return attn, HW, batch.loop_dst.ids
 
 
 def gat(batch: GraphBatch, H: Tensor, params: dict,
         variant: str = "plain") -> Tensor:
-    attn, hs, _ = gat_attention(batch, H, params, variant)
-    return ad.segment_reduce(ad.mul(hs, attn), batch.loop_dst, batch.num_nodes, "sum")
+    attn, HW, _ = gat_attention(batch, H, params, variant)
+    return ad.gather_sum(HW, batch.loop_src, batch.loop_dst, batch.num_nodes, attn)
 
 
 def gin(batch: GraphBatch, H: Tensor, params: dict,
@@ -165,12 +158,10 @@ def gin(batch: GraphBatch, H: Tensor, params: dict,
 
 
 def gen(batch: GraphBatch, H: Tensor, params: dict,
-        edge_feats: Tensor | None = None, neighbours: Neighbours | None = None) -> Tensor:
+        edge_feats: Tensor | None = None) -> Tensor:
     """Softmax-weighted (per channel) message aggregation with learnable sharpness."""
-    msg = (neighbours or Neighbours(batch, H)).messages()
-    if edge_feats is not None:
-        msg = ad.add(msg, edge_feats)
-    agg = ad.softmax_aggregate(msg, params["beta"], batch.dst, batch.num_nodes)
+    agg = ad.softmax_aggregate(H, params["beta"], batch.src, batch.dst, batch.num_nodes,
+                               edge_feats)
     return _mlp(ad.add(H, agg), params)
 
 
@@ -192,14 +183,16 @@ def mf(batch: GraphBatch, H: Tensor, params: dict,
 def expc(batch: GraphBatch, H: Tensor, params: dict) -> Tensor:
     """Expand, activate, and compress self+neighbor contributions."""
     z = ad.relu(ad.matmul(H, params["We"]))
-    s = ad.add(z, Neighbours(batch, z).sums())
+    s = ad.add(z, ad.gather_sum(z, batch.src, batch.dst, batch.num_nodes))
     return ad.matmul(s, params["Wc"])
 
 
 def aggregate(name: str, batch: GraphBatch, H: Tensor, params: dict,
               edge_feats: Tensor | None = None, neighbours: Neighbours | None = None) -> Tensor:
     """Aggregation ``name`` of ``H``. ``neighbours``, built over ``H``,
-    lends GIN, GEN and MF its gather and sum; without it they build their own."""
+    lends GIN and MF its neighbour sum; without it they build their own.
+    ``edge_feats``, the projected (E x d) edge features, joins GEN's
+    messages."""
     if name == "GCN":
         return gcn(batch, H, params)
     if name == "GAT":
@@ -211,7 +204,7 @@ def aggregate(name: str, batch: GraphBatch, H: Tensor, params: dict,
     if name == "GIN":
         return gin(batch, H, params, neighbours)
     if name == "GEN":
-        return gen(batch, H, params, edge_feats, neighbours)
+        return gen(batch, H, params, edge_feats)
     if name == "MF":
         return mf(batch, H, params, neighbours)
     if name == "EXPC":

@@ -233,7 +233,7 @@ def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
     ``block_index`` is 1-based: block i consumes history H0..H(i-1).
     Fusion and aggregation are :func:`site_forward` sites; the aggregation
     candidates share one :class:`ops.Neighbours` of the fused features, so
-    the edge gather and neighbour sum they read are built once. A selection
+    the neighbour sum GIN and MF read is built once. A selection
     site scales H_j by one weight: its IDENTITY softmax weight when relaxed
     (ZERO contributes nothing), ``arch``'s 0/1 bit when discrete. The
     product is a node even for a 1 bit: H_j feeds several blocks, and

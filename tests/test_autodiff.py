@@ -446,10 +446,20 @@ def composed_segment_softmax(logits, ids, num_segments):
     return ad.div(z, ad.gather_rows(denom, index))
 
 
-def composed_softmax_aggregate(x, beta, ids, num_segments):
-    m = ad.add(ad.relu(x), Tensor(1e-7))
-    w = ad.segment_softmax(ad.mul(beta, m), ids, num_segments)
-    return ad.segment_reduce(ad.mul(w, m), ids, num_segments, "sum")
+def composed_gather_sum(x, src, dst, num_segments, weight=None):
+    msg = ad.gather_rows(x, src)
+    if weight is not None:
+        msg = ad.mul(msg, weight if isinstance(weight, Tensor) else Tensor(weight))
+    return ad.segment_reduce(msg, dst, num_segments, "sum")
+
+
+def composed_softmax_aggregate(x, beta, src, dst, num_segments, edge=None):
+    msg = ad.gather_rows(x, src)
+    if edge is not None:
+        msg = ad.add(msg, edge)
+    m = ad.add(ad.relu(msg), Tensor(1e-7))
+    w = ad.segment_softmax(ad.mul(beta, m), dst, num_segments)
+    return ad.segment_reduce(ad.mul(w, m), dst, num_segments, "sum")
 
 
 def _softmax_case(rng):
@@ -495,15 +505,42 @@ def _segment_softmax_case(rng):
     return [x], lambda op: op(x, ids, segments)
 
 
-def _softmax_aggregate_case(rng):
-    """Widths 1 and 32, messages of both signs, beta away from 1; the last
-    segment is always empty."""
-    rows, segments = int(rng.integers(1, 12)), int(rng.integers(2, 6))
+def _edges_case(rng):
+    """(x, src, dst, segments) for message passing: 2-6 nodes of width 1 or
+    32, 0-11 edges. The last node sends no edge, and no edge enters the
+    last segment, which stays empty."""
+    nodes, segments, edges = (int(rng.integers(lo, hi)) for lo, hi in ((2, 7), (2, 6), (0, 12)))
     width = (1, 32)[int(rng.integers(2))]
-    ids = rng.integers(0, segments - 1, size=rows)
-    x = Tensor(rng.normal(size=(rows, width)) * 2.0, requires_grad=True)
+    x = Tensor(rng.normal(size=(nodes, width)) * 2.0, requires_grad=True)
+    src = rng.integers(0, nodes - 1, size=edges)
+    dst = rng.integers(0, segments - 1, size=edges)
+    return x, src, dst, segments
+
+
+def _gather_sum_case(rng):
+    """Edges as in :func:`_edges_case`, with no weight, a constant weight
+    or a weight Tensor, in turn by ``rng``."""
+    x, src, dst, segments = _edges_case(rng)
+    weight, leaves = None, [x]
+    kind = int(rng.integers(3))
+    if kind:
+        weight = rng.normal(size=(src.size, 1))
+    if kind == 2:
+        weight = Tensor(weight, requires_grad=True)
+        leaves.append(weight)
+    return leaves, lambda op: op(x, src, dst, segments, weight)
+
+
+def _softmax_aggregate_case(rng):
+    """Edges as in :func:`_edges_case`, messages of both signs, beta away
+    from 1, and edge features in about half the cases."""
+    x, src, dst, segments = _edges_case(rng)
     beta = Tensor([rng.uniform(0.2, 3.0)], requires_grad=True)
-    return [x, beta], lambda op: op(x, beta, ids, segments)
+    edge = None
+    if rng.random() < 0.5:
+        edge = Tensor(rng.normal(size=(src.size, x.data.shape[1])), requires_grad=True)
+    leaves = [x, beta] + ([edge] if edge is not None else [])
+    return leaves, lambda op: op(x, beta, src, dst, segments, edge)
 
 
 def _lstm_case(rng):
@@ -521,9 +558,10 @@ def _lstm_case(rng):
     (ad.masked_bce, composed_masked_bce, _masked_bce_case),
     (ad.lstm, composed_lstm, _lstm_case),
     (ad.segment_softmax, composed_segment_softmax, _segment_softmax_case),
+    (ad.gather_sum, composed_gather_sum, _gather_sum_case),
     (ad.softmax_aggregate, composed_softmax_aggregate, _softmax_aggregate_case),
 ], ids=["softmax", "weighted_sum", "layer_norm", "masked_bce", "lstm", "segment_softmax",
-        "softmax_aggregate"])
+        "gather_sum", "softmax_aggregate"])
 def test_fused_matches_composed(fused, composed, case):
     """The fused op records one tape node, over the leaves, and its output
     equals the composed version's bit for bit; the gradients agree within
@@ -564,8 +602,15 @@ def test_fused_shape_checks():
         ad.lstm([ones, Tensor(np.ones((3, 3)))], W, W, b)
     with pytest.raises(ShapeError, match="lstm: weights"):
         ad.lstm([ones], W, Tensor(np.ones((3, 8))), b)
+    two = np.zeros(2, dtype=np.int64)
     with pytest.raises(ShapeError, match="softmax_aggregate"):
-        ad.softmax_aggregate(ones, Tensor(np.ones(2)), np.zeros(2, dtype=np.int64), 1)
+        ad.softmax_aggregate(ones, Tensor(np.ones(2)), two, two, 1)
+    with pytest.raises(ShapeError, match="softmax_aggregate"):
+        ad.softmax_aggregate(ones, Tensor(np.ones(1)), two, two, 1, Tensor(np.ones((2, 2))))
+    for x, src, weight in ((Tensor(np.ones(3)), two, None), (ones, two[:1], None),
+                           (ones, two, np.ones((3, 1))), (ones, two, Tensor(np.ones(2)))):
+        with pytest.raises(ShapeError, match="gather_sum"):
+            ad.gather_sum(x, src, two, 1, weight)
     with pytest.raises(ShapeError, match="pick_blocks"):
         ad.pick_blocks(ones, np.zeros(2, dtype=np.int64), 2)
 

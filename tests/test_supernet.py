@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from sfanas.supernet import (ArchEncoding, SupernetDims, arch_weights,
                              derive_architecture, force_one_hot_alphas,
                              init_discrete, init_relaxed, sfa_block_forward,
                              site_forward, supernet_forward)
-from sfanas.training import task_loss
+from sfanas.training import SGD, descend, task_loss
 
 
 def T(x):
@@ -268,16 +269,16 @@ class TestSfaBlock:
         assert one is not H1  # a node of its own, so gradient sums keep their order
         np.testing.assert_array_equal(H0.grad, np.zeros((2, 1)))
 
-    def test_relaxed_block_gathers_and_sums_its_fused_input_once(self, monkeypatch):
-        """GIN, GEN and MF read one gather of the fused features by edge
-        source, and GIN and MF one neighbour sum of it."""
+    def test_gin_and_mf_read_one_neighbour_sum(self, monkeypatch):
+        """A relaxed block sums the fused features over in-edges once, in
+        one ``gather_sum`` node that GIN and MF both read."""
         rng = np.random.default_rng(44)
         batch = make_batch([rng.normal(size=(5, 3))], [rng.integers(0, 5, size=(9, 2))],
                            d_edge=2, rng=rng)
         params = init_relaxed(SupernetDims(d_in=3, out_dim=1, num_blocks=1, hidden=3, d_edge=2))
-        assert {"GIN", "GEN", "MF"} <= set(params.sites["agg/b0"][0])
-        fused, gathers, sums = [], [], []
-        site, gather, reduce = supernet.site_forward, ad.gather_rows, ad.segment_reduce
+        assert {"GIN", "MF"} <= set(params.sites["agg/b0"][0])
+        fused, sums, readers = [], [], {}
+        site, gather_sum, aggregate = supernet.site_forward, ad.gather_sum, ops.aggregate
 
         def record_site(params, key, arch, run):
             out = site(params, key, arch, run)
@@ -285,22 +286,25 @@ class TestSfaBlock:
                 fused.append(out)
             return out
 
-        def record_gather(a, idx):
-            gathers.append((a, idx, gather(a, idx)))
-            return gathers[-1][2]
+        def record_sum(x, src, dst, num_segments, weight=None):
+            sums.append((x, src, dst, weight, gather_sum(x, src, dst, num_segments, weight)))
+            return sums[-1][-1]
 
-        def record_reduce(values, ids, num_segments, mode="sum"):
-            sums.append((values, reduce(values, ids, num_segments, mode)))
-            return sums[-1][1]
+        def record_aggregate(name, batch, H, params, edge_feats=None, neighbours=None):
+            out = aggregate(name, batch, H, params, edge_feats, neighbours)
+            readers[name] = neighbours._sums
+            return out
         monkeypatch.setattr(supernet, "site_forward", record_site)
-        monkeypatch.setattr(ad, "gather_rows", record_gather)
-        monkeypatch.setattr(ad, "segment_reduce", record_reduce)
+        monkeypatch.setattr(ad, "gather_sum", record_sum)
+        monkeypatch.setattr(ops, "aggregate", record_aggregate)
         sfa_block_forward(batch, 1, [Tensor(batch.node_features, requires_grad=True)], params)
-        of_fused = [(idx, out) for a, idx, out in gathers if a is fused[0]]
+        of_fused = [(src, dst, weight, out) for x, src, dst, weight, out in sums
+                    if x is fused[0]]
         assert len(of_fused) == 1
-        idx, messages = of_fused[0]
-        np.testing.assert_array_equal(idx.ids, batch.edges[:, 0])
-        assert len([v for v, _ in sums if v is messages]) == 1
+        src, dst, weight, out = of_fused[0]
+        np.testing.assert_array_equal(src.ids, batch.edges[:, 0])
+        np.testing.assert_array_equal(dst.ids, batch.edges[:, 1])
+        assert weight is None and readers["GIN"] is out and readers["MF"] is out
 
     def test_history_length_checked(self):
         dims = SupernetDims(d_in=1, out_dim=1, num_blocks=2, hidden=1)
@@ -591,42 +595,89 @@ class TestForceOneHot:
 
 
 class TestTapeSize:
-    """Taped nodes of one forward plus loss on a fixed 32-graph
-    triangle-threshold batch (4 blocks, hidden 32). The ceilings are the
-    counts with the fused primitives (805 relaxed and 253 discrete before
-    them; 394 and 91 before the one-node segment softmax, the per-node GAT
-    scores and the shared neighbour gather; 354 and 77 before GEN's
-    softmax aggregation and MF's bucket pick became one node each), so a
-    change that splits a fused op back up fails here."""
+    """The tape of one forward plus loss on a fixed 32-graph
+    triangle-threshold batch (4 blocks, hidden 32), the benchmark's."""
 
     ARCH = ArchEncoding(num_blocks=4, selection=((1,), (1, 1), (0, 1, 1), (1, 0, 1, 1)),
                         fusion=("LSTM", "LSTM", "SUM", "LSTM"),
                         aggregation=("GAT", "GEN", "GAT", "GEN"), readout="GLOBAL_MAX")
 
     @staticmethod
-    def taped_nodes(loss):
-        """Tensors reachable from ``loss`` that have a VJP to run."""
-        seen, stack, count = {id(loss)}, [loss], 0
-        while stack:
-            t = stack.pop()
-            count += bool(t._parents)
-            for p in t._parents:
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    stack.append(p)
-        return count
-
-    @pytest.mark.parametrize("mode, ceiling", [("relaxed", 278), ("discrete", 67)])
-    def test_ceiling(self, mode, ceiling):
+    def setup(mode):
+        """(dataset, batch, params, arch) for ``mode`` on the fixed batch."""
         spec = graphs.SyntheticSpec(task="triangle-threshold", num_graphs=500,
                                     min_nodes=8, max_nodes=16, edge_prob=0.25)
         ds = graphs.generate_synthetic(spec, seed=0)
         batch = graphs.batch_graphs(ds.split_graphs("train")[:32])
         dims = SupernetDims(d_in=ds.num_node_features, out_dim=1, num_blocks=4, hidden=32)
-        arch = self.ARCH if mode == "discrete" else None
+        arch = TestTapeSize.ARCH if mode == "discrete" else None
         params = init_relaxed(dims) if arch is None else init_discrete(dims, arch)
+        return ds, batch, params, arch
+
+    def taped_loss(self, mode):
+        ds, batch, params, arch = self.setup(mode)
         logits = supernet_forward(batch, params, mode=mode, arch=arch, training=True)
-        assert self.taped_nodes(task_loss(ds.schema, logits, batch.labels)) <= ceiling
+        return batch, task_loss(ds.schema, logits, batch.labels)
+
+    @staticmethod
+    def taped_nodes(loss):
+        """Tensors reachable from ``loss`` that have a VJP to run."""
+        seen, stack, nodes = {id(loss)}, [loss], []
+        while stack:
+            t = stack.pop()
+            if t._parents:
+                nodes.append(t)
+            for p in t._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        return nodes
+
+    @pytest.mark.parametrize("mode, ceiling", [("relaxed", 254), ("discrete", 61)])
+    def test_ceiling(self, mode, ceiling):
+        """The ceilings are the counts with the fused primitives (805 relaxed
+        and 253 discrete before them; 394 and 91 before the one-node segment
+        softmax, the per-node GAT scores and the shared neighbour gather; 354
+        and 77 before GEN's softmax aggregation and MF's bucket pick became
+        one node each; 278 and 67 before one ``gather_sum`` node replaced
+        each gather, scale and sum chain), so a change that splits a fused op
+        back up fails here."""
+        assert len(self.taped_nodes(self.taped_loss(mode)[1])) <= ceiling
+
+    @pytest.mark.parametrize("mode", ["relaxed", "discrete"])
+    def test_no_edge_wide_node_output(self, mode):
+        """No taped node outputs an array with one row per edge, with or
+        without the self-loops, and more than one column: message passing
+        keeps its (E x width) arrays inside its nodes, or drops them."""
+        batch, loss = self.taped_loss(mode)
+        e, n = batch.edges.shape[0], batch.num_nodes
+        edge_rows = {e, e + n}
+        assert not edge_rows & {1, n, batch.num_graphs}  # no other array has these rows
+        wide = [t.data.shape for t in self.taped_nodes(loss)
+                if t.data.ndim == 2 and t.data.shape[0] in edge_rows and t.data.shape[1] > 1]
+        assert wide == []
+
+    def test_relaxed_weight_step_peak_memory(self):
+        """The traced peak of one relaxed weight half-step (forward, loss,
+        backward, SGD step, as ``search.search`` takes it) after one
+        untraced step. It read 35.5 MB before one ``gather_sum`` node
+        replaced each gather, scale and sum chain and GEN gathered its own
+        messages, and 29.25 MB after; the ceiling has 5% headroom."""
+        ds, batch, params, _ = self.setup("relaxed")
+        opt = SGD(params.weights, lr=0.05, momentum=0.9)
+
+        def step():
+            with ad.frozen(params.alphas.values()):
+                logits = supernet_forward(batch, params, mode="relaxed", training=True)
+                descend(params, opt, task_loss(ds.schema, logits, batch.labels), 0)
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30.7e6, peak / 1e6
 
 
 class TestHeldPlan:
