@@ -7,12 +7,12 @@ leaf. The op set is deliberately small: just enough for message-passing
 layers, the relaxed architecture mixture, and the training losses.
 
 A tape lives only as long as a gradient needs it. :func:`backward` frees
-each node once its VJPs have run, so a loss can be backpropagated once;
-a second pass through the same tape raises ``RuntimeError``. An op
-records a tape node only if one of its inputs needs a gradient, so
-:func:`frozen` is the one way to keep tensors off the tape: it holds
-chosen leaves out, and with every leaf frozen a forward that is only
-scored records no tape at all.
+each node once its backward function has run, so a loss can be
+backpropagated once; a second pass through the same tape raises
+``RuntimeError``. An op records a tape node only if one of its inputs
+needs a gradient, so :func:`frozen` is the one way to keep tensors off
+the tape: it holds chosen leaves out, and with every leaf frozen a
+forward that is only scored records no tape at all.
 
 Segment reductions sort nothing. Row ``i``, column ``c`` goes to slot
 ``ids[i] * width + c`` of one flat output: sums are one ``bincount``
@@ -25,43 +25,44 @@ with its memo, until the tape is consumed; a plain array passed to a
 segment kernel becomes a throwaway one.
 
 The tape contract: an op computes its output and hands :func:`_make` its
-parents plus one vector-Jacobian product (VJP) per parent, each mapping
-the output's gradient to that parent's gradient at the output's
-broadcast shape. :func:`backward` alone skips parents that need no
-gradient, sums a broadcast gradient back to the parent's shape, and
-accumulates the parents' gradients in the order the op listed them.
-A parent's first gradient is the VJP's own array when that array owns
-its memory (no view, writeable, float64 at the parent's shape) and is
-not the output's gradient; any other array is copied. So a VJP never
-hands one array to two parents (the identity VJPs, such as ``add``'s,
-return the output's gradient, which is copied), never returns a forward
-value or a tensor's ``data``, and never writes an array after returning
-it. A leaf's first gradient stores -0.0 as 0.0 either way, so leaf
-gradients keep the bits they had when every first gradient was copied.
+parents plus one backward function, which maps the output's gradient to
+one entry per parent, in parent order: that parent's vector-Jacobian
+product (VJP) at the output's broadcast shape, or ``None`` for a parent
+that needs no gradient. It reads the parents' ``requires_grad`` when it
+runs and computes only the entries needed, so a frozen parent costs it
+no product. :func:`backward` calls it once per node, sums a broadcast
+entry back to its parent's shape, and accumulates the entries of the
+parents that need a gradient in parent order. A parent's first gradient
+is the entry itself when that array owns its memory (no view,
+writeable, float64 at the parent's shape) and is not the output's
+gradient; any other array is copied. So a backward function never hands
+one array to two parents (an identity entry, such as ``add``'s, is the
+output's gradient, which is copied), never returns a forward value or a
+tensor's ``data``, and never writes an array after returning it. A
+leaf's first gradient stores -0.0 as 0.0 either way, so leaf gradients
+keep the bits they had when every first gradient was copied.
 
 Eight fused composites are one tape node each, with a closed-form VJP:
 :func:`softmax` (the architecture weights), :func:`weighted_sum` (the
 relaxed mixture), :func:`layer_norm`, :func:`masked_bce`, :func:`lstm`
-(the whole scan; its VJP runs backpropagation through time),
+(the whole scan; its backward runs backpropagation through time),
 :func:`segment_softmax` (attention over each segment),
 :func:`gather_sum` (message passing: gather rows by edge source, scale
 each by an optional edge weight, sum them per destination) and
 :func:`softmax_aggregate` (GEN's gather, relu, softmax and weighted sum
 over each segment). The two message-passing nodes keep no edge-wide
-array that their VJPs do not read: ``gather_sum`` keeps none and
-rebuilds its gathers in the VJP. :func:`pick_blocks` takes one column
-block per row, as MF picks each node's degree bucket out of one product
-against all its weights. Each forward evaluates the numpy expressions
-of the composed version it replaced, in the same order, so outputs keep
-their bits; gradients may differ in the last bits. The LSTM's first
-step leaves out the zero state's ``h @ W_hh``, ``f * c`` and forget
-gate, and a fused VJP computes only the gradients of parents that need
-one, so frozen weights cost the LSTM no weight product; neither rule
-moves a bit. A fused VJP may keep forward buffers in its closure (the
-LSTM keeps every step's gates, cell state and hidden state); they live
-until :func:`backward` frees the node, and a tape size that counts node
-outputs only, as the benchmark's ``autodiff.tape_bytes`` does, leaves
-them out.
+array that their backward does not read: ``gather_sum`` keeps none and
+rebuilds its gathers in its backward. :func:`pick_blocks` takes one
+column block per row, as MF picks each node's degree bucket out of one
+product against all its weights. Each forward evaluates the numpy
+expressions of the composed version it replaced, in the same order, so
+outputs keep their bits; gradients may differ in the last bits. The
+LSTM's first step leaves out the zero state's ``h @ W_hh``, ``f * c``
+and forget gate, which moves no bit. A backward function may keep
+forward buffers in its closure (the LSTM keeps every step's gates, cell
+state and hidden state); they live until :func:`backward` frees the
+node, and a tape size that counts node outputs only, as the benchmark's
+``autodiff.tape_bytes`` does, leaves them out.
 """
 
 from __future__ import annotations
@@ -80,15 +81,15 @@ class ShapeError(ValueError):
 class Tensor:
     """A dense float64 array plus its accumulated gradient and tape link."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = (), _vjps: tuple = ()):
+                 _parents: tuple = (), _backward: Callable | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
-        self._vjps = _vjps
+        self._backward = _backward  # None on a leaf
 
     def accumulate(self, g: np.ndarray, owned: bool = False) -> None:
         """Add ``g`` to the gradient. The first ``g`` becomes the gradient
@@ -118,9 +119,10 @@ class Tensor:
 @contextmanager
 def frozen(tensors):
     """Within the block, ``tensors`` need no gradient: ops record no tape
-    node for them, and :func:`backward` neither reaches them nor runs
-    their VJPs. The values are the same as unfrozen, and so are the other
-    tensors' gradients. Each ``requires_grad`` is restored on the way out."""
+    node for them, and :func:`backward` neither reaches them nor computes
+    their gradients. The values are the same as unfrozen, and so are the
+    other tensors' gradients. Each ``requires_grad`` is restored on the way
+    out."""
     tensors = list(tensors)
     previous = [t.requires_grad for t in tensors]
     for t in tensors:
@@ -132,12 +134,18 @@ def frozen(tensors):
             t.requires_grad = flag
 
 
-def _make(data: np.ndarray, parents: tuple, vjps: tuple) -> Tensor:
+def _make(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     """The op's output; it keeps the tape link only if a parent needs a
     gradient."""
     if any(p.requires_grad for p in parents):
-        return Tensor(data, True, parents, vjps)
+        return Tensor(data, True, parents, backward)
     return Tensor(data)
+
+
+def _consumed(g):
+    """The backward function of a node that :func:`backward` has freed."""
+    raise RuntimeError("backward: the tape was already consumed by an earlier "
+                       "backward; a loss can be backpropagated once")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -171,37 +179,40 @@ def _check_broadcast(name: str, a: Tensor, b: Tensor) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
-    return _make(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("sub", a, b)
-    return _make(a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
+    return _make(a.data - b.data, (a, b), lambda g: (
+        g if a.requires_grad else None, -g if b.requires_grad else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
-    return _make(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
+    return _make(a.data * b.data, (a, b), lambda g: (
+        g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("div", a, b)
     out_data = a.data / b.data
-    return _make(out_data, (a, b),
-                 (lambda g: g / b.data, lambda g: -g * out_data / b.data))
+    return _make(out_data, (a, b), lambda g: (
+        g / b.data if a.requires_grad else None,
+        -g * out_data / b.data if b.requires_grad else None))
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _make(a.data * c, (a,), (lambda g: g * c,))
+    return _make(a.data * c, (a,), lambda g: (g * c,))
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; on ties the gradient goes to the first operand."""
     _check_broadcast("maximum", a, b)
     take_a = a.data >= b.data
-    return _make(np.where(take_a, a.data, b.data), (a, b),
-                 (lambda g: g * take_a, lambda g: g * ~take_a))
+    return _make(np.where(take_a, a.data, b.data), (a, b), lambda g: (
+        g * take_a if a.requires_grad else None, g * ~take_a if b.requires_grad else None))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +222,8 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return _make(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+    return _make(a.data @ b.data, (a, b), lambda g: (
+        g @ b.data.T if a.requires_grad else None, a.data.T @ g if b.requires_grad else None))
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +232,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0  # subgradient at 0 fixed to 0
-    return _make(a.data * mask, (a,), (lambda g: g * mask,))
+    return _make(a.data * mask, (a,), lambda g: (g * mask,))
 
 
 def leaky_relu(a: Tensor) -> Tensor:
     """Slope 0.2 below zero, as GAT uses."""
     scale = np.where(a.data > 0.0, 1.0, 0.2)
-    return _make(a.data * scale, (a,), (lambda g: g * scale,))
+    return _make(a.data * scale, (a,), lambda g: (g * scale,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     out_data = _sigmoid(a.data)
-    return _make(out_data, (a,), (lambda g: g * out_data * (1.0 - out_data),))
+    return _make(out_data, (a,), lambda g: (g * out_data * (1.0 - out_data),))
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -249,16 +261,16 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
-    return _make(out_data, (a,), (lambda g: g * out_data,))
+    return _make(out_data, (a,), lambda g: (g * out_data,))
 
 
 def log(a: Tensor) -> Tensor:
-    return _make(np.log(a.data), (a,), (lambda g: g / a.data,))
+    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
-    return _make(out_data, (a,), (lambda g: g * 0.5 / out_data,))
+    return _make(out_data, (a,), lambda g: (g * 0.5 / out_data,))
 
 
 # ---------------------------------------------------------------------------
@@ -274,26 +286,25 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
         raise ShapeError(f"concat: incompatible shapes {shapes}; need 2-d, equal row counts")
     offsets = np.cumsum([0] + [s[1] for s in shapes])
     return _make(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors),
-                 tuple([lambda g, lo=lo, hi=hi: g[:, lo:hi]
-                        for lo, hi in zip(offsets[:-1], offsets[1:])]))
+                 lambda g: tuple(g[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])))
 
 
 def tslice(a: Tensor, key) -> Tensor:
     """Basic (non-overlapping) indexing: ints and slices."""
-    return _make(a.data[key], (a,), (lambda g: _scatter(a.data.shape, key, g),))
+    return _make(a.data[key], (a,), lambda g: (_scatter(a.data.shape, key, g),))
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Row lookup by an integer index vector or a :class:`SegmentIndex`
     over ``a``'s rows; rows may repeat."""
     index = _segment_index(idx, a.data.shape[0])
-    return _make(a.data[index.ids], (a,), (lambda g: _segment_sum(g, index),))
+    return _make(a.data[index.ids], (a,), lambda g: (_segment_sum(g, index),))
 
 
 def pick_blocks(a: Tensor, blocks: np.ndarray, width: int) -> Tensor:
     """Row ``i`` of the output is block ``blocks[i]`` of row ``i`` of the
     2-d ``a``, whose columns form blocks of ``width``: columns
-    ``blocks[i] * width`` up to ``(blocks[i] + 1) * width``. The VJP
+    ``blocks[i] * width`` up to ``(blocks[i] + 1) * width``. The backward
     writes each row's gradient back into its block of zeros."""
     rows, cols = a.data.shape
     blocks = np.asarray(blocks)
@@ -302,12 +313,12 @@ def pick_blocks(a: Tensor, blocks: np.ndarray, width: int) -> Tensor:
                          f"do not fit shape {a.data.shape}")
     shape, picked = (rows, cols // width, width), np.arange(rows)
 
-    def vjp(g):
+    def backward(g):
         grad = np.zeros(shape)
         grad[picked, blocks] = g
         grad.shape = a.data.shape  # in place, not a view
-        return grad
-    return _make(a.data.reshape(shape)[picked, blocks], (a,), (vjp,))
+        return (grad,)
+    return _make(a.data.reshape(shape)[picked, blocks], (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +327,8 @@ def pick_blocks(a: Tensor, blocks: np.ndarray, width: int) -> Tensor:
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     expand = axis is not None and not keepdims
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), (
-        lambda g: np.broadcast_to(np.expand_dims(g, axis) if expand else g, a.data.shape),))
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), lambda g: (
+        np.broadcast_to(np.expand_dims(g, axis) if expand else g, a.data.shape),))
 
 
 def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -415,11 +426,11 @@ def segment_reduce(values: Tensor, ids, num_segments: int,
         raise ValueError(f"segment_reduce: unknown mode {mode!r}")
 
     if mode == "sum":
-        return _make(_segment_sum(values.data, index), (values,), (lambda g: g[index.ids],))
+        return _make(_segment_sum(values.data, index), (values,), lambda g: (g[index.ids],))
     if mode == "mean":
         n = np.maximum(np.bincount(index.ids, minlength=num_segments), 1.0)[:, None]
         return _make(_segment_sum(values.data, index) / n, (values,),
-                     (lambda g: (g / n)[index.ids],))
+                     lambda g: ((g / n)[index.ids],))
 
     rows, width = values.data.shape
     flat, v = index.flat(width), values.data.ravel()
@@ -432,11 +443,11 @@ def segment_reduce(values: Tensor, ids, num_segments: int,
     out = np.zeros(num_segments * width)
     out[hit] = v[source]
 
-    def vjp(g):
+    def backward(g):
         grad = _scatter(v.size, source, g.ravel()[hit])
         grad.shape = (rows, width)  # in place, not a view
-        return grad
-    return _make(out.reshape(num_segments, width), (values,), (vjp,))
+        return (grad,)
+    return _make(out.reshape(num_segments, width), (values,), backward)
 
 
 def _segment_softmax(logits: np.ndarray, index: SegmentIndex) -> np.ndarray:
@@ -455,11 +466,11 @@ def segment_softmax(logits: Tensor, ids, num_segments: int) -> Tensor:
     index = _segment_index(ids, num_segments)
     out = _segment_softmax(logits.data, index)
 
-    def vjp(g):
+    def backward(g):
         grad = g - _segment_sum(g * out, index)[index.ids]
         grad *= out
-        return grad
-    return _make(out, (logits,), (vjp,))
+        return (grad,)
+    return _make(out, (logits,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +484,7 @@ def softmax(a: Tensor, temperature: float) -> Tensor:
     scale = 1.0 / temperature
     e = np.exp((a.data - a.data.max()) * scale)
     out = e / e.sum()
-    return _make(out, (a,), (lambda g: out * (g - (g * out).sum()) * scale,))
+    return _make(out, (a,), lambda g: (out * (g - (g * out).sum()) * scale,))
 
 
 def weighted_sum(w: Tensor, ys: Sequence[Tensor]) -> Tensor:
@@ -486,9 +497,9 @@ def weighted_sum(w: Tensor, ys: Sequence[Tensor]) -> Tensor:
     out = w.data[0] * ys[0].data
     for k in range(1, len(ys)):
         out += w.data[k] * ys[k].data
-    return _make(out, (w, *ys), (
-        lambda g: np.array([np.vdot(g, y.data) for y in ys]),
-        *(lambda g, k=k: g * w.data[k] for k in range(len(ys)))))
+    return _make(out, (w, *ys), lambda g: (
+        np.array([np.vdot(g, y.data) for y in ys]) if w.requires_grad else None,
+        *(g * w.data[k] if y.requires_grad else None for k, y in enumerate(ys))))
 
 
 def layer_norm(a: Tensor) -> Tensor:
@@ -499,7 +510,7 @@ def layer_norm(a: Tensor) -> Tensor:
     xc = x - x.sum(axis=1, keepdims=True) * inv_width
     std = np.sqrt((xc * xc).sum(axis=1, keepdims=True) * inv_width + 1e-5)
     out = xc / std
-    return _make(out, (a,), (lambda g: (g - g.mean(axis=1, keepdims=True)
+    return _make(out, (a,), lambda g: ((g - g.mean(axis=1, keepdims=True)
                                         - out * (g * out).mean(axis=1, keepdims=True)) / std,))
 
 
@@ -513,23 +524,7 @@ def masked_bce(logits: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:
     scale = 1.0 / int(mask.sum())
     elem = (z * (z > 0.0) - z * y) + np.log(1.0 + e)
     return _make((elem * keep).sum() * scale, (logits,),
-                 (lambda g: (g * scale) * keep * (_sigmoid(z) - y),))
-
-
-def _shared_vjps(grads: Callable[[np.ndarray], list], count: int) -> tuple:
-    """``count`` VJPs, the ``k``-th returning ``grads(g)[k]``, where
-    ``grads`` runs once, at the first VJP :func:`backward` calls. It may
-    leave ``None`` for a parent that needs no gradient, whose VJP
-    :func:`backward` does not call."""
-    cache = []
-
-    def part(k):
-        def vjp(g):
-            if not cache:
-                cache.extend(grads(g))
-            return cache[k]
-        return vjp
-    return tuple(part(k) for k in range(count))
+                 lambda g: ((g * scale) * keep * (_sigmoid(z) - y),))
 
 
 def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Tensor:
@@ -540,13 +535,12 @@ def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Ten
     The first step leaves out the zero state's terms ``h @ W_hh`` and
     ``f * c``, and so its forget gate, which it leaves unset.
 
-    The VJP runs backpropagation through time once for every parent
+    The backward runs backpropagation through time once for every parent
     (Appleyard et al., 2016): each step writes its four gate gradients into
     one (n, 4d) buffer, from which that step's input gradient, its share of
-    the weight gradients and the recurrent gradient are one matmul each. It
-    computes only the gradients of parents that need one, so frozen
-    weights cost no product, and the first step, whose state is zero,
-    adds nothing to ``W_hh``'s gradient and leaves its forget gate's at zero.
+    the weight gradients and the recurrent gradient are one matmul each.
+    The first step, whose state is zero, adds nothing to ``W_hh``'s
+    gradient and leaves its forget gate's at zero.
     """
     n, d = inputs[0].data.shape
     for x in inputs:
@@ -607,7 +601,7 @@ def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Ten
                 dc *= f
         return grads
 
-    return _make(hs[-1], (*inputs, W_ih, W_hh, b), _shared_vjps(bptt, len(inputs) + 3))
+    return _make(hs[-1], (*inputs, W_ih, W_hh, b), bptt)
 
 
 def _edge_indices(name: str, x: Tensor, src, dst, num_segments: int) -> tuple:
@@ -630,8 +624,8 @@ def gather_sum(x: Tensor, src, dst, num_segments: int, weight=None) -> Tensor:
 
     One tape node that keeps no (E x width) array. Its forward gathers,
     scales and sums as the chain ``gather_rows``, ``mul``,
-    ``segment_reduce`` does, so the output has its bits. Its VJP rebuilds
-    ``G[dst]`` (``G`` the output's gradient): ``dx`` is the sum of
+    ``segment_reduce`` does, so the output has its bits. Its backward
+    rebuilds ``G[dst]`` (``G`` the output's gradient): ``dx`` is the sum of
     ``weight * G[dst]`` per source, and ``dweight``, built only when the
     weight Tensor needs it, the row sums of ``G[dst] * x[src]``."""
     src, dst = _edge_indices("gather_sum", x, src, dst, num_segments)
@@ -643,7 +637,9 @@ def gather_sum(x: Tensor, src, dst, num_segments: int, weight=None) -> Tensor:
         msg *= w
     out = _segment_sum(msg, dst)
 
-    def grads(g: np.ndarray) -> list:
+    parents = (x, weight) if isinstance(weight, Tensor) else (x,)
+
+    def grads(g: np.ndarray) -> tuple:
         gd = g[dst.ids]
         dx = dw = None
         if isinstance(weight, Tensor) and weight.requires_grad:
@@ -654,10 +650,8 @@ def gather_sum(x: Tensor, src, dst, num_segments: int, weight=None) -> Tensor:
             if w is not None:
                 gd *= w
             dx = _segment_sum(gd, src)
-        return [dx, dw]
-
-    parents = (x, weight) if isinstance(weight, Tensor) else (x,)
-    return _make(out, parents, _shared_vjps(grads, len(parents)))
+        return (dx, dw)[:len(parents)]
+    return _make(out, parents, grads)
 
 
 def softmax_aggregate(x: Tensor, beta: Tensor, src, dst, num_segments: int,
@@ -673,8 +667,7 @@ def softmax_aggregate(x: Tensor, beta: Tensor, src, dst, num_segments: int,
     and ``G`` its gradient, the message gradient is
     ``dmsg = [message > 0] * w * G[dst] * (1 + beta * (m - y[dst]))``:
     ``dedge`` is ``dmsg`` and ``dx`` its sum per source. ``dbeta`` is
-    ``sum(w * G[dst] * (m - y[dst]) * m)``. Each is computed only for a
-    parent that needs it."""
+    ``sum(w * G[dst] * (m - y[dst]) * m)``."""
     src, dst = _edge_indices("softmax_aggregate", x, src, dst, num_segments)
     if beta.data.size != 1 or \
             (edge is not None and edge.data.shape != (src.ids.size, x.data.shape[1])):
@@ -690,7 +683,9 @@ def softmax_aggregate(x: Tensor, beta: Tensor, src, dst, num_segments: int,
     w = _segment_softmax(beta.data * m, dst)
     out = _segment_sum(w * m, dst)
 
-    def grads(g: np.ndarray) -> list:
+    parents = (x, beta) if edge is None else (x, beta, edge)
+
+    def grads(g: np.ndarray) -> tuple:
         gw = g[dst.ids]
         gw *= w
         centred = m - out[dst.ids]
@@ -706,10 +701,8 @@ def softmax_aggregate(x: Tensor, beta: Tensor, src, dst, num_segments: int,
             centred *= positive
             dmsg = centred
         dx = _segment_sum(dmsg, src) if x.requires_grad else None
-        return [dx, dbeta, dmsg]
-
-    parents = (x, beta) if edge is None else (x, beta, edge)
-    return _make(out, parents, _shared_vjps(grads, len(parents)))
+        return (dx, dbeta, dmsg)[:len(parents)]
+    return _make(out, parents, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -720,9 +713,10 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every leaf reachable from a scalar loss, and
     free the tape on the way.
 
-    Once a node's VJPs have run, its gradient, parents and VJPs are
-    dropped, so the tape is consumed: a loss can be backpropagated once,
-    and a pass that reaches a consumed node raises ``RuntimeError``.
+    Once a node's backward function has run, its gradient, parents and
+    backward function are dropped, so the tape is consumed: a loss can be
+    backpropagated once, and a pass that reaches a consumed node raises
+    ``RuntimeError``.
     Leaves keep their gradients, and a later loss over the same leaves
     adds to them unless they are zeroed first.
     """
@@ -741,9 +735,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
-        if node._vjps is None:
-            raise RuntimeError("backward: the tape was already consumed by an earlier "
-                               "backward; a loss can be backpropagated once")
+        if node._backward is _consumed:
+            _consumed(node.grad)  # raises before any gradient moves
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -753,18 +746,17 @@ def backward(loss: Tensor) -> None:
     loss.accumulate(np.ones_like(loss.data), owned=True)
     while topo:
         node = topo.pop()  # reverse topological order; the list lets go of each node
-        if not node._parents:
+        if node._backward is None:
             continue  # a leaf keeps its gradient
-        for p, vjp in zip(node._parents, node._vjps):
+        for p, g in zip(node._parents, node._backward(node.grad), strict=True):
             if p.requires_grad:
-                g = vjp(node.grad)
                 if g.shape != p.data.shape:
                     g = _unbroadcast(g, p.data.shape)
-                # the tape contract makes an array that owns its memory the VJP's alone
+                # the tape contract makes an array that owns its memory the op's alone
                 p.accumulate(g, owned=g is not node.grad and isinstance(g, np.ndarray)
                              and g.base is None and g.flags.writeable
                              and g.dtype == np.float64 and g.shape == p.data.shape)
-        node.grad, node._parents, node._vjps = None, (), None
+        node.grad, node._parents, node._backward = None, (), _consumed
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:

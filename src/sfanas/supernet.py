@@ -50,17 +50,17 @@ class ArchEncoding:
                 len(self.fusion) != self.num_blocks or \
                 len(self.aggregation) != self.num_blocks:
             raise ValueError("per-block field lengths must equal num_blocks")
+        for b, bits in enumerate(self.selection):  # checked before int() can truncate them
+            if len(bits) != b + 1:
+                raise ValueError(f"block {b}: selection mask must have {b + 1} entries")
+            if any(v not in (0, 1) for v in bits):
+                raise ValueError(f"block {b}: selection entries must be 0 or 1")
+            if not any(bits):
+                raise ValueError(f"block {b}: at least one input must be selected")
         object.__setattr__(self, "selection",
                            tuple(tuple(int(b) for b in bits) for bits in self.selection))
         object.__setattr__(self, "fusion", tuple(self.fusion))
         object.__setattr__(self, "aggregation", tuple(self.aggregation))
-        for b, bits in enumerate(self.selection):
-            if len(bits) != b + 1:
-                raise ValueError(f"block {b}: selection mask must have {b + 1} entries")
-            if not any(bits):
-                raise ValueError(f"block {b}: at least one input must be selected")
-            if any(v not in (0, 1) for v in bits):
-                raise ValueError(f"block {b}: selection entries must be 0 or 1")
         for name in self.fusion:
             if name not in ops.FUSION_OPS:
                 raise ValueError(f"unknown fusion op {name!r}")
@@ -234,10 +234,10 @@ def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
     Fusion and aggregation are :func:`site_forward` sites; the aggregation
     candidates share one :class:`ops.Neighbours` of the fused features, so
     the neighbour sum GIN and MF read is built once. A selection
-    site scales H_j by one weight: its IDENTITY softmax weight when relaxed
-    (ZERO contributes nothing), ``arch``'s 0/1 bit when discrete. The
-    product is a node even for a 1 bit: H_j feeds several blocks, and
-    passing it on itself would reorder the gradient sums into it.
+    site scales H_j by its IDENTITY softmax weight when relaxed (ZERO
+    contributes nothing). When discrete, a 1 bit passes H_j on itself and
+    a 0 bit scales it by zero, as a product node: a constant zero in its
+    place moves gradient bits.
     """
     if block_index < 1 or len(history) != block_index:
         raise ValueError(f"block {block_index} expects a history of length {block_index}")
@@ -247,9 +247,9 @@ def sfa_block_forward(batch: GraphBatch, block_index: int, history: list,
     for j, Hj in enumerate(history):
         if arch is None:  # the IDENTITY weight
             w = arch_weights(params.alphas[f"sel/b{b}/i{j}"], params.lam)[1:2]
+            scaled.append(ad.mul(w, Hj))
         else:
-            w = Tensor([float(arch.selection[b][j])])
-        scaled.append(ad.mul(w, Hj))
+            scaled.append(Hj if arch.selection[b][j] else ad.mul(Tensor([0.0]), Hj))
 
     fus, agg, proj = f"fus/b{b}", f"agg/b{b}", params.edge_proj[b]
     fused = site_forward(params, fus, arch,

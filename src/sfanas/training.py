@@ -407,6 +407,9 @@ def evaluate_model(dataset: Dataset, params: SupernetParams, arch: ArchEncoding,
     if params.dims.d_edge != dataset.num_edge_features:
         raise ValueError(f"model expects {params.dims.d_edge} edge features, "
                          f"dataset has {dataset.num_edge_features}")
+    if params.dims.out_dim != output_dim(schema):
+        raise ValueError(f"model gives {params.dims.out_dim} outputs, the dataset's "
+                         f"{schema.task_type} task needs {output_dim(schema)}")
     return _split_reports(schema, metric, params, _splits(dataset, virtual_node), arch, epoch)
 
 

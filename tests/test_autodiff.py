@@ -377,6 +377,25 @@ def test_frozen_holds_leaves_out_and_restores_after_an_exception():
     assert a.grad is None and b.grad.tolist() == [2.0]
 
 
+@pytest.mark.parametrize("op, shapes", [
+    (ad.sub, [(2, 3), (2, 3)]), (ad.mul, [(2, 3), (1, 3)]), (ad.div, [(2, 3), (2, 1)]),
+    (ad.maximum, [(2, 3), (2, 3)]), (ad.matmul, [(2, 3), (3, 4)]),
+    (lambda w, *ys: ad.weighted_sum(w, ys), [(2,), (2, 3), (2, 3)]),
+], ids=["sub", "mul", "div", "maximum", "matmul", "weighted_sum"])
+def test_backward_gives_none_to_a_frozen_parent(op, shapes):
+    # the node's one backward function computes only the entries of
+    # parents that need a gradient, so a frozen one costs it no product
+    rng = np.random.default_rng(9)
+    parents = [Tensor(rng.uniform(0.5, 2.0, shape), requires_grad=True) for shape in shapes]
+    for k in range(len(parents)):
+        with ad.frozen([parents[k]]):
+            out = op(*parents)
+            grads = out._backward(np.ones_like(out.data))
+        assert len(grads) == len(parents)
+        for i, g in enumerate(grads):
+            assert g is None if i == k else isinstance(g, np.ndarray), (k, i)
+
+
 def test_gather_rows_accumulates_duplicates():
     x = Tensor(np.array([[1.0], [2.0]]), requires_grad=True)
     out = ad.gather_rows(x, np.array([0, 0, 1]))
@@ -390,7 +409,7 @@ def test_gather_rows_accumulates_duplicates():
 
 def composed_tanh(a):
     out = np.tanh(a.data)
-    return ad._make(out, (a,), (lambda g: g * (1.0 - out * out),))
+    return ad._make(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def composed_softmax(a, temperature):

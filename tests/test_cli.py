@@ -418,6 +418,16 @@ class TestTrainEval:
             assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "report.json").exists()
 
+    def test_eval_refuses_a_model_of_another_output_width(self, pipeline, tmp_path, capsys):
+        # the binary model has one output; a 3-class copy of its dataset needs three
+        dataset = dict(synth_section(pipeline["data"]),
+                       task={"type": "multi-class", "num_classes": 3})
+        assert main(["eval", "--config", write_config(tmp_path / "c.json", dataset=dataset),
+                     "--model-dir", str(pipeline["train"]), "--out", str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err == \
+            "error: model gives 1 outputs, the dataset's multi-class task needs 3\n"
+        assert not (tmp_path / "eval").exists()
+
     def test_eval_missing_model(self, pipeline, tmp_path, capsys):
         assert main(["eval", "--config", pipeline["config"],
                      "--model-dir", str(tmp_path), "--out", str(tmp_path)]) == 1

@@ -713,3 +713,18 @@ class TestSaveLoad:
         params, _, _ = train_discrete(with_ef, arch, HParams(epochs=0, hidden_size=8))
         with pytest.raises(ValueError, match="model expects 2 edge features, dataset has 0"):
             evaluate_model(ds, params, arch)
+
+    @pytest.mark.parametrize("trained, scored, message", [
+        (TaskSchema(), TaskSchema("multi-class", num_classes=3),
+         "model gives 1 outputs, the dataset's multi-class task needs 3"),
+        (TaskSchema("multi-class", num_classes=3), TaskSchema(),
+         "model gives 3 outputs, the dataset's binary task needs 1"),
+    ], ids=["binary-on-3-class", "3-class-on-binary"])
+    def test_evaluate_model_output_width_guard(self, trained, scored, message):
+        ds = small_dataset()
+        arch = one_block_arch()
+        params, _, _ = train_discrete(dataclasses.replace(ds, schema=trained), arch,
+                                      HParams(epochs=0, hidden_size=8, metric="accuracy"))
+        with pytest.raises(ValueError, match=message):
+            evaluate_model(dataclasses.replace(ds, schema=scored), params, arch,
+                           metric="accuracy")
