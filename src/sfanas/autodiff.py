@@ -6,6 +6,21 @@ builds the backward tape on the fly (define-by-run); calling
 leaf. The op set is deliberately small: just enough for message-passing
 layers, the relaxed architecture mixture, and the training losses.
 
+The tape is kept apart from the values, as PyTorch's autograd keeps a
+graph node apart from its tensor (Paszke et al., 2017). An op output
+that needs a gradient holds its op's tape node. The node holds its
+parents' entries, its one backward function, the arrays that function
+reads (its saved arrays) and its output's shape: not its output, and no
+parent's :class:`Tensor` or ``data``. A parent's entry is the parent's
+own node; a leaf that needs a gradient, which :func:`backward` gives its
+``grad``, is its own entry; any other parent is a placeholder that holds
+only its shape. So the tape keeps an array alive only while a backward
+function will read it (Chen et al., 2016, arXiv:1604.06174): an
+intermediate that the forward drops and no backward reads, such as an
+MLP's hidden layer, is freed at once, during the forward. The tape forms
+no reference cycle, so a dropped or consumed tape is freed by reference
+counting alone.
+
 A tape lives only as long as a gradient needs it. :func:`backward` frees
 each node once its backward function has run, so a loss can be
 backpropagated once; a second pass through the same tape raises
@@ -25,22 +40,31 @@ with its memo, until the tape is consumed; a plain array passed to a
 segment kernel becomes a throwaway one.
 
 The tape contract: an op computes its output and hands :func:`_make` its
-parents plus one backward function, which maps the output's gradient to
-one entry per parent, in parent order: that parent's vector-Jacobian
-product (VJP) at the output's broadcast shape, or ``None`` for a parent
-that needs no gradient. It reads the parents' ``requires_grad`` when it
-runs and computes only the entries needed, so a frozen parent costs it
-no product. :func:`backward` calls it once per node, sums a broadcast
-entry back to its parent's shape, and accumulates the entries of the
-parents that need a gradient in parent order. A parent's first gradient
-is the entry itself when that array owns its memory (no view,
-writeable, float64 at the parent's shape) and is not the output's
-gradient; any other array is copied. So a backward function never hands
-one array to two parents (an identity entry, such as ``add``'s, is the
-output's gradient, which is copied), never returns a forward value or a
-tensor's ``data``, and never writes an array after returning it. A
-leaf's first gradient stores -0.0 as 0.0 either way, so leaf gradients
-keep the bits they had when every first gradient was copied.
+parents, one backward function and the arrays that function reads. It
+saves an array only for a parent that needs a gradient: ``matmul``
+saves ``b``'s data only if ``a`` needs a gradient, and ``a``'s only if
+``b`` does; ``add``, ``sub``, ``scalar_mul``, ``concat``, ``tsum`` and
+``tslice`` save no values at all. The function's closure holds no array
+and no tensor, only flags, shapes, offsets and :class:`SegmentIndex`
+handles; it is called as ``backward(g, *saved)``. It maps the output's
+gradient ``g`` to one entry per parent, in parent order: that parent's
+vector-Jacobian product (VJP) at the output's broadcast shape, or
+``None`` for a parent that needed no gradient when the op ran, so a
+frozen parent costs it no product. :func:`backward` calls it once per
+node, sums a broadcast entry back to the parent's shape, which it reads
+from the parent's entry, and accumulates the entries of the parents
+that need a gradient in parent order. A parent's first gradient is the
+entry itself when that array owns its memory (no view, writeable,
+float64 at the parent's shape) and is not the output's gradient; any
+other array is copied. So a backward function never hands one array to
+two parents (an identity entry, such as ``add``'s, is the output's
+gradient, which is copied), never returns a saved array or a tensor's
+``data``, and never writes an array after returning it. A leaf's first
+gradient stores -0.0 as 0.0 either way, so leaf gradients keep the bits
+they had when every first gradient was copied. Saved arrays are not
+read-only: nothing may write one before the backward that reads it has
+run. ``SGD.step`` writes a weight's data in place, which ``matmul``
+saves, only after that backward.
 
 Eight fused composites are one tape node each, with a closed-form VJP:
 :func:`softmax` (the architecture weights), :func:`weighted_sum` (the
@@ -50,19 +74,23 @@ relaxed mixture), :func:`layer_norm`, :func:`masked_bce`, :func:`lstm`
 :func:`gather_sum` (message passing: gather rows by edge source, scale
 each by an optional edge weight, sum them per destination) and
 :func:`softmax_aggregate` (GEN's gather, relu, softmax and weighted sum
-over each segment). The two message-passing nodes keep no edge-wide
-array that their backward does not read: ``gather_sum`` keeps none and
-rebuilds its gathers in its backward. :func:`pick_blocks` takes one
-column block per row, as MF picks each node's degree bucket out of one
-product against all its weights. Each forward evaluates the numpy
-expressions of the composed version it replaced, in the same order, so
-outputs keep their bits; gradients may differ in the last bits. The
-LSTM's first step leaves out the zero state's ``h @ W_hh``, ``f * c``
-and forget gate, which moves no bit. A backward function may keep
-forward buffers in its closure (the LSTM keeps every step's gates, cell
-state and hidden state); they live until :func:`backward` frees the
-node, and a tape size that counts node outputs only, as the benchmark's
-``autodiff.tape_bytes`` does, leaves them out.
+over each segment). The two message-passing nodes save no edge-wide
+array that their backward does not read: ``gather_sum`` saves none and
+rebuilds its gathers in its backward. ``weighted_sum`` saves the
+candidates only when its weights need a gradient (the logit half-step);
+when only the candidates do (the weight half-step) it saves the
+weights alone. :func:`pick_blocks` takes one column block per row, as
+MF picks each node's degree bucket out of one product against all its
+weights. Each forward evaluates the numpy expressions of the composed
+version it replaced, in the same order, so outputs keep their bits;
+gradients may differ in the last bits. The LSTM's first step leaves out
+the zero state's ``h @ W_hh``, ``f * c`` and forget gate, which moves no
+bit. A node's saved arrays may be forward buffers (the LSTM saves every
+step's gates and ``tanh(c)``, and each state but the last); they live
+until :func:`backward` frees the node. A tape walk that reads each
+entry's ``data``, as the benchmark's ``autodiff.tape_bytes`` does,
+counts every taped output at its full size (a node's ``data`` is a
+zero-stride stand-in of its output's shape) and no saved array.
 """
 
 from __future__ import annotations
@@ -79,30 +107,33 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A dense float64 array plus its accumulated gradient and tape link."""
+    """A dense float64 array plus its accumulated gradient and, for an op
+    output that needs a gradient, the op's tape node."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = (), _backward: Callable | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._backward = _backward  # None on a leaf
+        self._node: _Node | None = None  # None on a leaf
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    @property
+    def _parents(self) -> tuple:
+        """The tape entries of the op that made this tensor; () on a leaf."""
+        return () if self._node is None else self._node._parents
 
     def accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add ``g`` to the gradient. The first ``g`` becomes the gradient
-        itself when ``owned`` says nothing else holds it."""
+        """Add ``g`` to a leaf's gradient. The first ``g`` becomes the
+        gradient itself when ``owned`` says nothing else holds it."""
         if self.grad is None:
             # g + 0.0 rather than a copy: it stores -0.0 as 0.0, as adding
-            # onto zeros does, and turns a read-only view into an own array.
-            # An owned g keeps its -0.0 on the tape, where it can move only
-            # the signs of other zeros; a leaf's gradient drops it in place.
-            if not owned:
-                self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
-            else:
-                self.grad = g if self._parents else np.add(g, 0.0, out=g)
+            # onto zeros does, and turns a read-only view into an own array
+            self.grad = np.add(g, 0.0, out=g if owned else np.empty_like(self.data))
         else:
             self.grad += g
 
@@ -114,6 +145,39 @@ class Tensor:
 
     def __getitem__(self, key):
         return tslice(self, key)
+
+
+class _Node:
+    """One op's place on the tape: its parents' entries, its backward
+    function, the arrays that function reads, its output's shape and, while
+    :func:`backward` runs, the output's gradient. It holds neither the
+    output nor a parent :class:`Tensor` that needs no gradient.
+
+    A placeholder (``backward`` None) stands for a parent that needs no
+    gradient; it holds only that parent's shape."""
+
+    __slots__ = ("_parents", "backward", "saved", "shape", "grad")
+
+    def __init__(self, parents: tuple, backward: Callable | None, saved: tuple,
+                 shape: tuple[int, ...]):
+        self._parents, self.backward, self.saved, self.shape = parents, backward, saved, shape
+        self.grad: np.ndarray | None = None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.backward is not None
+
+    @property
+    def data(self) -> np.ndarray:
+        """A zero-stride stand-in for the output, which the node does not
+        hold; its ``nbytes`` are the output's."""
+        return np.broadcast_to(np.float64(0.0), self.shape)
+
+    def accumulate(self, g: np.ndarray, owned: bool) -> None:
+        if self.grad is None:
+            self.grad = g if owned else np.add(g, 0.0, out=np.empty(self.shape))
+        else:
+            self.grad += g
 
 
 @contextmanager
@@ -134,15 +198,32 @@ def frozen(tensors):
             t.requires_grad = flag
 
 
-def _make(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
-    """The op's output; it keeps the tape link only if a parent needs a
-    gradient."""
+def _entry(t: Tensor):
+    """``t``'s entry on a child's tape node: the node of the op that made
+    it, the tensor itself when it is a leaf that needs a gradient, and
+    otherwise a placeholder of its shape."""
+    if not t.requires_grad:
+        return _Node((), None, (), t.data.shape)
+    return t if t._node is None else t._node
+
+
+def _make(data: np.ndarray, parents: tuple, backward: Callable, *saved) -> Tensor:
+    """The op's output; it records a tape node only if a parent needs a
+    gradient. ``backward(g, *saved)`` runs once, in :func:`backward`."""
+    out = Tensor(data)
     if any(p.requires_grad for p in parents):
-        return Tensor(data, True, parents, backward)
-    return Tensor(data)
+        out.requires_grad = True
+        out._node = _Node(tuple(_entry(p) for p in parents), backward, saved, out.data.shape)
+    return out
 
 
-def _consumed(g):
+def _kept(t: Tensor, array):
+    """``array`` when ``t`` needs a gradient, else None: what an op saves
+    for one parent's entry."""
+    return array if t.requires_grad else None
+
+
+def _consumed(g, *saved):
     """The backward function of a node that :func:`backward` has freed."""
     raise RuntimeError("backward: the tape was already consumed by an earlier "
                        "backward; a loss can be backpropagated once")
@@ -184,22 +265,25 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("sub", a, b)
+    keep_a, keep_b = a.requires_grad, b.requires_grad
     return _make(a.data - b.data, (a, b), lambda g: (
-        g if a.requires_grad else None, -g if b.requires_grad else None))
+        g if keep_a else None, -g if keep_b else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
-    return _make(a.data * b.data, (a, b), lambda g: (
-        g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None))
+    return _make(a.data * b.data, (a, b), lambda g, bd, ad: (
+        None if bd is None else g * bd, None if ad is None else g * ad),
+        _kept(a, b.data), _kept(b, a.data))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("div", a, b)
     out_data = a.data / b.data
-    return _make(out_data, (a, b), lambda g: (
-        g / b.data if a.requires_grad else None,
-        -g * out_data / b.data if b.requires_grad else None))
+    keep_a = a.requires_grad
+    return _make(out_data, (a, b), lambda g, bd, out: (
+        g / bd if keep_a else None, None if out is None else -g * out / bd),
+        b.data, _kept(b, out_data))
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
@@ -211,8 +295,9 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; on ties the gradient goes to the first operand."""
     _check_broadcast("maximum", a, b)
     take_a = a.data >= b.data
-    return _make(np.where(take_a, a.data, b.data), (a, b), lambda g: (
-        g * take_a if a.requires_grad else None, g * ~take_a if b.requires_grad else None))
+    keep_a, keep_b = a.requires_grad, b.requires_grad
+    return _make(np.where(take_a, a.data, b.data), (a, b), lambda g, take_a: (
+        g * take_a if keep_a else None, g * ~take_a if keep_b else None), take_a)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +307,9 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return _make(a.data @ b.data, (a, b), lambda g: (
-        g @ b.data.T if a.requires_grad else None, a.data.T @ g if b.requires_grad else None))
+    return _make(a.data @ b.data, (a, b), lambda g, bd, ad: (
+        None if bd is None else g @ bd.T, None if ad is None else ad.T @ g),
+        _kept(a, b.data), _kept(b, a.data))
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +318,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0  # subgradient at 0 fixed to 0
-    return _make(a.data * mask, (a,), lambda g: (g * mask,))
+    return _make(a.data * mask, (a,), lambda g, mask: (g * mask,), mask)
 
 
 def leaky_relu(a: Tensor) -> Tensor:
     """Slope 0.2 below zero, as GAT uses."""
     scale = np.where(a.data > 0.0, 1.0, 0.2)
-    return _make(a.data * scale, (a,), lambda g: (g * scale,))
+    return _make(a.data * scale, (a,), lambda g, scale: (g * scale,), scale)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     out_data = _sigmoid(a.data)
-    return _make(out_data, (a,), lambda g: (g * out_data * (1.0 - out_data),))
+    return _make(out_data, (a,), lambda g, out: (g * out * (1.0 - out),), out_data)
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -261,16 +347,16 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
-    return _make(out_data, (a,), lambda g: (g * out_data,))
+    return _make(out_data, (a,), lambda g, out: (g * out,), out_data)
 
 
 def log(a: Tensor) -> Tensor:
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+    return _make(np.log(a.data), (a,), lambda g, x: (g / x,), a.data)
 
 
 def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
-    return _make(out_data, (a,), lambda g: (g * 0.5 / out_data,))
+    return _make(out_data, (a,), lambda g, out: (g * 0.5 / out,), out_data)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +370,15 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
     shapes = [t.data.shape for t in tensors]
     if any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes):
         raise ShapeError(f"concat: incompatible shapes {shapes}; need 2-d, equal row counts")
-    offsets = np.cumsum([0] + [s[1] for s in shapes])
+    offsets = np.cumsum([0] + [s[1] for s in shapes]).tolist()
     return _make(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors),
                  lambda g: tuple(g[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])))
 
 
 def tslice(a: Tensor, key) -> Tensor:
     """Basic (non-overlapping) indexing: ints and slices."""
-    return _make(a.data[key], (a,), lambda g: (_scatter(a.data.shape, key, g),))
+    shape = a.data.shape
+    return _make(a.data[key], (a,), lambda g: (_scatter(shape, key, g),))
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -313,12 +400,12 @@ def pick_blocks(a: Tensor, blocks: np.ndarray, width: int) -> Tensor:
                          f"do not fit shape {a.data.shape}")
     shape, picked = (rows, cols // width, width), np.arange(rows)
 
-    def backward(g):
+    def backward(g, picked, blocks):
         grad = np.zeros(shape)
         grad[picked, blocks] = g
-        grad.shape = a.data.shape  # in place, not a view
+        grad.shape = (rows, cols)  # in place, not a view
         return (grad,)
-    return _make(a.data.reshape(shape)[picked, blocks], (a,), backward)
+    return _make(a.data.reshape(shape)[picked, blocks], (a,), backward, picked, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +414,9 @@ def pick_blocks(a: Tensor, blocks: np.ndarray, width: int) -> Tensor:
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     expand = axis is not None and not keepdims
+    shape = a.data.shape
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), lambda g: (
-        np.broadcast_to(np.expand_dims(g, axis) if expand else g, a.data.shape),))
+        np.broadcast_to(np.expand_dims(g, axis) if expand else g, shape),))
 
 
 def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -430,7 +518,7 @@ def segment_reduce(values: Tensor, ids, num_segments: int,
     if mode == "mean":
         n = np.maximum(np.bincount(index.ids, minlength=num_segments), 1.0)[:, None]
         return _make(_segment_sum(values.data, index) / n, (values,),
-                     lambda g: ((g / n)[index.ids],))
+                     lambda g, n: ((g / n)[index.ids],), n)
 
     rows, width = values.data.shape
     flat, v = index.flat(width), values.data.ravel()
@@ -443,11 +531,11 @@ def segment_reduce(values: Tensor, ids, num_segments: int,
     out = np.zeros(num_segments * width)
     out[hit] = v[source]
 
-    def backward(g):
-        grad = _scatter(v.size, source, g.ravel()[hit])
+    def backward(g, source, hit):
+        grad = _scatter(rows * width, source, g.ravel()[hit])
         grad.shape = (rows, width)  # in place, not a view
         return (grad,)
-    return _make(out.reshape(num_segments, width), (values,), backward)
+    return _make(out.reshape(num_segments, width), (values,), backward, source, hit)
 
 
 def _segment_softmax(logits: np.ndarray, index: SegmentIndex) -> np.ndarray:
@@ -466,11 +554,11 @@ def segment_softmax(logits: Tensor, ids, num_segments: int) -> Tensor:
     index = _segment_index(ids, num_segments)
     out = _segment_softmax(logits.data, index)
 
-    def backward(g):
+    def backward(g, out):
         grad = g - _segment_sum(g * out, index)[index.ids]
         grad *= out
         return (grad,)
-    return _make(out, (logits,), backward)
+    return _make(out, (logits,), backward, out)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +572,7 @@ def softmax(a: Tensor, temperature: float) -> Tensor:
     scale = 1.0 / temperature
     e = np.exp((a.data - a.data.max()) * scale)
     out = e / e.sum()
-    return _make(out, (a,), lambda g: (out * (g - (g * out).sum()) * scale,))
+    return _make(out, (a,), lambda g, out: (out * (g - (g * out).sum()) * scale,), out)
 
 
 def weighted_sum(w: Tensor, ys: Sequence[Tensor]) -> Tensor:
@@ -497,9 +585,12 @@ def weighted_sum(w: Tensor, ys: Sequence[Tensor]) -> Tensor:
     out = w.data[0] * ys[0].data
     for k in range(1, len(ys)):
         out += w.data[k] * ys[k].data
-    return _make(out, (w, *ys), lambda g: (
-        np.array([np.vdot(g, y.data) for y in ys]) if w.requires_grad else None,
-        *(g * w.data[k] if y.requires_grad else None for k, y in enumerate(ys))))
+    keep_ys = [y.requires_grad for y in ys]
+    # the logit half-step saves the candidates; the weight half-step only w
+    return _make(out, (w, *ys), lambda g, w, ys: (
+        None if ys is None else np.array([np.vdot(g, y) for y in ys]),
+        *(g * w[k] if keep else None for k, keep in enumerate(keep_ys))),
+        w.data if any(keep_ys) else None, _kept(w, [y.data for y in ys]))
 
 
 def layer_norm(a: Tensor) -> Tensor:
@@ -510,8 +601,9 @@ def layer_norm(a: Tensor) -> Tensor:
     xc = x - x.sum(axis=1, keepdims=True) * inv_width
     std = np.sqrt((xc * xc).sum(axis=1, keepdims=True) * inv_width + 1e-5)
     out = xc / std
-    return _make(out, (a,), lambda g: ((g - g.mean(axis=1, keepdims=True)
-                                        - out * (g * out).mean(axis=1, keepdims=True)) / std,))
+    return _make(out, (a,), lambda g, out, std: ((g - g.mean(axis=1, keepdims=True)
+                                                  - out * (g * out).mean(axis=1, keepdims=True))
+                                                 / std,), out, std)
 
 
 def masked_bce(logits: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -524,7 +616,7 @@ def masked_bce(logits: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:
     scale = 1.0 / int(mask.sum())
     elem = (z * (z > 0.0) - z * y) + np.log(1.0 + e)
     return _make((elem * keep).sum() * scale, (logits,),
-                 lambda g: ((g * scale) * keep * (_sigmoid(z) - y),))
+                 lambda g, z, y, keep: ((g * scale) * keep * (_sigmoid(z) - y),), z, y, keep)
 
 
 def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Tensor:
@@ -571,14 +663,17 @@ def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Ten
         tanh_cs.append(tanh_c)
         hs.append(o * tanh_c)
 
-    def bptt(gh: np.ndarray) -> list:
-        grads = [None] * len(inputs) + [
-            np.zeros_like(w.data) if w.requires_grad else None for w in (W_ih, W_hh, b)]
+    keep_x = [x.requires_grad for x in inputs]
+    weight_shapes = [w.data.shape if w.requires_grad else None for w in (W_ih, W_hh, b)]
+
+    def bptt(gh: np.ndarray, xs, w_ih, w_hh, gates, cs, tanh_cs, hs) -> list:
+        grads = [None] * len(keep_x) + [
+            None if shape is None else np.zeros(shape) for shape in weight_shapes]
         dW_ih, dW_hh, db = grads[-3:]
         dz = np.empty((n, 4 * d))
         di, df, dg, do = (dz[:, k * d:(k + 1) * d] for k in range(4))
         dh, dc = gh, np.zeros((n, d))
-        for t in reversed(range(len(inputs))):
+        for t in reversed(range(len(keep_x))):
             (i, f, g, o), tanh_c = gates[t], tanh_cs[t]
             dc += dh * o * (1.0 - tanh_c * tanh_c)
             np.multiply(dc * g, i * (1.0 - i), out=di)
@@ -588,20 +683,23 @@ def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Ten
                 df.fill(0.0)
             np.multiply(dc * i, 1.0 - g * g, out=dg)
             np.multiply(dh * tanh_c, o * (1.0 - o), out=do)
-            if inputs[t].requires_grad:
-                grads[t] = dz @ W_ih.data.T
+            if keep_x[t]:
+                grads[t] = dz @ w_ih.T
             if dW_ih is not None:
-                dW_ih += inputs[t].data.T @ dz
+                dW_ih += xs[t].T @ dz
             if dW_hh is not None and t:
                 dW_hh += hs[t - 1].T @ dz
             if db is not None:
                 db += dz.sum(axis=0, keepdims=True)
             if t:
-                dh = dz @ W_hh.data.T
+                dh = dz @ w_hh.T
                 dc *= f
         return grads
 
-    return _make(hs[-1], (*inputs, W_ih, W_hh, b), bptt)
+    # the last step's c and h are read by no step of the backward
+    return _make(hs[-1], (*inputs, W_ih, W_hh, b), bptt,
+                 _kept(W_ih, [x.data for x in inputs]), W_ih.data if any(keep_x) else None,
+                 W_hh.data, gates, cs[:-1], tanh_cs, _kept(W_hh, hs[:-1]))
 
 
 def _edge_indices(name: str, x: Tensor, src, dst, num_segments: int) -> tuple:
@@ -638,20 +736,22 @@ def gather_sum(x: Tensor, src, dst, num_segments: int, weight=None) -> Tensor:
     out = _segment_sum(msg, dst)
 
     parents = (x, weight) if isinstance(weight, Tensor) else (x,)
+    keep_x, n_parents = x.requires_grad, len(parents)
 
-    def grads(g: np.ndarray) -> tuple:
+    def grads(g: np.ndarray, x_data, w) -> tuple:
         gd = g[dst.ids]
         dx = dw = None
-        if isinstance(weight, Tensor) and weight.requires_grad:
-            xs = x.data[src.ids]
+        if x_data is not None:  # the weight Tensor needs a gradient
+            xs = x_data[src.ids]
             xs *= gd
             dw = xs.sum(axis=1, keepdims=True)
-        if x.requires_grad:
+        if keep_x:
             if w is not None:
                 gd *= w
             dx = _segment_sum(gd, src)
-        return (dx, dw)[:len(parents)]
-    return _make(out, parents, grads)
+        return (dx, dw)[:n_parents]
+    return _make(out, parents, grads,
+                 _kept(weight, x.data) if n_parents == 2 else None, _kept(x, w))
 
 
 def softmax_aggregate(x: Tensor, beta: Tensor, src, dst, num_segments: int,
@@ -684,25 +784,27 @@ def softmax_aggregate(x: Tensor, beta: Tensor, src, dst, num_segments: int,
     out = _segment_sum(w * m, dst)
 
     parents = (x, beta) if edge is None else (x, beta, edge)
+    keep_x, keep_beta, n_parents = x.requires_grad, beta.requires_grad, len(parents)
+    keep_msg = keep_x or (edge is not None and edge.requires_grad)
 
-    def grads(g: np.ndarray) -> tuple:
+    def grads(g: np.ndarray, w, m, out, positive, beta) -> tuple:
         gw = g[dst.ids]
         gw *= w
         centred = m - out[dst.ids]
         dmsg = dbeta = None
-        if beta.requires_grad:  # summed elementwise: a BLAS dot's bits vary with its threads
+        if keep_beta:  # summed elementwise: a BLAS dot's bits vary with its threads
             terms = gw * centred
             terms *= m
-            dbeta = np.full(beta.data.shape, terms.sum())
-        if x.requires_grad or (edge is not None and edge.requires_grad):
-            centred *= beta.data
+            dbeta = np.full(beta.shape, terms.sum())
+        if keep_msg:
+            centred *= beta
             centred += 1.0
             centred *= gw
             centred *= positive
             dmsg = centred
-        dx = _segment_sum(dmsg, src) if x.requires_grad else None
-        return (dx, dbeta, dmsg)[:len(parents)]
-    return _make(out, parents, grads)
+        dx = _segment_sum(dmsg, src) if keep_x else None
+        return (dx, dbeta, dmsg)[:n_parents]
+    return _make(out, parents, grads, w, m, out, positive if keep_msg else None, beta.data)
 
 
 # ---------------------------------------------------------------------------
@@ -713,21 +815,22 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every leaf reachable from a scalar loss, and
     free the tape on the way.
 
-    Once a node's backward function has run, its gradient, parents and
-    backward function are dropped, so the tape is consumed: a loss can be
-    backpropagated once, and a pass that reaches a consumed node raises
-    ``RuntimeError``.
-    Leaves keep their gradients, and a later loss over the same leaves
-    adds to them unless they are zeroed first.
+    Once a node's backward function has run, its gradient, parents,
+    backward function and saved arrays are dropped, so the tape is
+    consumed: a loss can be backpropagated once, and a pass that reaches
+    a consumed node raises ``RuntimeError``. Leaves keep their gradients,
+    and a later loss over the same leaves adds to them unless they are
+    zeroed first.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
 
-    topo: list[Tensor] = []
+    root = _entry(loss)
+    topo: list[_Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)] if root is not loss else []
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -735,28 +838,26 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
-        if node._backward is _consumed:
+        if node.backward is _consumed:
             _consumed(node.grad)  # raises before any gradient moves
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+            if type(p) is _Node and p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
-    loss.accumulate(np.ones_like(loss.data), owned=True)
+    root.accumulate(np.ones_like(loss.data), owned=True)
     while topo:
         node = topo.pop()  # reverse topological order; the list lets go of each node
-        if node._backward is None:
-            continue  # a leaf keeps its gradient
-        for p, g in zip(node._parents, node._backward(node.grad), strict=True):
+        for p, g in zip(node._parents, node.backward(node.grad, *node.saved), strict=True):
             if p.requires_grad:
-                if g.shape != p.data.shape:
-                    g = _unbroadcast(g, p.data.shape)
+                if g.shape != p.shape:
+                    g = _unbroadcast(g, p.shape)
                 # the tape contract makes an array that owns its memory the op's alone
                 p.accumulate(g, owned=g is not node.grad and isinstance(g, np.ndarray)
                              and g.base is None and g.flags.writeable
-                             and g.dtype == np.float64 and g.shape == p.data.shape)
-        node.grad, node._parents, node._backward = None, (), _consumed
+                             and g.dtype == np.float64 and g.shape == p.shape)
+        node.grad, node._parents, node.backward, node.saved = None, (), _consumed, ()
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:

@@ -1,4 +1,6 @@
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -80,32 +82,98 @@ def test_backward_deterministic_bits():
     assert grads[0].tobytes() == grads[1].tobytes()
 
 
-def _tape_nodes(loss):
-    """Every tensor reachable from ``loss`` through the tape."""
-    seen = {id(loss): loss}
-    stack = [loss]
-    while stack:
-        for p in stack.pop()._parents:
-            if id(p) not in seen:
-                seen[id(p)] = p
-                stack.append(p)
-    return list(seen.values())
-
-
-def test_backward_frees_the_tape_and_leaves_keep_gradients():
+def test_backward_frees_the_tape_and_leaves_keep_gradients(tape):
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     w = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
     h = ad.relu(ad.matmul(x, w))
     loss = ad.add(ad.tsum(ad.mul(h, ad.sigmoid(h))),
                   ad.tsum(ad.gather_rows(h, np.array([2, 0, 0]))))
-    inner = [t for t in _tape_nodes(loss) if t._parents]
+    inner = tape(loss).nodes
     assert len(inner) == 8
     ad.backward(loss)
-    for t in inner:
-        assert t.grad is None and t._parents == ()
+    for node in inner:
+        assert node.grad is None and node._parents == () and node.saved == ()
     assert x.grad.shape == (3, 2) and w.grad.shape == (2, 2)
     assert np.abs(w.grad).max() > 0
+
+
+class TestUnreadOutputsDie:
+    """A node keeps only the arrays its backward reads, and the tape forms no
+    reference cycle. So with the cyclic collector off, an intermediate
+    output that the forward drops and no backward reads is freed at once,
+    and a dropped tape frees what its nodes saved."""
+
+    @pytest.fixture(autouse=True)
+    def no_cyclic_gc(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    @staticmethod
+    def leaf(shape, seed):
+        return Tensor(np.random.default_rng(seed).standard_normal(shape), requires_grad=True)
+
+    def test_an_add_output_read_only_by_relu(self):
+        x, b = self.leaf((3, 4), 0), self.leaf((1, 4), 1)
+        s = ad.add(x, b)
+        dead = weakref.ref(s.data)
+        loss = ad.tsum(ad.relu(s))
+        del s
+        assert dead() is None
+        ad.backward(loss)
+        np.testing.assert_array_equal(b.grad, (x.data + b.data > 0).sum(axis=0, keepdims=True))
+
+    def test_a_matmul_beside_a_frozen_weight(self):
+        x, c, W = self.leaf((3, 2), 2), self.leaf((1, 2), 3), self.leaf((2, 4), 4)
+        with ad.frozen([W]):
+            h = ad.add(x, c)
+            m = ad.matmul(h, W)  # saves W's data only: W needs no gradient
+            loss = ad.tsum(ad.relu(m))
+            dead = [weakref.ref(h.data), weakref.ref(m.data)]
+            del h, m
+            assert [ref() for ref in dead] == [None, None]
+            ad.backward(loss)
+        np.testing.assert_allclose(x.grad, ((x.data + c.data) @ W.data > 0) @ W.data.T)
+        assert W.grad is None
+
+    def test_a_saved_output_lives_until_backward(self):
+        x = self.leaf((3, 4), 5)
+        s = ad.sigmoid(x)  # its backward reads its output
+        held = weakref.ref(s.data)
+        loss = ad.tsum(ad.scalar_mul(s, 2.0))
+        del s
+        assert held() is not None
+        ad.backward(loss)
+        assert held() is None
+
+    def test_dropping_a_loss_frees_every_saved_array(self, tape):
+        # every op of a relaxed supernet over all 8 aggregations, and the loss
+        from sfanas import graphs, ops
+        from sfanas.supernet import SupernetDims, init_relaxed, supernet_forward
+        from sfanas.training import task_loss
+        rng = np.random.default_rng(6)
+        gs = [graphs.Graph(node_features=rng.normal(size=(n, 3)),
+                           edges=rng.integers(0, n, size=(2 * n, 2)),
+                           edge_features=rng.normal(size=(2 * n, 2)), label=np.array([1.0]))
+              for n in (5, 4, 6)]
+        batch = graphs.batch_graphs(gs)
+        dims = SupernetDims(d_in=3, out_dim=1, num_blocks=2, hidden=6, d_edge=2)
+        params = init_relaxed(dims, ops.AGGREGATION_OPS, seed=1)
+        loss = task_loss(graphs.TaskSchema(), supernet_forward(batch, params, training=True),
+                         batch.labels)
+        saved = tape(loss).saved_arrays()
+        # what lives on without the tape: the leaves' data and the batch's arrays
+        owned = {id(t.data) for t in params.weights.values()} | {
+            id(a) for a in (batch.node_features, batch.edge_features, batch.labels)}
+        refs = [weakref.ref(a) for a in saved if id(a) not in owned]
+        assert len(refs) > 100
+        del saved
+        assert all(ref() is not None for ref in refs)
+        del loss
+        assert [ref() for ref in refs if ref() is not None] == []
 
 
 def test_second_backward_through_a_consumed_tape_raises():
@@ -389,8 +457,8 @@ def test_backward_gives_none_to_a_frozen_parent(op, shapes):
     parents = [Tensor(rng.uniform(0.5, 2.0, shape), requires_grad=True) for shape in shapes]
     for k in range(len(parents)):
         with ad.frozen([parents[k]]):
-            out = op(*parents)
-            grads = out._backward(np.ones_like(out.data))
+            node = op(*parents)._node
+            grads = node.backward(np.ones(node.shape), *node.saved)
         assert len(grads) == len(parents)
         for i, g in enumerate(grads):
             assert g is None if i == k else isinstance(g, np.ndarray), (k, i)
