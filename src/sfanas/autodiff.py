@@ -66,10 +66,11 @@ read-only: nothing may write one before the backward that reads it has
 run. ``SGD.step`` writes a weight's data in place, which ``matmul``
 saves, only after that backward.
 
-Eight fused composites are one tape node each, with a closed-form VJP:
+Nine fused composites are one tape node each, with a closed-form VJP:
 :func:`softmax` (the architecture weights), :func:`weighted_sum` (the
 relaxed mixture), :func:`layer_norm`, :func:`masked_bce`, :func:`lstm`
 (the whole scan; its backward runs backpropagation through time),
+:func:`concat_matmul` (CONCAT fusion's join and projection),
 :func:`segment_softmax` (attention over each segment),
 :func:`gather_sum` (message passing: gather rows by edge source, scale
 each by an optional edge weight, sum them per destination) and
@@ -79,18 +80,22 @@ array that their backward does not read: ``gather_sum`` saves none and
 rebuilds its gathers in its backward. ``weighted_sum`` saves the
 candidates only when its weights need a gradient (the logit half-step);
 when only the candidates do (the weight half-step) it saves the
-weights alone. :func:`pick_blocks` takes one column block per row, as
-MF picks each node's degree bucket out of one product against all its
-weights. Each forward evaluates the numpy expressions of the composed
-version it replaced, in the same order, so outputs keep their bits;
-gradients may differ in the last bits. The LSTM's first step leaves out
-the zero state's ``h @ W_hh``, ``f * c`` and forget gate, which moves no
-bit. A node's saved arrays may be forward buffers (the LSTM saves every
-step's gates and ``tanh(c)``, and each state but the last); they live
-until :func:`backward` frees the node. A tape walk that reads each
-entry's ``data``, as the benchmark's ``autodiff.tape_bytes`` does,
-counts every taped output at its full size (a node's ``data`` is a
-zero-stride stand-in of its output's shape) and no saved array.
+weights alone. ``concat_matmul`` saves no joined copy of its inputs:
+their own arrays, which the LSTM at the same site also saves, are
+joined again in its backward. :func:`pick_blocks` takes one column
+block per row, as MF picks each node's degree bucket out of one product
+against all its weights. Each forward evaluates the numpy expressions
+of the composed version it replaced, in the same order, so outputs keep
+their bits; gradients may differ in the last bits. The LSTM's first
+step leaves out the zero state's ``h @ W_hh``, ``f * c`` and forget
+gate, which moves no bit. A node's saved arrays may be forward buffers
+(the LSTM saves every step's gates and ``c``; its backward rebuilds
+``tanh(c)`` and, for ``W_hh``'s gradient, ``h`` with the forward's
+bits); they live until :func:`backward` frees the node. A tape walk
+that reads each entry's ``data``, as the benchmark's
+``autodiff.tape_bytes`` does, counts every taped output at its full
+size (a node's ``data`` is a zero-stride stand-in of its output's
+shape) and no saved array.
 """
 
 from __future__ import annotations
@@ -363,20 +368,33 @@ def sqrt(a: Tensor) -> Tensor:
 # shape ops
 
 
-def concat(tensors: Sequence[Tensor]) -> Tensor:
-    """2-d tensors with the same row count, joined side by side."""
+def _column_blocks(name: str, tensors: Sequence[Tensor]) -> list[tuple[int, int]]:
+    """The (start, stop) columns of each of the 2-d ``tensors``, which must
+    have one row count, once they are joined side by side."""
     if not tensors:
-        raise ShapeError("concat: empty tensor list")
+        raise ShapeError(f"{name}: empty tensor list")
     shapes = [t.data.shape for t in tensors]
     if any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes):
-        raise ShapeError(f"concat: incompatible shapes {shapes}; need 2-d, equal row counts")
+        raise ShapeError(f"{name}: incompatible shapes {shapes}; need 2-d, equal row counts")
     offsets = np.cumsum([0] + [s[1] for s in shapes]).tolist()
+    return list(zip(offsets[:-1], offsets[1:]))
+
+
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """2-d tensors with the same row count, joined side by side."""
+    blocks = _column_blocks("concat", tensors)
     return _make(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors),
-                 lambda g: tuple(g[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])))
+                 lambda g: tuple(g[:, lo:hi] for lo, hi in blocks))
 
 
 def tslice(a: Tensor, key) -> Tensor:
-    """Basic (non-overlapping) indexing: ints and slices."""
+    """Basic indexing: an int, a slice or a tuple of them, which reads each
+    entry at most once. Any other key, such as an integer array, which may
+    repeat an entry, or a boolean mask, raises :class:`ShapeError`: the
+    backward writes the gradient at ``key``, which would drop repeats."""
+    if not all(isinstance(k, slice) or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in (key if isinstance(key, tuple) else (key,))):
+        raise ShapeError(f"tslice: key {key!r} is not an int, a slice or a tuple of them")
     shape = a.data.shape
     return _make(a.data[key], (a,), lambda g: (_scatter(shape, key, g),))
 
@@ -625,14 +643,18 @@ def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Ten
     four d-wide column blocks give the gates i, f, g, o; then
     ``c = f * c + i * g`` and ``h = o * tanh(c)`` (sigmoid gates, tanh g).
     The first step leaves out the zero state's terms ``h @ W_hh`` and
-    ``f * c``, and so its forget gate, which it leaves unset.
+    ``f * c``, and so its forget gate.
 
+    The node saves each step's gates (i, g, o at the first step) and ``c``.
     The backward runs backpropagation through time once for every parent
     (Appleyard et al., 2016): each step writes its four gate gradients into
     one (n, 4d) buffer, from which that step's input gradient, its share of
     the weight gradients and the recurrent gradient are one matmul each.
-    The first step, whose state is zero, adds nothing to ``W_hh``'s
-    gradient and leaves its forget gate's at zero.
+    It rebuilds each step's ``tanh(c)`` once, and the previous step's
+    ``h = o * tanh(c)`` only for ``W_hh``'s gradient, by the forward's
+    expressions, so they have the forward's bits. The first step, whose
+    state is zero, adds nothing to ``W_hh``'s gradient and leaves its forget
+    gate's at zero.
     """
     n, d = inputs[0].data.shape
     for x in inputs:
@@ -642,39 +664,45 @@ def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Ten
             or b.data.shape != (1, 4 * d):
         raise ShapeError(f"lstm: weights {W_ih.data.shape}, {W_hh.data.shape}, "
                          f"{b.data.shape} do not fit width {d}")
-    # per step: the gates i, f, g, o (each contiguous), c, tanh(c) and h after it
-    gates, cs, tanh_cs, hs = [], [], [], []
+    # per step: the gates i, f, g, o (each contiguous; the first step's
+    # forget gate would scale a zero state, so it has none) and c
+    gates, cs = [], []
     for t, x in enumerate(inputs):
         z = x.data @ W_ih.data
         if t:
-            z += hs[-1] @ W_hh.data
+            z += h @ W_hh.data
         z += b.data
-        i, f, g, o = act = np.empty((4, n, d))
-        for k in (range(4) if t else (0, 2, 3)):  # the first forget gate scales a zero state
-            (np.tanh if k == 2 else _sigmoid)(z[:, k * d:(k + 1) * d], out=act[k])
+        blocks = range(4) if t else (0, 2, 3)
+        act = np.empty((len(blocks), n, d))
+        for slot, k in enumerate(blocks):
+            (np.tanh if k == 2 else _sigmoid)(z[:, k * d:(k + 1) * d], out=act[slot])
         if t:
+            i, f, g, o = act
             c = f * cs[-1]
             c += i * g
         else:
+            i, g, o = act
             c = i * g
-        tanh_c = np.tanh(c)
         gates.append(act)
         cs.append(c)
-        tanh_cs.append(tanh_c)
-        hs.append(o * tanh_c)
+        h = o * np.tanh(c)
 
     keep_x = [x.requires_grad for x in inputs]
     weight_shapes = [w.data.shape if w.requires_grad else None for w in (W_ih, W_hh, b)]
 
-    def bptt(gh: np.ndarray, xs, w_ih, w_hh, gates, cs, tanh_cs, hs) -> list:
+    def bptt(gh: np.ndarray, xs, w_ih, w_hh, gates, cs) -> list:
         grads = [None] * len(keep_x) + [
             None if shape is None else np.zeros(shape) for shape in weight_shapes]
         dW_ih, dW_hh, db = grads[-3:]
         dz = np.empty((n, 4 * d))
         di, df, dg, do = (dz[:, k * d:(k + 1) * d] for k in range(4))
         dh, dc = gh, np.zeros((n, d))
+        tanh_c = np.tanh(cs[-1])
         for t in reversed(range(len(keep_x))):
-            (i, f, g, o), tanh_c = gates[t], tanh_cs[t]
+            if t:
+                i, f, g, o = gates[t]
+            else:
+                i, g, o = gates[t]
             dc += dh * o * (1.0 - tanh_c * tanh_c)
             np.multiply(dc * g, i * (1.0 - i), out=di)
             if t:
@@ -683,12 +711,14 @@ def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Ten
                 df.fill(0.0)
             np.multiply(dc * i, 1.0 - g * g, out=dg)
             np.multiply(dh * tanh_c, o * (1.0 - o), out=do)
+            if t:
+                tanh_c = np.tanh(cs[t - 1])  # step t-1's: for its h below and its own turn
             if keep_x[t]:
                 grads[t] = dz @ w_ih.T
             if dW_ih is not None:
                 dW_ih += xs[t].T @ dz
             if dW_hh is not None and t:
-                dW_hh += hs[t - 1].T @ dz
+                dW_hh += (gates[t - 1][-1] * tanh_c).T @ dz  # the previous step's o * tanh(c)
             if db is not None:
                 db += dz.sum(axis=0, keepdims=True)
             if t:
@@ -696,10 +726,29 @@ def lstm(inputs: Sequence[Tensor], W_ih: Tensor, W_hh: Tensor, b: Tensor) -> Ten
                 dc *= f
         return grads
 
-    # the last step's c and h are read by no step of the backward
-    return _make(hs[-1], (*inputs, W_ih, W_hh, b), bptt,
+    return _make(h, (*inputs, W_ih, W_hh, b), bptt,
                  _kept(W_ih, [x.data for x in inputs]), W_ih.data if any(keep_x) else None,
-                 W_hh.data, gates, cs[:-1], tanh_cs, _kept(W_hh, hs[:-1]))
+                 W_hh.data, gates, cs)
+
+
+def concat_matmul(tensors: Sequence[Tensor], P: Tensor) -> Tensor:
+    """``matmul(concat(tensors), P)`` as one node that keeps no joined
+    copy: for ``P``'s gradient it saves the tensors' own arrays and joins
+    them again in its backward. Each tensor's gradient is its column block
+    of ``g @ P.T``. Forward and gradients have the two nodes' bits."""
+    blocks = _column_blocks("concat_matmul", tensors)
+    if P.data.ndim != 2 or P.data.shape[0] != blocks[-1][1]:
+        raise ShapeError(f"concat_matmul: {blocks[-1][1]} joined columns for P of shape "
+                         f"{P.data.shape}")
+    xs = [t.data for t in tensors]
+    keep_x = [t.requires_grad for t in tensors]
+
+    def backward(g, p, xs):
+        gx = None if p is None else g @ p.T
+        return (*(gx[:, lo:hi] if keep else None for keep, (lo, hi) in zip(keep_x, blocks)),
+                None if xs is None else np.concatenate(xs, axis=1).T @ g)
+    return _make(np.concatenate(xs, axis=1) @ P.data, (*tensors, P), backward,
+                 P.data if any(keep_x) else None, _kept(P, xs))
 
 
 def _edge_indices(name: str, x: Tensor, src, dst, num_segments: int) -> tuple:

@@ -108,6 +108,18 @@ def _primitive_checks():
         return max(_checked(of_arg(k), args[k], rng) for k in range(len(args)))
     checks.append(("primitive/lstm", lstm_run))
 
+    def concat_matmul_run():
+        rng = np.random.default_rng([9, 141])
+        args = [rng.standard_normal(shape) for shape in ((3, 2), (3, 3), (5, 4))]
+
+        def of_arg(k):  # the product as a function of argument k, the rest fixed
+            def f(t):
+                ts = [t if j == k else Tensor(a) for j, a in enumerate(args)]
+                return ad.concat_matmul(ts[:2], ts[2])
+            return f
+        return max(_checked(of_arg(k), args[k], rng) for k in range(len(args)))
+    checks.append(("primitive/concat_matmul", concat_matmul_run))
+
     def gather_run():
         rng = np.random.default_rng([9, 101])
         x = rng.standard_normal((5, 3))

@@ -219,8 +219,11 @@ def aggregate(name: str, batch: GraphBatch, H: Tensor, params: dict,
 def fuse(name: str, inputs: list, params: dict) -> Tensor:
     """Combine a list of same-shape feature matrices into one.
 
-    MEAN divides by the number of input slots; LSTM consumes the list as a
-    sequence in ascending block order and returns the final hidden state.
+    MEAN divides by the number of input slots; CONCAT joins the list side
+    by side and projects it back with ``P`` in one node
+    (:func:`autodiff.concat_matmul`), which keeps no joined copy; LSTM
+    consumes the list as a sequence in ascending block order and returns
+    the final hidden state.
     """
     if not inputs:
         raise ValueError(f"fuse {name}: empty input list")
@@ -235,7 +238,7 @@ def fuse(name: str, inputs: list, params: dict) -> Tensor:
             out = ad.maximum(out, x)
         return out
     if name == "CONCAT":
-        return ad.matmul(ad.concat(inputs), params["P"])
+        return ad.concat_matmul(inputs, params["P"])
     if name == "LSTM":
         return ad.lstm(inputs, params["W_ih"], params["W_hh"], params["b"])
     raise ValueError(f"unknown fusion op {name!r}")

@@ -449,7 +449,8 @@ def test_frozen_holds_leaves_out_and_restores_after_an_exception():
     (ad.sub, [(2, 3), (2, 3)]), (ad.mul, [(2, 3), (1, 3)]), (ad.div, [(2, 3), (2, 1)]),
     (ad.maximum, [(2, 3), (2, 3)]), (ad.matmul, [(2, 3), (3, 4)]),
     (lambda w, *ys: ad.weighted_sum(w, ys), [(2,), (2, 3), (2, 3)]),
-], ids=["sub", "mul", "div", "maximum", "matmul", "weighted_sum"])
+    (lambda a, b, p: ad.concat_matmul([a, b], p), [(2, 3), (2, 1), (4, 5)]),
+], ids=["sub", "mul", "div", "maximum", "matmul", "weighted_sum", "concat_matmul"])
 def test_backward_gives_none_to_a_frozen_parent(op, shapes):
     # the node's one backward function computes only the entries of
     # parents that need a gradient, so a frozen one costs it no product
@@ -469,6 +470,34 @@ def test_gather_rows_accumulates_duplicates():
     out = ad.gather_rows(x, np.array([0, 0, 1]))
     ad.backward(ad.tsum(out))
     np.testing.assert_array_equal(x.grad, [[2.0], [1.0]])
+
+
+@pytest.mark.parametrize("key", [[0, 0, 2], np.array([0, 0, 2]), np.array([True, False, True]),
+                                 (slice(None), [1, 1]), None, Ellipsis, True],
+                         ids=["list", "int-array", "bool-mask", "tuple-with-list", "none",
+                              "ellipsis", "bool"])
+def test_tslice_refuses_keys_that_are_not_basic(key):
+    """Indexing writes its gradient back at the key, so a key that may
+    repeat an entry would drop the repeats' gradients: ``x[[0, 0, 2]]``
+    would give row 0 a gradient of 1, not 2. Only ints, slices and tuples
+    of them are taken."""
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    with pytest.raises(ShapeError, match="tslice"):
+        x[key]
+
+
+@pytest.mark.parametrize("key, want", [
+    (slice(1, 2), [[0, 0], [1, 1], [0, 0]]),
+    (0, [[1, 1], [0, 0], [0, 0]]),
+    ((slice(None), 1), [[0, 1], [0, 1], [0, 1]]),
+    (np.int64(2), [[0, 0], [0, 0], [1, 1]]),
+], ids=["x[1:2]", "x[0]", "x[:, 1]", "x[np.int64(2)]"])
+def test_tslice_basic_keys_keep_their_gradients(key, want):
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    out = x[key]
+    np.testing.assert_array_equal(out.data, x.data[key])
+    ad.backward(ad.tsum(out))
+    np.testing.assert_array_equal(x.grad, want)
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +729,10 @@ def test_fused_shape_checks():
             ad.gather_sum(x, src, two, 1, weight)
     with pytest.raises(ShapeError, match="pick_blocks"):
         ad.pick_blocks(ones, np.zeros(2, dtype=np.int64), 2)
+    for xs, P in (([], np.ones((3, 2))), ([ones, Tensor(np.ones((3, 3)))], np.ones((6, 2))),
+                  ([ones, ones], np.ones((5, 2))), ([ones], np.ones(3))):
+        with pytest.raises(ShapeError, match="concat_matmul"):
+            ad.concat_matmul(xs, Tensor(P))
 
 
 def pre_change_lstm(xs, W_ih, W_hh, b, gh):
@@ -809,6 +842,81 @@ def test_lstm_frozen_weights_cost_no_weight_product(steps):
     assert (products, frozen_products) == (steps, 0)
     assert all(g is not None for g in weight_grads)
     assert frozen_weight_grads == [None, None, None]
+
+
+def _lstm_states(xs, W_ih, W_hh, b) -> list:
+    """Per step, (c, tanh(c), h) of the LSTM from a zero state."""
+    n, d = xs[0].shape
+    h = c = np.zeros((n, d))
+    states = []
+    for x in xs:
+        z = x @ W_ih + h @ W_hh + b
+        i, f, g, o = ((np.tanh if k == 2 else ad._sigmoid)(z[:, k * d:(k + 1) * d])
+                      for k in range(4))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        states.append((c, np.tanh(c), h))
+    return states
+
+
+@pytest.mark.parametrize("frozen", ["none", "W_ih", "W_hh", "inputs"])
+@pytest.mark.parametrize("steps", [1, 3])
+def test_lstm_saves_its_gates_and_cell_states(steps, frozen, tape):
+    """Per step the node saves the four gates, three at the first step,
+    whose forget gate would scale a zero state, and ``c``; the backward
+    rebuilds ``tanh(c)`` and ``h``, so no saved array holds either. It
+    saves the inputs only when ``W_ih`` needs a gradient, and ``W_ih``
+    only when an input does."""
+    raw, W = _lstm_args(np.random.default_rng([steps, 7]), steps)
+    xs = [Tensor(a, requires_grad=True) for a in raw]
+    weights = dict(zip(("W_ih", "W_hh", "b"), (Tensor(w, requires_grad=True) for w in W)))
+    with ad.frozen(xs if frozen == "inputs" else [weights.get(frozen)] if frozen in weights
+                   else []):
+        out = ad.lstm(xs, *weights.values())
+    [node] = tape(out).nodes
+    saved = tape.saved(node)
+    n, d = raw[0].shape
+
+    gates = [a for a in saved if a.ndim == 3]
+    assert [a.shape for a in gates] == [(3, n, d)] + [(4, n, d)] * (steps - 1)
+    inputs = [a for a in saved if any(a is x.data for x in xs)]
+    assert len(inputs) == (0 if frozen == "W_ih" else steps)
+    assert any(a is weights["W_ih"].data for a in saved) == (frozen != "inputs")
+    states = _lstm_states(raw, *W)
+    cells = [a for a in saved if a.shape == (n, d) and not any(a is x for x in inputs)]
+    assert len(cells) == steps
+    for a, (c, _, _) in zip(cells, states):
+        np.testing.assert_allclose(a, c, rtol=1e-12, atol=1e-12)
+    assert len(saved) == len(gates) + len(inputs) + len(cells) + 1 + (frozen != "inputs")
+    assert not any(np.allclose(a, s) for a in saved if a.shape == (n, d)
+                   for _, tanh_c, h in states for s in (tanh_c, h))
+
+
+@pytest.mark.parametrize("frozen", ["none", "P", "inputs", "first input"])
+def test_concat_matmul_has_the_bits_of_matmul_of_concat(frozen, tape):
+    """One node with the forward and every gradient of ``matmul(concat(xs),
+    P)``, byte for byte, over inputs of three widths, one of them listed
+    twice; it saves no joined copy of the inputs."""
+    rng = np.random.default_rng(11)
+    a, b = (Tensor(rng.normal(size=(4, w)), requires_grad=True) for w in (3, 2))
+    P = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
+    gh = Tensor(rng.normal(size=(4, 5)))
+    hold = {"none": [], "P": [P], "inputs": [a, b], "first input": [a]}[frozen]
+    runs = []
+    for fused in (True, False):
+        for t in (a, b, P):
+            t.zero_grad()
+        with ad.frozen(hold):
+            out = ad.concat_matmul([a, b, a], P) if fused else \
+                ad.matmul(ad.concat([a, b, a]), P)
+            if fused:
+                [node] = tape(out).nodes
+                assert (4, 8) not in [x.shape for x in tape.saved(node)]
+            ad.backward(ad.tsum(ad.mul(out, gh)))
+        runs.append([out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes()
+                                            for t in (a, b, P)])
+    assert runs[0] == runs[1]
+    assert [g is None for g in runs[0][1:]] == [t in hold for t in (a, b, P)]
 
 
 def test_pick_blocks_takes_each_rows_block():
